@@ -495,7 +495,6 @@ def separatrices(family: FamilyDescriptor, offset: float = 1e-6) -> list:
                 ):
                     continue
                 traj = integrate_orbit(field, start, direction=direction)
-                limit = limit_of_orbit(field, start, direction=direction)
                 out.append(
                     Separatrix(
                         saddle_label=label,
@@ -504,7 +503,7 @@ def separatrices(family: FamilyDescriptor, offset: float = 1e-6) -> list:
                         sign=sgn,
                         eigenvalue=float(lam),
                         points=[(s[1], s[2]) for s in traj.samples],
-                        limit=limit,
+                        limit=traj.terminal,
                     )
                 )
     return out

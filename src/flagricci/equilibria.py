@@ -32,6 +32,10 @@ STEP_TOL = 1e-11
 DEDUPE_TOL = 1e-6
 NONHYP_TOL = 1e-8
 BOUNDARY_TOL = 1e-8
+# equilibria are listed by position rounded to this many decimals, far
+# below DEDUPE_TOL, so that ~1e-16 noise in a shared coordinate (the
+# x = 0.25 or x = 0.5 columns of a table) cannot reorder them
+ORDER_DECIMALS = 9
 
 
 @dataclass
@@ -61,6 +65,11 @@ class EquilibriumList(list):
         super().__init__(items)
         self.seeds_tried = seeds_tried
         self.seeds_converged = seeds_converged
+
+
+def order_key(position) -> tuple:
+    """Sort key of an equilibrium position, insensitive to rounding noise."""
+    return tuple(round(float(c), ORDER_DECIMALS) for c in position)
 
 
 def classify_equilibrium(eigs: tuple) -> str:
@@ -227,7 +236,7 @@ def find_equilibria(
                 boundary_flag=on_boundary,
             )
         )
-    accepted.sort(key=lambda e: (e.position[0], e.position[1]))
+    accepted.sort(key=lambda e: order_key(e.position))
     return EquilibriumList(accepted, seeds_tried, seeds_converged)
 
 

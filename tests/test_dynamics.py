@@ -351,6 +351,30 @@ def test_separatrices_g2():
             assert s.limit.label in {"O", "P", "Q"}
 
 
+@pytest.mark.parametrize("family", [SU211, G2], ids=lambda f: f"{f.id}{f.params}")
+def test_separatrix_integrated_once_with_its_own_limit(family, monkeypatch):
+    from flagricci import dynamics
+
+    starts = []
+    integrate = dynamics.integrate_orbit
+
+    def counting(field, p0, *args, **kwargs):
+        starts.append(p0)
+        return integrate(field, p0, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate_orbit", counting)
+    seps = separatrices(family)
+    monkeypatch.undo()
+    assert len(starts) == len(seps)
+    # integration is deterministic: a second run from the same start
+    # reaches the very limit the record carries
+    field = projected_field(family)
+    for start, s in zip(starts, seps):
+        assert s.points[0] == start
+        direction = "forward" if s.manifold == "unstable" else "backward"
+        assert limit_of_orbit(field, start, direction=direction) == s.limit
+
+
 def test_separatrix_tangent_to_invariant_segment():
     field = projected_field(SO6)
     jac = field.jacobian(np.array([(3 / 14, 0.5)]), normalized=True)[0]

@@ -1,5 +1,6 @@
 """Equilibrium search, classification, and catalog verification."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from flagricci.equilibria import (
     classify_equilibrium,
     find_equilibria,
     jacobian_eigen,
+    order_key,
     radial_probe,
     verify_catalog,
 )
@@ -60,6 +62,24 @@ def test_find_equilibria_su211_complete():
     assert by_label["R"].stability == "saddle"
     assert by_label["O"].boundary_flag
     assert not by_label["N"].boundary_flag
+
+
+@pytest.mark.parametrize("fam", [su_family(1, 1, 1), type1_family("g2u2")],
+                         ids=lambda f: f"{f.id}{f.params}")
+def test_equilibrium_order_ignores_rounding_noise(fam):
+    """Equilibria sharing a coordinate (R and T at x = 1/4, L, M and S at
+    x = 1/2, O, K and P at x = 0) keep their order under 1e-15 noise."""
+    found = find_equilibria(projected_field(fam))
+    xs = sorted(e.position[0] for e in found)
+    assert any(b - a < 1e-12 for a, b in zip(xs, xs[1:])), "no shared coordinate to test"
+    labels = [e.matched_label for e in found]
+    rng = random.Random(0)
+    for _trial in range(50):
+        noisy = [
+            (tuple(c + rng.choice((-1e-15, 1e-15)) for c in e.position), e.matched_label)
+            for e in found
+        ]
+        assert [lab for _p, lab in sorted(noisy, key=lambda t: order_key(t[0]))] == labels
 
 
 def test_find_equilibria_type1_vertices_polished():

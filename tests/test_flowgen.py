@@ -10,6 +10,7 @@ cross-check, not a tautology.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from flagricci.catalog import (
@@ -21,6 +22,7 @@ from flagricci.catalog import (
     type1_family,
 )
 from flagricci.flowgen import (
+    _BLOCK,
     cleared_field,
     clearing_factor_value,
     lyapunov_planar,
@@ -331,8 +333,6 @@ def test_clearing_factor_values():
 @pytest.mark.parametrize("fam", [su_family(2, 1, 1), so_family(6), type1_family("g2u2")],
                          ids=lambda f: f"{f.id}{f.params}")
 def test_compiled_rhs_and_jacobian_match_exact(fam):
-    import numpy as np
-
     f = projected_field(fam)
     pts = np.array([[0.2, 0.3], [0.1, 0.7], [0.45, 0.45], [0.61, 0.11]])
     raw = f.rhs(pts, normalized=False)
@@ -353,3 +353,57 @@ def test_compiled_rhs_and_jacobian_match_exact(fam):
         max(abs(c) for c in f.u.terms.values()),
         max(abs(c) for c in f.v.terms.values()),
     )
+
+
+# ----------------------------------------------------------------------
+# the blocked kernel at every batch shape and across block boundaries
+
+
+def simplex_points(n: int) -> np.ndarray:
+    rng = np.random.default_rng(7)
+    pts = rng.random((n, 2))
+    over = pts.sum(axis=1) > 1.0
+    pts[over] = 1.0 - pts[over]
+    return pts
+
+
+def assert_close(got, want):
+    """Elementwise pytest.approx(want, rel=1e-12, abs=1e-9), shapes equal."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= np.maximum(1e-12 * np.abs(want), 1e-9))
+
+
+@pytest.fixture(scope="module",
+                params=[su_family(2, 1, 1), so_family(6), e6_family(), type1_family("g2u2")],
+                ids=lambda f: f"{f.id}{f.params}")
+def kernel_case(request):
+    """A field, 2B+3 simplex points, and Poly.eval's rhs and Jacobian there."""
+    f = projected_field(request.param)
+    pts = simplex_points(2 * _BLOCK + 3)
+    polys = (f.u, f.v, f.du_dx, f.du_dy, f.dv_dx, f.dv_dy)
+    exact = np.array([[float(p.eval((x, y))) for p in polys] for x, y in pts])
+    return f, pts, exact[:, :2], exact[:, 2:].reshape(-1, 2, 2)
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_kernel_matches_exact_at_every_batch_size(kernel_case, n):
+    f, pts, rhs, jac = kernel_case
+    assert_close(f.rhs(pts[:n], normalized=False), rhs[:n])
+    assert_close(f.jacobian(pts[:n]), jac[:n])
+
+
+def test_kernel_single_point_and_nested_batch(kernel_case):
+    f, pts, rhs, jac = kernel_case
+    assert_close(f.rhs(pts[0], normalized=False), rhs[0])
+    assert_close(f.jacobian(pts[0]), jac[0])
+    nested = pts[:15].reshape(3, 5, 2)
+    assert_close(f.rhs(nested, normalized=False), rhs[:15].reshape(3, 5, 2))
+    assert_close(f.jacobian(nested), jac[:15].reshape(3, 5, 2, 2))
+
+
+def test_kernel_point_alone_matches_point_in_batch(kernel_case):
+    f, pts, _rhs, _jac = kernel_case
+    batch_rhs, batch_jac = f.rhs(pts, normalized=False), f.jacobian(pts)
+    for k in (0, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 2):
+        assert_close(f.rhs(pts[k], normalized=False), batch_rhs[k])
+        assert_close(f.jacobian(pts[k]), batch_jac[k])

@@ -109,7 +109,10 @@ def _family_json(fam) -> dict:
 # subcommand handlers
 
 def _cmd_families(args) -> int:
-    fams = list_families(mnp_bound=args.mnp_bound, ell_bound=args.ell_bound)
+    try:
+        fams = list_families(mnp_bound=args.mnp_bound, ell_bound=args.ell_bound)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     doc = {"schema": 1, "families": [_family_json(f) for f in fams]}
     _emit(_json_text(doc), args.out)
     return 0
@@ -150,15 +153,18 @@ def _cmd_orbit(args) -> int:
     fam = _resolve_family(args)
     field = projected_field(fam)
     direction = "backward" if args.backward else "forward"
-    traj = integrate_orbit(
-        field,
-        (args.x0, args.y0),
-        direction=direction,
-        rtol=args.rtol,
-        atol=args.atol,
-        max_time=args.max_time,
-        max_steps=args.max_steps,
-    )
+    try:
+        traj = integrate_orbit(
+            field,
+            (args.x0, args.y0),
+            direction=direction,
+            rtol=args.rtol,
+            atol=args.atol,
+            max_time=args.max_time,
+            max_steps=args.max_steps,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc))
     rows = ["t,x,y,L"]
     for t, x, y, lv in traj.samples:
         rows.append(f"{t!r},{x!r},{y!r},{lv!r}")

@@ -4,6 +4,15 @@ Adaptive Dormand-Prince 5(4) integration (scalar and batched), forward
 and backward limits, basins of attraction, separatrix tracing, the
 exact segment-invariance identities, and the Lyapunov monotonicity
 check used to rule out periodic orbits.
+
+The stepper is first same as last (Dormand & Prince 1980; Hairer,
+Norsett & Wanner, Solving ODEs I, II.5): the last stage of an accepted
+step is the field at the new point, so it becomes the next step's first
+stage and a trial step costs six field evaluations, not seven.  The
+batch recorder keeps (t, x, y) per accepted step; Lyapunov values are
+added only by the callers that report them.  Basin labels come from one
+cells-by-attractors Chebyshev distance matrix, and the revisit scan of
+the monotonicity check walks its distance matrix in blocks of rows.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .catalog import ATTRACTOR, SADDLE, FamilyDescriptor
-from .equilibria import EquilibriumList, find_equilibria
+from .equilibria import EquilibriumList, _keep_rows, _max_abs, find_equilibria
 from .flowgen import ProjectedField, lyapunov_planar, projected_field
 
 STALL_TOL = 1e-9
@@ -165,16 +174,19 @@ def _clamp_to_simplex(p: np.ndarray) -> np.ndarray:
     return q
 
 
-def _dp_step(field: ProjectedField, p, hh, sign, rtol, atol):
+def _dp_step(field: ProjectedField, p, k1, hh, sign, rtol, atol):
     """One trial Dormand-Prince step for a batch of points.
 
-    Returns the fifth-order result and the scaled error norm; trial
-    stages that overflow far outside the simplex read as infinite
-    error, so the step is rejected and the step size shrinks.
+    k1 is the signed field at p.  Returns the fifth-order result, the
+    scaled error norm and the signed field at that result (k7), which
+    is the next step's k1 when the step is accepted (first same as
+    last).  Trial stages that overflow far outside the simplex read as
+    infinite error, so the step is rejected and the step size shrinks.
     """
-    hc = hh[:, None]
+    # step sizes at full (n, 2) shape: numpy broadcasts a column over a
+    # length-2 axis several times slower than it multiplies equal shapes
+    hc = np.repeat(hh, 2).reshape(-1, 2)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        k1 = sign * field.rhs(p, normalized=False)
         k2 = sign * field.rhs(p + hc * (_A21 * k1), normalized=False)
         k3 = sign * field.rhs(p + hc * (_A31 * k1 + _A32 * k2), normalized=False)
         k4 = sign * field.rhs(p + hc * (_A41 * k1 + _A42 * k2 + _A43 * k3), normalized=False)
@@ -189,10 +201,28 @@ def _dp_step(field: ProjectedField, p, hh, sign, rtol, atol):
         k7 = sign * field.rhs(y5, normalized=False)
         err = hc * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
         scale = atol + rtol * np.maximum(np.abs(p), np.abs(y5))
-        errnorm = np.abs(err / scale).max(axis=1)
+        errnorm = _max_abs(err / scale)
     errnorm = np.where(np.isfinite(errnorm), errnorm, np.inf)
     y5 = np.where(np.isfinite(y5), y5, 0.0)
-    return y5, errnorm
+    return y5, errnorm, k7
+
+
+def _check_integration_input(pos, rtol, atol, max_time, max_steps) -> None:
+    """Reject starts outside the closed simplex and non-positive budgets."""
+    if not np.isfinite(pos).all():
+        raise ValueError("start points must be finite")
+    tol = BOUNDARY_EXIT_TOL
+    outside = (pos[:, 0] < -tol) | (pos[:, 1] < -tol) | (pos[:, 0] + pos[:, 1] > 1.0 + tol)
+    if outside.any():
+        x, y = pos[np.flatnonzero(outside)[0]].tolist()
+        raise ValueError(f"start point ({x!r}, {y!r}) lies outside the closed simplex")
+    for name, value in (("rtol", rtol), ("atol", atol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if not max_time > 0:
+        raise ValueError(f"max_time must be positive, got {max_time!r}")
+    if not max_steps > 0:
+        raise ValueError(f"max_steps must be positive, got {max_steps!r}")
 
 
 def _integrate_batch(
@@ -204,97 +234,86 @@ def _integrate_batch(
     max_time: float = 1e4,
     max_steps: int = 200000,
     record: bool = False,
-    family: Optional[FamilyDescriptor] = None,
 ):
     """Advance every point until stall, boundary exit, or budget.
 
     Returns (positions, times, status codes, step counts, samples) with
-    samples a per-point list of (t, x, y, L) when record is set.
+    samples a per-point list of (t, x, y) when record is set.  Raises
+    ValueError for a start outside the closed simplex (slack
+    BOUNDARY_EXIT_TOL), a non-finite start, or a non-positive tolerance
+    or budget.
     """
     sign = 1.0 if direction == "forward" else -1.0
     pos = np.array(pts, dtype=float).reshape(-1, 2).copy()
+    _check_integration_input(pos, rtol, atol, max_time, max_steps)
     n = len(pos)
     t = np.zeros(n)
     steps = np.zeros(n, dtype=np.int64)
     status = np.full(n, RUNNING, dtype=np.int8)
-    fam = family if family is not None else field.family
 
     samples: list = [[] for _ in range(n)]
     if record:
         for g in range(n):
-            samples[g].append(
-                (
-                    0.0,
-                    float(pos[g, 0]),
-                    float(pos[g, 1]),
-                    lyapunov_planar(fam, pos[g, 0], pos[g, 1]),
-                )
-            )
+            samples[g].append((0.0, float(pos[g, 0]), float(pos[g, 1])))
 
-    f0 = sign * field.rhs(pos, normalized=False)
-    speed = np.maximum(np.abs(f0).max(axis=1), 1e-300)
+    # k1 holds the signed field at each running point (first same as last)
+    k1 = sign * field.rhs(pos, normalized=False)
+    speed = np.maximum(_max_abs(k1), 1e-300)
     h = np.clip(1e-2 / speed, 1e-6, H_MAX)
     h = np.minimum(h, max_time)
 
-    guard = 4 * max_steps
-    tries = np.zeros(n, dtype=np.int64)
-    for _iter in range(guard):
-        run = np.flatnonzero(status == RUNNING)
-        if run.size == 0:
+    # the loop carries only the running points, in input order, so every
+    # kernel call sees the same batch as a scan over all points would; a
+    # point's results are written back when it stops
+    ids, p, tp, sp = np.arange(n), pos.copy(), t.copy(), steps.copy()
+    for _iter in range(4 * max_steps):
+        if ids.size == 0:
             break
-        tries[run] += 1
-        p = pos[run]
-        hh = h[run]
-        y5, errnorm = _dp_step(field, p, hh, sign, rtol, atol)
+        y5, errnorm, k7 = _dp_step(field, p, k1, h, sign, rtol, atol)
 
         accept = errnorm <= 1.0
-        disp = np.abs(y5 - p).max(axis=1)
-
-        ai = run[accept]
-        ya = y5[accept]
-        t[ai] += hh[accept]
-        steps[ai] += 1
-        exited = (
-            (ya[:, 0] < -BOUNDARY_EXIT_TOL)
-            | (ya[:, 1] < -BOUNDARY_EXIT_TOL)
-            | (ya[:, 0] + ya[:, 1] > 1.0 + BOUNDARY_EXIT_TOL)
+        disp = _max_abs(y5 - p)
+        exited = accept & (
+            (y5[:, 0] < -BOUNDARY_EXIT_TOL)
+            | (y5[:, 1] < -BOUNDARY_EXIT_TOL)
+            | (y5[:, 0] + y5[:, 1] > 1.0 + BOUNDARY_EXIT_TOL)
         )
-        ya = np.where(exited[:, None], _clamp_to_simplex(ya), ya)
-        pos[ai] = ya
+        if exited.any():
+            y5[exited] = _clamp_to_simplex(y5[exited])
+        # a rejected step keeps its point and its first stage
+        rejected = np.flatnonzero(~accept)
+        y5[rejected] = p[rejected]
+        k7[rejected] = k1[rejected]
+        p, k1 = y5, k7
+        tp[accept] += h[accept]
+        sp += accept
         if record:
-            for j, g in enumerate(ai):
-                samples[g].append(
-                    (
-                        float(t[g]),
-                        float(ya[j, 0]),
-                        float(ya[j, 1]),
-                        lyapunov_planar(fam, ya[j, 0], ya[j, 1]),
-                    )
-                )
-        status[ai[exited]] = BOUNDARY
+            moved = np.flatnonzero(accept)
+            for g, tg, (x, y) in zip(ids[moved].tolist(), tp[moved].tolist(), p.take(moved, axis=0).tolist()):
+                samples[g].append((tg, x, y))
         # a step throttled only by the max_time cap must not read as a
         # stall, so genuine stalls also need a non-trivial step size
-        stalled = ~exited & (disp[accept] < STALL_TOL) & (hh[accept] >= 1e-6)
-        status[ai[stalled]] = STALLED
+        stalled = accept & ~exited & (disp < STALL_TOL) & (h >= 1e-6)
+        code = np.full(ids.size, RUNNING, dtype=np.int8)
+        code[exited] = BOUNDARY
+        code[stalled] = STALLED
 
         # step-size update, guarding the zero-error case
         factor = np.clip(0.9 * np.maximum(errnorm, 1e-300) ** -0.2, 0.2, 5.0)
-        h[run] = np.minimum(h[run] * factor, H_MAX)
+        rem = max_time - tp
+        code[(code == RUNNING) & (rem <= 1e-12)] = MAX_TIME
+        h = np.minimum(np.minimum(h * factor, H_MAX), rem)
+        code[(code == RUNNING) & (h < H_MIN)] = UNDERFLOW
+        code[(code == RUNNING) & (sp >= max_steps)] = MAX_STEPS
 
-        still = status == RUNNING
-        rem = max_time - t
-        done_time = still & (rem <= 1e-12)
-        status[done_time] = MAX_TIME
-        still = status == RUNNING
-        h[still] = np.minimum(h[still], rem[still])
-        tiny = still & (h < H_MIN)
-        status[tiny] = UNDERFLOW
-        exhausted = (status == RUNNING) & (
-            (steps >= max_steps) | (tries >= 4 * max_steps)
-        )
-        status[exhausted] = MAX_STEPS
-    else:
-        status[status == RUNNING] = MAX_STEPS
+        stop = code != RUNNING
+        if stop.any():
+            g = ids[stop]
+            pos[g] = np.compress(stop, p, axis=0)
+            t[g], steps[g], status[g] = tp[stop], sp[stop], code[stop]
+            ids, p, k1, h, tp, sp = _keep_rows(~stop, ids, p, k1, h, tp, sp)
+    # points still running when the step guard runs out
+    pos[ids], t[ids], steps[ids], status[ids] = p, tp, sp, MAX_STEPS
 
     return pos, t, status, steps, samples
 
@@ -359,8 +378,11 @@ def integrate_orbit(
         max_steps=max_steps,
         record=True,
     )
+    # Lyapunov values from numpy scalars, as the stepper produced them: a
+    # coordinate product that underflows then divides to inf, not raises
+    xy = np.array(samples[0])[:, 1:]
     return Trajectory(
-        samples=samples[0],
+        samples=[s + (lyapunov_planar(field.family, x, y),) for s, (x, y) in zip(samples[0], xy)],
         direction=direction,
         terminal=_terminal_outcome(field.family, pos[0], t[0], status[0]),
     )
@@ -409,6 +431,7 @@ def basin_map(
             if x > margin and y > margin and x + y < 1.0 - margin:
                 cells.append((x, y))
                 index.append((iy, ix))
+    names = [a.matched_label or f"({a.position[0]:.9f},{a.position[1]:.9f})" for a in attractors]
     labels: list = [[None] * resolution for _ in range(resolution)]
     if cells:
         pos, _t, status, _steps, _ = _integrate_batch(
@@ -418,25 +441,28 @@ def basin_map(
             max_time=max_time,
             max_steps=max_steps,
         )
-        apos = np.array([a.position for a in attractors]) if attractors else None
-        for c, (iy, ix) in enumerate(index):
-            lab = "Undetermined"
-            if apos is not None and status[c] in (STALLED, BOUNDARY):
-                d = np.abs(apos - pos[c]).max(axis=1)
-                j = int(np.argmin(d))
-                if d[j] <= MATCH_TOL:
-                    a = attractors[j]
-                    lab = a.matched_label or f"({a.position[0]:.9f},{a.position[1]:.9f})"
-            labels[iy][ix] = lab
+        # Chebyshev distance of every terminal point to every attractor;
+        # index len(attractors) stands for Undetermined
+        pick = np.full(len(cells), len(attractors))
+        if attractors:
+            apos = np.array([a.position for a in attractors])
+            d = np.maximum(
+                np.abs(apos[None, :, 0] - pos[:, None, 0]),
+                np.abs(apos[None, :, 1] - pos[:, None, 1]),
+            )
+            j = np.argmin(d, axis=1)
+            hit = np.isin(status, (STALLED, BOUNDARY)) & (d[np.arange(len(cells)), j] <= MATCH_TOL)
+            pick[hit] = j[hit]
+        choices = names + ["Undetermined"]
+        for (iy, ix), k in zip(index, pick.tolist()):
+            labels[iy][ix] = choices[k]
     return BasinGrid(
         family=family,
         resolution=resolution,
         labels=labels,
         xs=centers,
         ys=centers,
-        attractor_labels=[
-            a.matched_label or f"({a.position[0]:.9f},{a.position[1]:.9f})" for a in attractors
-        ],
+        attractor_labels=names,
     )
 
 
@@ -587,6 +613,44 @@ def random_interior_points(n: int, rng, margin: float = 1e-2) -> list:
     return pts
 
 
+# distance-matrix elements per block of rows in the revisit scan
+_REVISIT_BLOCK = 1 << 18
+
+
+def _first_revisit(tv, xy, revisit_tol: float, excursion: float = 1e-4) -> Optional[float]:
+    """Distance of the first revisit along one sampled orbit, or None.
+
+    A periodic orbit returns within revisit_tol of a point it saw at
+    least one time unit earlier AFTER leaving its neighborhood by more
+    than excursion; plain convergence clusters samples without any
+    excursion and is exempt.  Pairs (i, j) are scanned in row-major
+    order over blocks of rows, so memory stays bounded while the
+    reported pair is the same as a full-matrix scan would give.
+    """
+    n = len(tv)
+    rows = max(1, _REVISIT_BLOCK // max(n, 1))
+    cols = np.arange(n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        dist = np.maximum(
+            np.abs(xy[None, :, 0] - xy[start:stop, None, 0]),
+            np.abs(xy[None, :, 1] - xy[start:stop, None, 1]),
+        )
+        close = (dist < revisit_tol) & (tv[None, :] - tv[start:stop, None] >= 1.0)
+        if not close.any():
+            continue
+        # reach[r, j] is the farthest the orbit got from sample i = start + r
+        # over samples i..j
+        reach = np.maximum.accumulate(
+            np.where(cols[None, :] >= np.arange(start, stop)[:, None], dist, 0.0), axis=1
+        )
+        hits = np.argwhere(close & (reach > excursion))
+        if hits.size:
+            r, j = hits[0]
+            return float(dist[r, j])
+    return None
+
+
 def monotonicity_check(
     family: FamilyDescriptor,
     n_orbits: int,
@@ -607,14 +671,15 @@ def monotonicity_check(
     rng = np.random.default_rng(seed)
     pts = random_interior_points(n_orbits, rng)
     _pos, _t, _status, _steps, samples = _integrate_batch(
-        field, pts, direction="forward", record=True, family=family
+        field, pts, direction="forward", record=True
     )
     report = MonotonicityReport(family=family, n_orbits=n_orbits)
     for g, sam in enumerate(samples):
         if len(sam) < 2:
             continue
         arr = np.array(sam)
-        tv, xy, lv = arr[:, 0], arr[:, 1:3], arr[:, 3]
+        tv, xy = arr[:, 0], arr[:, 1:3]
+        lv = np.array([lyapunov_planar(family, x, y) for x, y in xy])
         finite = np.isfinite(lv)
         dl = np.diff(lv[finite])
         worst = dl.max() if dl.size else 0.0
@@ -622,17 +687,7 @@ def monotonicity_check(
             report.violations.append(
                 (g, "lyapunov_increase", float(worst), tuple(pts[g]))
             )
-        # revisit scan: a periodic orbit returns within revisit_tol of a
-        # point it saw at least one time unit earlier AFTER leaving its
-        # neighborhood; plain convergence clusters samples without any
-        # excursion and is exempt
-        dt = tv[None, :] - tv[:, None]
-        dist = np.abs(xy[None, :, :] - xy[:, None, :]).max(axis=2)
-        close = (dist < revisit_tol) & (dt >= 1.0)
-        for i, j in np.argwhere(close):
-            if dist[i, i : j + 1].max() > 1e-4:
-                report.violations.append(
-                    (g, "revisit", float(dist[i, j]), tuple(pts[g]))
-                )
-                break
+        revisit = _first_revisit(tv, xy, revisit_tol)
+        if revisit is not None:
+            report.violations.append((g, "revisit", revisit, tuple(pts[g])))
     return report

@@ -4,6 +4,12 @@ Equilibria of the planar field are located by dense grid seeding plus a
 damped Newton iteration, then compared against the family's reference
 table: positions, Jacobian eigenvalues (where the table has closed
 forms), and stability classes all have to agree.
+
+The Newton sweep is compacted: each iteration works on the seeds still
+active, kept in seed order, and a seed leaves for good when it converges
+or dies.  Converged roots are deduplicated greedily in order of
+increasing residual: a root is kept unless a kept root lies within
+DEDUPE_TOL of it.
 """
 
 from __future__ import annotations
@@ -117,6 +123,40 @@ def _match_label(family: FamilyDescriptor, pos: tuple, tol: float = 1e-3) -> Opt
             best, best_d = rec.label, d
     return best
 
+
+def _max_abs(a: np.ndarray) -> np.ndarray:
+    """Row-wise max(|a[:, 0]|, |a[:, 1]|) of an (n, 2) array; NaN propagates."""
+    return np.maximum(np.abs(a[:, 0]), np.abs(a[:, 1]))
+
+
+def _keep_rows(mask: np.ndarray, *arrays) -> tuple:
+    """The rows of each array where mask is set.
+
+    numpy's boolean and fancy indexing of 2-D arrays is several times
+    slower than take along the first axis, which gives the same rows.
+    """
+    idx = np.flatnonzero(mask)
+    return tuple(a.take(idx, axis=0) for a in arrays)
+
+
+def _greedy_dedupe(points: np.ndarray, tol: float = DEDUPE_TOL) -> list:
+    """Indices of the points kept by the greedy rule, in input order.
+
+    A point is kept unless an earlier kept point lies within Euclidean
+    distance tol of it.  Each kept point drops every remaining point in
+    its tol-ball at once, which keeps the same points as scanning them
+    one by one.
+    """
+    rest = np.arange(len(points))
+    kept = []
+    while rest.size:
+        i = int(rest[0])
+        kept.append(i)
+        d = np.hypot(points[rest, 0] - points[i, 0], points[rest, 1] - points[i, 1])
+        rest = rest[d > tol]
+    return kept
+
+
 def find_equilibria(
     field: ProjectedField,
     grid: int = 200,
@@ -138,57 +178,72 @@ def find_equilibria(
     pts = np.stack([gx[keep], gy[keep]], axis=-1)
     seeds_tried = len(pts)
 
-    cur = pts.copy()
-    alive = np.ones(len(cur), dtype=bool)
-    fval = field.rhs(cur)
-    fnorm = np.abs(fval).max(axis=1)
-    last_step = np.full(len(cur), np.inf)
-    for _ in range(max_iter):
-        idx = np.flatnonzero(alive & ((fnorm > RESIDUAL_TOL) | (last_step > STEP_TOL)))
-        if idx.size == 0:
+    # the sweep iterates only the active seeds, in seed order so that
+    # every kernel call sees the same batch as a full rescan would; a
+    # seed leaves for good when it converges (written back to cur and
+    # fnorm) or dies.  The pass after the last iteration only retires
+    # the seeds that converged in it.
+    cur = np.empty_like(pts)
+    fnorm = np.empty(seeds_tried)
+    converged = np.zeros(seeds_tried, dtype=bool)
+    ids = np.arange(seeds_tried)
+    c = pts.copy()
+    fv = field.rhs(c)
+    fn = _max_abs(fv)
+    ls = np.full(seeds_tried, np.inf)
+    for it in range(max_iter + 1):
+        done = (fn <= RESIDUAL_TOL) & (ls <= STEP_TOL)
+        if done.any():
+            g = ids[done]
+            cur[g] = np.compress(done, c, axis=0)
+            fnorm[g] = fn[done]
+            converged[g] = True
+            ids, c, fv, fn, ls = _keep_rows(~done, ids, c, fv, fn, ls)
+        if ids.size == 0 or it == max_iter:
             break
-        jac = field.jacobian(cur[idx], normalized=True)
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        jac = field.jacobian(c, normalized=True)
+        j00, j01, j10, j11 = jac[:, 0, 0], jac[:, 0, 1], jac[:, 1, 0], jac[:, 1, 1]
+        det = j00 * j11 - j01 * j10
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.stack(
+                [(j11 * fv[:, 0] - j01 * fv[:, 1]) / det, (j00 * fv[:, 1] - j10 * fv[:, 0]) / det],
+                axis=-1,
+            )
+        step_norm = _max_abs(step)
+        # a singular Jacobian kills the seed; a tiny step leaves it in place
         ok = np.abs(det) > 1e-300
-        step = np.zeros((idx.size, 2))
-        f = fval[idx]
-        step[ok, 0] = (jac[ok, 1, 1] * f[ok, 0] - jac[ok, 0, 1] * f[ok, 1]) / det[ok]
-        step[ok, 1] = (jac[ok, 0, 0] * f[ok, 1] - jac[ok, 1, 0] * f[ok, 0]) / det[ok]
-        alive[idx[~ok]] = False
-        idx, step = idx[ok], step[ok]
-        step_norm = np.abs(step).max(axis=1)
-        tiny = step_norm <= STEP_TOL
-        last_step[idx[tiny]] = step_norm[tiny]
-        idx, step, step_norm = idx[~tiny], step[~tiny], step_norm[~tiny]
-        if idx.size == 0:
-            continue
+        tiny = ok & (step_norm <= STEP_TOL)
+        ls[tiny] = step_norm[tiny]
+        move = np.flatnonzero(ok & ~tiny)
         # backtracking: halve until the residual drops
-        remaining = np.arange(idx.size)
+        remaining = np.arange(move.size)
         factor = 1.0
-        improved = np.zeros(idx.size, dtype=bool)
-        for _damp in range(12):
-            trial = cur[idx[remaining]] - factor * step[remaining]
+        improved = np.zeros(move.size, dtype=bool)
+        for _damp in range(12 if move.size else 0):
+            rows = move[remaining]
+            trial = c.take(rows, axis=0) - factor * step.take(rows, axis=0)
             ftrial = field.rhs(trial)
-            fnew = np.abs(ftrial).max(axis=1)
-            better = fnew < fnorm[idx[remaining]]
-            sel = remaining[better]
-            cur[idx[sel]] = trial[better]
-            fval[idx[sel]] = ftrial[better]
-            fnorm[idx[sel]] = fnew[better]
-            last_step[idx[sel]] = factor * step_norm[sel]
-            improved[sel] = True
+            fnew = _max_abs(ftrial)
+            better = fnew < fn[rows]
+            sel = rows[better]
+            c[sel] = np.compress(better, trial, axis=0)
+            fv[sel] = np.compress(better, ftrial, axis=0)
+            fn[sel] = fnew[better]
+            ls[sel] = factor * step_norm[sel]
+            improved[remaining[better]] = True
             remaining = remaining[~better]
             if remaining.size == 0:
                 break
             factor *= 0.5
-        alive[idx[~improved]] = False
-        # abandon iterates that wander far from the simplex
-        far = np.abs(cur).max(axis=1) > 3.0
-        alive &= ~far
-    converged_mask = alive & (fnorm <= RESIDUAL_TOL) & (last_step <= STEP_TOL)
-    roots = cur[converged_mask]
-    resids = fnorm[converged_mask]
-    seeds_converged = int(converged_mask.sum())
+        # seeds die on a singular Jacobian, on a failed line search, or by
+        # wandering far from the simplex
+        alive = ok.copy()
+        alive[move[~improved]] = False
+        alive &= ~(_max_abs(c) > 3.0)
+        ids, c, fv, fn, ls = _keep_rows(alive, ids, c, fv, fn, ls)
+    roots = cur[converged]
+    resids = fnorm[converged]
+    seeds_converged = int(converged.sum())
 
     lo, hi = -inflate, 1.0 + inflate
     inside = (
@@ -198,24 +253,16 @@ def find_equilibria(
     )
     roots, resids = roots[inside], resids[inside]
 
-    candidates: list = []
     order = np.argsort(resids)
-    for i in order:
-        p = (float(roots[i][0]), float(roots[i][1]))
-        if any(math.hypot(p[0] - q[0], p[1] - q[1]) <= DEDUPE_TOL for q, _ in candidates):
-            continue
-        candidates.append((p, float(resids[i])))
+    candidates = [
+        ((float(roots[i][0]), float(roots[i][1])), float(resids[i]))
+        for i in order[_greedy_dedupe(roots[order])]
+    ]
 
     # roots stalled against a corner get re-polished on the recentered
     # polynomials, then deduplicated once more
-    polished: list = []
-    for pos, resid in candidates:
-        refined = _polish_corner_root(field, pos)
-        if refined is not None:
-            pos, resid = refined
-        if any(math.hypot(pos[0] - q[0], pos[1] - q[1]) <= DEDUPE_TOL for q, _ in polished):
-            continue
-        polished.append((pos, resid))
+    refined = [_polish_corner_root(field, pos) or (pos, resid) for pos, resid in candidates]
+    polished = [refined[i] for i in _greedy_dedupe(np.array([pos for pos, _ in refined]))]
 
     accepted: list = []
     for pos, resid in polished:

@@ -180,9 +180,7 @@ def portrait_svg(family: FamilyDescriptor, seed: int = 0, n_orbits: int = 12) ->
 
     rng = np.random.default_rng(seed)
     starts = random_interior_points(n_orbits, rng)
-    _, _, _, _, samples = _integrate_batch(
-        field, starts, max_steps=4000, record=True, family=family
-    )
+    _, _, _, _, samples = _integrate_batch(field, starts, max_steps=4000, record=True)
     for orbit in samples:
         pts = _thin([(s[1], s[2]) for s in orbit])
         line = _polyline(pts, ORBIT_STROKE, 1.0)

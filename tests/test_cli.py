@@ -260,6 +260,32 @@ def test_bad_subcommand(capsys):
     assert code == 2
 
 
+def test_families_rejects_zero_bound(capsys):
+    code, out, err = run(capsys, "families", "--mnp-bound", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("flagricci families: error: bounds must be positive")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--x0", "nan", "--y0", "0.3"],
+        ["--x0", "2", "--y0", "2"],
+        ["--x0", "0.3", "--y0", "0.3", "--rtol", "-1"],
+    ],
+    ids=["nan-start", "start-outside-simplex", "negative-rtol"],
+)
+def test_orbit_rejects_bad_input(capsys, flags):
+    code, out, err = run(capsys, "orbit", "--family", "su", "--params", "2,1,1", *flags)
+    assert code == 2
+    assert out == ""
+    message, usage = err.split("\n", 1)
+    assert message.startswith("flagricci orbit: error:")
+    assert usage.startswith("usage: flagricci orbit")
+
+
 def test_output_to_file(tmp_path, capsys):
     target = tmp_path / "field.txt"
     code, out, _ = run(

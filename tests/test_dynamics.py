@@ -59,6 +59,68 @@ def test_direction_validation():
 
 
 @pytest.mark.parametrize(
+    "start, kwargs, match",
+    [
+        ((float("nan"), 0.3), {}, "finite"),
+        ((0.3, float("inf")), {}, "finite"),
+        ((2.0, 2.0), {}, "outside the closed simplex"),
+        ((-1e-6, 0.5), {}, "outside the closed simplex"),
+        ((0.3, 0.3), {"rtol": -1.0}, "rtol"),
+        ((0.3, 0.3), {"rtol": float("nan")}, "rtol"),
+        ((0.3, 0.3), {"atol": 0.0}, "atol"),
+        ((0.3, 0.3), {"max_time": 0.0}, "max_time"),
+        ((0.3, 0.3), {"max_steps": 0}, "max_steps"),
+    ],
+    ids=[
+        "nan-x",
+        "inf-y",
+        "outside",
+        "below-edge",
+        "negative-rtol",
+        "nan-rtol",
+        "zero-atol",
+        "zero-max-time",
+        "zero-max-steps",
+    ],
+)
+def test_integration_rejects_bad_input(start, kwargs, match):
+    field = projected_field(SU211)
+    with pytest.raises(ValueError, match=match):
+        integrate_orbit(field, start, **kwargs)
+
+
+def test_integration_accepts_starts_on_the_closed_simplex():
+    field = projected_field(SU211)
+    for start in ((0.0, 0.5), (0.5, 0.5), (-1e-10, 0.5), (0.5, 0.5 + 1e-10)):
+        assert integrate_orbit(field, start, max_steps=50).samples[0][1:3] == start
+
+
+def test_batch_step_reuses_last_stage(monkeypatch):
+    """First same as last: 1 + 6 field evaluations per stepper iteration."""
+    from flagricci import dynamics
+    from flagricci.flowgen import ProjectedField
+
+    calls = {"rhs": 0, "step": 0}
+    rhs, step = ProjectedField.rhs, dynamics._dp_step
+
+    def counting_rhs(self, *args, **kwargs):
+        calls["rhs"] += 1
+        return rhs(self, *args, **kwargs)
+
+    def counting_step(*args, **kwargs):
+        calls["step"] += 1
+        return step(*args, **kwargs)
+
+    field = projected_field(G2)
+    monkeypatch.setattr(ProjectedField, "rhs", counting_rhs)
+    monkeypatch.setattr(dynamics, "_dp_step", counting_step)
+    pts = random_interior_points(20, np.random.default_rng(2))
+    dynamics._integrate_batch(field, pts, max_steps=300)
+    assert calls["step"] > 0
+    assert calls["rhs"] == 1 + 6 * calls["step"]
+
+
+@pytest.mark.parametrize(
     "family, start, direction, label, target",
     [
         (SU211, (0.49, 0.49), "forward", "L", (0.5, 0.5)),
@@ -249,6 +311,52 @@ def test_monotonicity_passes(family):
 def test_monotonicity_rejects_empty_sample():
     with pytest.raises(ValueError):
         monotonicity_check(SU211, 0)
+
+
+def _full_matrix_revisit(tv, xy, revisit_tol):
+    """The revisit scan over the whole (n, n) distance matrix, as reference."""
+    dt = tv[None, :] - tv[:, None]
+    dist = np.abs(xy[None, :, :] - xy[:, None, :]).max(axis=2)
+    close = (dist < revisit_tol) & (dt >= 1.0)
+    for i, j in np.argwhere(close):
+        if dist[i, i : j + 1].max() > 1e-4:
+            return float(dist[i, j])
+    return None
+
+
+@pytest.mark.parametrize("family", [SU211, G2], ids=lambda f: f.id)
+@pytest.mark.parametrize("block", [1 << 18, 7, 1])
+def test_blocked_revisit_scan_matches_full_matrix(family, block, monkeypatch):
+    from flagricci import dynamics
+
+    monkeypatch.setattr(dynamics, "_REVISIT_BLOCK", block)
+    pts = random_interior_points(4, np.random.default_rng(5))
+    *_, samples = dynamics._integrate_batch(projected_field(family), pts, record=True, max_steps=400)
+    found = 0
+    for sam in samples:
+        arr = np.array(sam)
+        tv, xy = arr[:, 0], arr[:, 1:3]
+        for tol in (1e-8, 1e-3, 3e-2):
+            want = _full_matrix_revisit(tv, xy, tol)
+            assert dynamics._first_revisit(tv, xy, tol) == want
+            found += want is not None
+    assert found > 0  # the looser tolerances do find revisits
+
+
+@pytest.mark.parametrize("block", [1 << 18, 50, 1])
+def test_revisit_scan_finds_periodic_orbit(block, monkeypatch):
+    from flagricci import dynamics
+
+    monkeypatch.setattr(dynamics, "_REVISIT_BLOCK", block)
+    tv = np.arange(301) / 100.0  # three periods, t = 1.0 sampled exactly
+    angle = 2.0 * np.pi * tv
+    xy = np.stack([0.3 + 0.1 * np.cos(angle), 0.3 + 0.1 * np.sin(angle)], axis=-1)
+    want = _full_matrix_revisit(tv, xy, 1e-8)
+    assert want is not None and want < 1e-8
+    assert dynamics._first_revisit(tv, xy, 1e-8) == want
+    # a point resting on an equilibrium makes no excursion and is exempt
+    rest = np.full_like(xy, 0.25)
+    assert dynamics._first_revisit(tv, rest, 1e-8) is None
 
 
 def test_random_interior_points_margin_and_determinism():

@@ -1,12 +1,17 @@
 """Equilibrium search, classification, and catalog verification."""
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from flagricci.catalog import so_family, su_family, type1_family
 from flagricci.equilibria import (
+    DEDUPE_TOL,
+    _greedy_dedupe,
     classify_equilibrium,
     find_equilibria,
     jacobian_eigen,
@@ -138,3 +143,37 @@ def test_found_equilibrium_as_dict():
                         "matched_label", "boundary"}
     assert isinstance(doc["eigenvalues"][0], list)
     assert len(doc["eigenvalues"][0]) == 2
+
+
+def _sequential_greedy(points, tol):
+    """Reject a point if an earlier accepted one is within tol (reference)."""
+    kept = []
+    for i, (x, y) in enumerate(points):
+        if any(math.hypot(x - points[k][0], y - points[k][1]) <= tol for k in kept):
+            continue
+        kept.append(i)
+    return kept
+
+
+_unit = st.floats(0.0, 1.0)
+_offset = st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    centers=st.lists(st.tuples(_unit, _unit), min_size=1, max_size=4),
+    members=st.lists(st.tuples(st.integers(0, 3), _offset, _offset), min_size=1, max_size=40),
+)
+def test_vectorised_dedupe_matches_sequential_greedy(centers, members):
+    """Clusters of points within a few DEDUPE_TOL, in arbitrary order."""
+    pts = np.array(
+        [
+            (centers[k % len(centers)][0] + dx * DEDUPE_TOL, centers[k % len(centers)][1] + dy * DEDUPE_TOL)
+            for k, dx, dy in members
+        ]
+    )
+    # np.hypot and math.hypot may round a distance differently in the last
+    # place, so distances within a few ulps of the tolerance are skipped
+    d = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
+    assume(not np.any(np.abs(d - DEDUPE_TOL) <= 1e-12 * DEDUPE_TOL))
+    assert _greedy_dedupe(pts) == _sequential_greedy(pts, DEDUPE_TOL)

@@ -25,12 +25,15 @@ from typing import Optional
 import numpy as np
 
 from .catalog import ATTRACTOR, SADDLE, FamilyDescriptor
-from .equilibria import EquilibriumList, _keep_rows, _max_abs, find_equilibria
-from .flowgen import ProjectedField, lyapunov_planar, projected_field
+from .equilibria import EquilibriumList, find_equilibria
+from .flowgen import ProjectedField, keep_rows, lyapunov_planar, projected_field, row_max_abs
 
 STALL_TOL = 1e-9
 BOUNDARY_EXIT_TOL = 1e-9
 MATCH_TOL = 1e-6
+# a revisit counts only after the orbit left the revisited point by more
+# than this (Chebyshev distance), so plain convergence is exempt
+REVISIT_EXCURSION = 1e-4
 H_MAX = 50.0
 H_MIN = 1e-14
 
@@ -201,7 +204,7 @@ def _dp_step(field: ProjectedField, p, k1, hh, sign, rtol, atol):
         k7 = sign * field.rhs(y5, normalized=False)
         err = hc * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
         scale = atol + rtol * np.maximum(np.abs(p), np.abs(y5))
-        errnorm = _max_abs(err / scale)
+        errnorm = row_max_abs(err / scale)
     errnorm = np.where(np.isfinite(errnorm), errnorm, np.inf)
     y5 = np.where(np.isfinite(y5), y5, 0.0)
     return y5, errnorm, k7
@@ -258,7 +261,7 @@ def _integrate_batch(
 
     # k1 holds the signed field at each running point (first same as last)
     k1 = sign * field.rhs(pos, normalized=False)
-    speed = np.maximum(_max_abs(k1), 1e-300)
+    speed = np.maximum(row_max_abs(k1), 1e-300)
     h = np.clip(1e-2 / speed, 1e-6, H_MAX)
     h = np.minimum(h, max_time)
 
@@ -272,7 +275,7 @@ def _integrate_batch(
         y5, errnorm, k7 = _dp_step(field, p, k1, h, sign, rtol, atol)
 
         accept = errnorm <= 1.0
-        disp = _max_abs(y5 - p)
+        disp = row_max_abs(y5 - p)
         exited = accept & (
             (y5[:, 0] < -BOUNDARY_EXIT_TOL)
             | (y5[:, 1] < -BOUNDARY_EXIT_TOL)
@@ -311,7 +314,7 @@ def _integrate_batch(
             g = ids[stop]
             pos[g] = np.compress(stop, p, axis=0)
             t[g], steps[g], status[g] = tp[stop], sp[stop], code[stop]
-            ids, p, k1, h, tp, sp = _keep_rows(~stop, ids, p, k1, h, tp, sp)
+            ids, p, k1, h, tp, sp = keep_rows(~stop, ids, p, k1, h, tp, sp)
     # points still running when the step guard runs out
     pos[ids], t[ids], steps[ids], status[ids] = p, tp, sp, MAX_STEPS
 
@@ -378,11 +381,8 @@ def integrate_orbit(
         max_steps=max_steps,
         record=True,
     )
-    # Lyapunov values from numpy scalars, as the stepper produced them: a
-    # coordinate product that underflows then divides to inf, not raises
-    xy = np.array(samples[0])[:, 1:]
     return Trajectory(
-        samples=[s + (lyapunov_planar(field.family, x, y),) for s, (x, y) in zip(samples[0], xy)],
+        samples=[s + (lyapunov_planar(field.family, s[1], s[2]),) for s in samples[0]],
         direction=direction,
         terminal=_terminal_outcome(field.family, pos[0], t[0], status[0]),
     )
@@ -414,8 +414,13 @@ def basin_map(
     """Forward-limit label for every cell center strictly inside S.
 
     Labels name attractors only; anything else (saddle crawl, budget
-    exhaustion, unmatched terminal point) is Undetermined.  Cells are
-    independent, so the map is deterministic at any batch size.
+    exhaustion, unmatched terminal point) is Undetermined.  The map is
+    reproducible for a given resolution and margin, but a cell's result
+    is not independent of the batch it runs in: the kernel rounds a
+    one-point call differently from the same point among others, so the
+    last cell still running can end a few ulps away from where it would
+    in company.  A cell crawling along a separatrix toward a saddle can
+    change label under such a difference.
     """
     if not 16 <= resolution <= 2048:
         raise ValueError("resolution must lie in [16, 2048]")
@@ -617,13 +622,13 @@ def random_interior_points(n: int, rng, margin: float = 1e-2) -> list:
 _REVISIT_BLOCK = 1 << 18
 
 
-def _first_revisit(tv, xy, revisit_tol: float, excursion: float = 1e-4) -> Optional[float]:
+def _first_revisit(tv, xy, revisit_tol: float) -> Optional[float]:
     """Distance of the first revisit along one sampled orbit, or None.
 
     A periodic orbit returns within revisit_tol of a point it saw at
     least one time unit earlier AFTER leaving its neighborhood by more
-    than excursion; plain convergence clusters samples without any
-    excursion and is exempt.  Pairs (i, j) are scanned in row-major
+    than REVISIT_EXCURSION; plain convergence clusters samples without
+    any excursion and is exempt.  Pairs (i, j) are scanned in row-major
     order over blocks of rows, so memory stays bounded while the
     reported pair is the same as a full-matrix scan would give.
     """
@@ -644,7 +649,7 @@ def _first_revisit(tv, xy, revisit_tol: float, excursion: float = 1e-4) -> Optio
         reach = np.maximum.accumulate(
             np.where(cols[None, :] >= np.arange(start, stop)[:, None], dist, 0.0), axis=1
         )
-        hits = np.argwhere(close & (reach > excursion))
+        hits = np.argwhere(close & (reach > REVISIT_EXCURSION))
         if hits.size:
             r, j = hits[0]
             return float(dist[r, j])
@@ -679,7 +684,7 @@ def monotonicity_check(
             continue
         arr = np.array(sam)
         tv, xy = arr[:, 0], arr[:, 1:3]
-        lv = np.array([lyapunov_planar(family, x, y) for x, y in xy])
+        lv = np.array([lyapunov_planar(family, s[1], s[2]) for s in sam])
         finite = np.isfinite(lv)
         dl = np.diff(lv[finite])
         worst = dl.max() if dl.size else 0.0

@@ -29,7 +29,7 @@ from .catalog import (
     FamilyDescriptor,
     reference_equilibria,
 )
-from .flowgen import ProjectedField
+from .flowgen import ProjectedField, keep_rows, row_max_abs
 
 NONHYPERBOLIC = "nonhyperbolic"
 
@@ -124,28 +124,13 @@ def _match_label(family: FamilyDescriptor, pos: tuple, tol: float = 1e-3) -> Opt
     return best
 
 
-def _max_abs(a: np.ndarray) -> np.ndarray:
-    """Row-wise max(|a[:, 0]|, |a[:, 1]|) of an (n, 2) array; NaN propagates."""
-    return np.maximum(np.abs(a[:, 0]), np.abs(a[:, 1]))
-
-
-def _keep_rows(mask: np.ndarray, *arrays) -> tuple:
-    """The rows of each array where mask is set.
-
-    numpy's boolean and fancy indexing of 2-D arrays is several times
-    slower than take along the first axis, which gives the same rows.
-    """
-    idx = np.flatnonzero(mask)
-    return tuple(a.take(idx, axis=0) for a in arrays)
-
-
-def _greedy_dedupe(points: np.ndarray, tol: float = DEDUPE_TOL) -> list:
+def _greedy_dedupe(points: np.ndarray) -> list:
     """Indices of the points kept by the greedy rule, in input order.
 
     A point is kept unless an earlier kept point lies within Euclidean
-    distance tol of it.  Each kept point drops every remaining point in
-    its tol-ball at once, which keeps the same points as scanning them
-    one by one.
+    distance DEDUPE_TOL of it.  Each kept point drops every remaining
+    point in its DEDUPE_TOL-ball at once, which keeps the same points as
+    scanning them one by one.
     """
     rest = np.arange(len(points))
     kept = []
@@ -153,7 +138,7 @@ def _greedy_dedupe(points: np.ndarray, tol: float = DEDUPE_TOL) -> list:
         i = int(rest[0])
         kept.append(i)
         d = np.hypot(points[rest, 0] - points[i, 0], points[rest, 1] - points[i, 1])
-        rest = rest[d > tol]
+        rest = rest[d > DEDUPE_TOL]
     return kept
 
 
@@ -189,7 +174,7 @@ def find_equilibria(
     ids = np.arange(seeds_tried)
     c = pts.copy()
     fv = field.rhs(c)
-    fn = _max_abs(fv)
+    fn = row_max_abs(fv)
     ls = np.full(seeds_tried, np.inf)
     for it in range(max_iter + 1):
         done = (fn <= RESIDUAL_TOL) & (ls <= STEP_TOL)
@@ -198,7 +183,7 @@ def find_equilibria(
             cur[g] = np.compress(done, c, axis=0)
             fnorm[g] = fn[done]
             converged[g] = True
-            ids, c, fv, fn, ls = _keep_rows(~done, ids, c, fv, fn, ls)
+            ids, c, fv, fn, ls = keep_rows(~done, ids, c, fv, fn, ls)
         if ids.size == 0 or it == max_iter:
             break
         jac = field.jacobian(c, normalized=True)
@@ -209,7 +194,7 @@ def find_equilibria(
                 [(j11 * fv[:, 0] - j01 * fv[:, 1]) / det, (j00 * fv[:, 1] - j10 * fv[:, 0]) / det],
                 axis=-1,
             )
-        step_norm = _max_abs(step)
+        step_norm = row_max_abs(step)
         # a singular Jacobian kills the seed; a tiny step leaves it in place
         ok = np.abs(det) > 1e-300
         tiny = ok & (step_norm <= STEP_TOL)
@@ -223,7 +208,7 @@ def find_equilibria(
             rows = move[remaining]
             trial = c.take(rows, axis=0) - factor * step.take(rows, axis=0)
             ftrial = field.rhs(trial)
-            fnew = _max_abs(ftrial)
+            fnew = row_max_abs(ftrial)
             better = fnew < fn[rows]
             sel = rows[better]
             c[sel] = np.compress(better, trial, axis=0)
@@ -239,8 +224,8 @@ def find_equilibria(
         # wandering far from the simplex
         alive = ok.copy()
         alive[move[~improved]] = False
-        alive &= ~(_max_abs(c) > 3.0)
-        ids, c, fv, fn, ls = _keep_rows(alive, ids, c, fv, fn, ls)
+        alive &= ~(row_max_abs(c) > 3.0)
+        ids, c, fv, fn, ls = keep_rows(alive, ids, c, fv, fn, ls)
     roots = cur[converged]
     resids = fnorm[converged]
     seeds_converged = int(converged.sum())

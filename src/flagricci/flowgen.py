@@ -128,6 +128,9 @@ def lyapunov_planar(family: FamilyDescriptor, x: float, y: float) -> float:
     runs toward such strata) and +inf when two have (it runs away from
     them), so trajectory monotonicity extends to the boundary.
     """
+    # numpy scalars, whatever the caller passes: a coordinate product
+    # that underflows to 0 then divides to inf instead of raising
+    x, y = np.float64(x), np.float64(y)
     z = 1.0 - x - y
     degenerate = sum(1 for v in (x, y, z) if v <= 0.0)
     if degenerate == 0:
@@ -224,6 +227,25 @@ def _eval_group(compiled: tuple, points) -> np.ndarray:
         monos *= powers[exps[:, 1], 1]
         np.matmul(monos.T, coeffs, out=out[start : start + _BLOCK])
     return out.reshape(pts.shape[:-1] + coeffs.shape[1:])
+
+
+def row_max_abs(a: np.ndarray) -> np.ndarray:
+    """Row-wise max(|a[:, 0]|, |a[:, 1]|) of an (n, 2) array; NaN propagates.
+
+    Same values as np.abs(a).max(axis=1), which numpy reduces over the
+    length-2 axis many times more slowly.
+    """
+    return np.maximum(np.abs(a[:, 0]), np.abs(a[:, 1]))
+
+
+def keep_rows(mask: np.ndarray, *arrays) -> tuple:
+    """The rows of each array where mask is set.
+
+    numpy's boolean and fancy indexing of 2-D arrays is several times
+    slower than take along the first axis, which gives the same rows.
+    """
+    idx = np.flatnonzero(mask)
+    return tuple(a.take(idx, axis=0) for a in arrays)
 
 
 @dataclass(frozen=True)

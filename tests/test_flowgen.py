@@ -309,6 +309,18 @@ def test_lyapunov_planar_degenerate_conventions():
     assert lyapunov_planar(fam, 0.0, 1.0) == math.inf
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fam", [su_family(2, 1, 1), type1_family("e8e6su2u1")], ids=lambda f: f.id)
+def test_lyapunov_planar_ignores_argument_type(fam):
+    """Python floats and numpy scalars give the same value, also on underflow."""
+    for x, y in [(0.3, 0.3), (0.1, 0.7), (1e-200, 0.5), (0.99999, 5e-324)]:
+        py = lyapunov_planar(fam, x, y)
+        nps = lyapunov_planar(fam, np.float64(x), np.float64(y))
+        assert py == nps or (math.isnan(py) and math.isnan(nps))
+    z = 1.0 - 0.1 - 0.7
+    assert lyapunov_planar(fam, 0.1, 0.7) == lyapunov_value(fam, (0.1, 0.7, z))
+
+
 def test_ricci_rejects_nonpositive_metrics():
     fam = su_family(2, 1, 1)
     with pytest.raises(ValueError):

@@ -160,19 +160,20 @@ def find_equilibria(
     axis = np.linspace(-inflate, 1.0 + inflate, grid)
     gx, gy = np.meshgrid(axis, axis)
     keep = gx + gy <= 1.0 + inflate
-    pts = np.stack([gx[keep], gy[keep]], axis=-1)
-    seeds_tried = len(pts)
+    c = np.stack([gx[keep], gy[keep]], axis=-1)
+    seeds_tried = len(c)
+    # the seed grid is not read again; freeing it lowers the sweep's peak memory
+    del gx, gy, keep
 
     # the sweep iterates only the active seeds, in seed order so that
     # every kernel call sees the same batch as a full rescan would; a
     # seed leaves for good when it converges (written back to cur and
     # fnorm) or dies.  The pass after the last iteration only retires
     # the seeds that converged in it.
-    cur = np.empty_like(pts)
+    cur = np.empty_like(c)
     fnorm = np.empty(seeds_tried)
     converged = np.zeros(seeds_tried, dtype=bool)
     ids = np.arange(seeds_tried)
-    c = pts.copy()
     fv = field.rhs(c)
     fn = row_max_abs(fv)
     ls = np.full(seeds_tried, np.inf)

@@ -232,8 +232,8 @@ def _eval_group(compiled: tuple, points) -> np.ndarray:
 def row_max_abs(a: np.ndarray) -> np.ndarray:
     """Row-wise max(|a[:, 0]|, |a[:, 1]|) of an (n, 2) array; NaN propagates.
 
-    Same values as np.abs(a).max(axis=1), which numpy reduces over the
-    length-2 axis many times more slowly.
+    Same values as numpy's max reduction of np.abs(a) over axis 1, which
+    is many times slower on a length-2 axis.
     """
     return np.maximum(np.abs(a[:, 0]), np.abs(a[:, 1]))
 

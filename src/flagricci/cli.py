@@ -19,12 +19,7 @@ from .catalog import family_from_id, gh_catalog, list_families, reference_equili
 from .dynamics import basin_map, integrate_orbit
 from .equilibria import find_equilibria, verify_catalog
 from .flowgen import projected_field
-from .ghlimit import (
-    NotDegenerate,
-    classify_limit,
-    kernel_summands,
-    subalgebra_closure,
-)
+from .ghlimit import classify_limit, kernel_summands, subalgebra_closure
 from .catalog import bracket_table
 from .render import basins_svg, portrait_svg
 
@@ -207,7 +202,7 @@ def _cmd_gh_limit(args) -> int:
     try:
         kernel = kernel_summands((args.x, args.y))
         label = classify_limit(fam, (args.x, args.y))
-    except NotDegenerate as exc:
+    except ValueError as exc:  # an interior (NotDegenerate) or invalid point
         raise UsageError(str(exc))
     closure = subalgebra_closure(bracket_table(fam), kernel)
     doc = {

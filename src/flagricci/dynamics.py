@@ -10,9 +10,13 @@ Norsett & Wanner, Solving ODEs I, II.5): the last stage of an accepted
 step is the field at the new point, so it becomes the next step's first
 stage and a trial step costs six field evaluations, not seven.  The
 batch recorder keeps (t, x, y) per accepted step; Lyapunov values are
-added only by the callers that report them.  Basin labels come from one
-cells-by-attractors Chebyshev distance matrix, and the revisit scan of
-the monotonicity check walks its distance matrix in blocks of rows.
+added only by the callers that report them.  Every operation on a point
+is row-wise and the field kernel is row-invariant, so a point's orbit
+does not depend on the batch it runs in: all separatrices of one
+direction run as one batch, and each equals its orbit integrated alone.
+Basin labels come from one cells-by-attractors Chebyshev distance
+matrix, and the revisit scan of the monotonicity check walks its
+distance matrix in blocks of rows.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from .equilibria import EquilibriumList, find_equilibria
 from .flowgen import ProjectedField, keep_rows, lyapunov_planar, projected_field, row_max_abs
 
 STALL_TOL = 1e-9
+# shortest step whose displacement alone can tell a stall (see _integrate_batch)
+STALL_STEP = 1e-6
 BOUNDARY_EXIT_TOL = 1e-9
 MATCH_TOL = 1e-6
 # a revisit counts only after the orbit left the revisited point by more
@@ -294,9 +300,11 @@ def _integrate_batch(
             moved = np.flatnonzero(accept)
             for g, tg, (x, y) in zip(ids[moved].tolist(), tp[moved].tolist(), p.take(moved, axis=0).tolist()):
                 samples[g].append((tg, x, y))
-        # a step throttled only by the max_time cap must not read as a
-        # stall, so genuine stalls also need a non-trivial step size
-        stalled = accept & ~exited & (disp < STALL_TOL) & (h >= 1e-6)
+        # a step shortened by the controller or by the max_time cap must
+        # not read as a stall: a short step counts only where the field is
+        # so slow that a step of STALL_STEP would have stalled as well
+        short = (h < STALL_STEP) & (row_max_abs(k1) * STALL_STEP >= STALL_TOL)
+        stalled = accept & ~exited & (disp < STALL_TOL) & ~short
         code = np.full(ids.size, RUNNING, dtype=np.int8)
         code[exited] = BOUNDARY
         code[stalled] = STALLED
@@ -414,13 +422,9 @@ def basin_map(
     """Forward-limit label for every cell center strictly inside S.
 
     Labels name attractors only; anything else (saddle crawl, budget
-    exhaustion, unmatched terminal point) is Undetermined.  The map is
-    reproducible for a given resolution and margin, but a cell's result
-    is not independent of the batch it runs in: the kernel rounds a
-    one-point call differently from the same point among others, so the
-    last cell still running can end a few ulps away from where it would
-    in company.  A cell crawling along a separatrix toward a saddle can
-    change label under such a difference.
+    exhaustion, unmatched terminal point) is Undetermined.  A cell's
+    result does not depend on the batch it runs in: it is the orbit
+    integrate_orbit gives from the cell center with the same budget.
     """
     if not 16 <= resolution <= 2048:
         raise ValueError("resolution must lie in [16, 2048]")
@@ -500,11 +504,13 @@ def separatrices(family: FamilyDescriptor, offset: float = 1e-6) -> list:
 
     Four orbits per saddle: the unstable eigendirections forward, the
     stable ones backward, each launched offset away from the saddle.
+    All launches of one direction run as one batch; since no kernel row
+    depends on its batch, each separatrix is the orbit integrate_orbit
+    gives from its start.
     """
     field = field_for(family)
-    eqs = equilibria_for(family)
-    out: list = []
-    for eq in eqs:
+    launches: list = []  # ((label, position, manifold, sign, eigenvalue), direction, start)
+    for eq in equilibria_for(family):
         if eq.stability != SADDLE:
             continue
         pairs = _eigenvectors_2x2(field, eq.position)
@@ -525,19 +531,21 @@ def separatrices(family: FamilyDescriptor, offset: float = 1e-6) -> list:
                     and start[0] + start[1] <= 1.0 + 1e-9
                 ):
                     continue
-                traj = integrate_orbit(field, start, direction=direction)
-                out.append(
-                    Separatrix(
-                        saddle_label=label,
-                        saddle_position=eq.position,
-                        manifold=manifold,
-                        sign=sgn,
-                        eigenvalue=float(lam),
-                        points=[(s[1], s[2]) for s in traj.samples],
-                        limit=traj.terminal,
-                    )
-                )
-    return out
+                head = (label, eq.position, manifold, sgn, float(lam))
+                launches.append((head, direction, start))
+
+    traced: dict = {}  # launch index -> (points, limit)
+    for direction in ("forward", "backward"):
+        group = [k for k, (_h, d, _s) in enumerate(launches) if d == direction]
+        if not group:
+            continue
+        pos, t, status, _steps, samples = _integrate_batch(
+            field, [launches[k][2] for k in group], direction=direction, record=True
+        )
+        for j, k in enumerate(group):
+            points = [(x, y) for _t, x, y in samples[j]]
+            traced[k] = (points, _terminal_outcome(family, pos[j], t[j], status[j]))
+    return [Separatrix(*head, *traced[k]) for k, (head, _d, _s) in enumerate(launches)]
 
 
 # ----------------------------------------------------------------------

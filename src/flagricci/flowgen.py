@@ -17,7 +17,9 @@ groups, each the union of its monomials plus one float coefficient
 matrix.  A group is evaluated over fixed blocks of points: the powers
 0..deg of x and y come from one shared table built by repeated
 multiplication, the monomials from one gather-multiply, and the values
-from one matrix product.
+from one matrix product.  A block of one point is evaluated as two, so
+every row goes through the same matrix product and its value does not
+depend on the batch it is evaluated in.
 """
 
 from __future__ import annotations
@@ -217,7 +219,11 @@ def _eval_group(compiled: tuple, points) -> np.ndarray:
     out = np.empty((flat.shape[0], coeffs.shape[1]))
     deg = max(1, int(exps.max()))
     for start in range(0, flat.shape[0], _BLOCK):
-        block = flat[start : start + _BLOCK].T
+        rows = flat[start : start + _BLOCK]
+        # numpy hands a one-row product to gemv, which rounds apart from
+        # the gemm that evaluates the same row among others; a lone row
+        # goes in twice, so no row's value depends on its batch
+        block = (rows if len(rows) > 1 else np.repeat(rows, 2, axis=0)).T
         powers = np.empty((deg + 1,) + block.shape)
         powers[0] = 1.0
         powers[1] = block
@@ -225,7 +231,10 @@ def _eval_group(compiled: tuple, points) -> np.ndarray:
             np.multiply(powers[k - 1], block, out=powers[k])
         monos = powers[exps[:, 0], 0]
         monos *= powers[exps[:, 1], 1]
-        np.matmul(monos.T, coeffs, out=out[start : start + _BLOCK])
+        if len(rows) > 1:
+            np.matmul(monos.T, coeffs, out=out[start : start + _BLOCK])
+        else:
+            out[start] = (monos.T @ coeffs)[0]
     return out.reshape(pts.shape[:-1] + coeffs.shape[1:])
 
 

@@ -11,6 +11,7 @@ space the catalog attaches to the kernel pattern.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .catalog import (
@@ -60,10 +61,16 @@ def kernel_summands(limit_point, eps: float = KERNEL_EPS) -> KernelPattern:
     The planar point (x, y) lifts to simplex coordinates (x, y, 1-x-y);
     summand i belongs to the kernel when its lifted coordinate falls
     below eps.  An interior point has no vanishing coordinate and is
-    rejected with NotDegenerate.
+    rejected with NotDegenerate; a non-finite point, or one with a
+    lifted coordinate below -KERNEL_EPS (outside the closed simplex), is
+    rejected with ValueError.
     """
     x, y = float(limit_point[0]), float(limit_point[1])
     lifted = (x, y, 1.0 - x - y)
+    if not all(math.isfinite(c) for c in lifted):
+        raise ValueError(f"point ({x}, {y}) is not finite")
+    if min(lifted) < -KERNEL_EPS:
+        raise ValueError(f"point ({x}, {y}) lies outside the closed simplex")
     vanished = frozenset(i + 1 for i, c in enumerate(lifted) if c < eps)
     if not vanished:
         raise NotDegenerate(

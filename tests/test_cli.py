@@ -233,6 +233,20 @@ def test_gh_limit_interior_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "x, y",
+    [("5", "0.5"), ("-3", "0"), ("nan", "0")],
+    ids=["outside", "negative", "nan"],
+)
+def test_gh_limit_rejects_points_off_the_simplex(capsys, x, y):
+    code, out, err = run(capsys, "gh-limit", "--family", "g2u2", "--x", x, "--y", y)
+    assert code == 2
+    assert out == ""
+    message, usage = err.split("\n", 1)
+    assert message.startswith("flagricci gh-limit: error: point (")
+    assert usage.startswith("usage: flagricci gh-limit")
+
+
 # ----------------------------------------------------------------------
 # usage errors
 

@@ -205,6 +205,24 @@ def test_exhausted_budget_is_undetermined():
     assert traj.terminal.reason == "max_steps"
 
 
+def test_orbit_creeping_into_stiff_corner_stalls():
+    # the backward orbit creeps into the corner Q = (1, 0), where the
+    # controller holds the step below the step size a stall used to need
+    field = projected_field(family_from_id("e8e6su2u1"))
+    traj = integrate_orbit(field, (0.33, 0.33), direction="backward")
+    assert traj.terminal.kind == "Equilibrium"
+    assert traj.terminal.label == "Q"
+    assert traj.terminal.reason == "stalled"
+    assert len(traj.samples) < 1000
+
+
+def test_step_cut_by_max_time_is_no_stall():
+    field = projected_field(SU211)
+    traj = integrate_orbit(field, (0.3, 0.25), max_time=1e-10)
+    assert traj.terminal.reason == "max_time"
+    assert len(traj.samples) == 2
+
+
 def test_reversibility():
     field = projected_field(SU211)
     start = (0.3, 0.25)
@@ -459,28 +477,43 @@ def test_separatrices_g2():
             assert s.limit.label in {"O", "P", "Q"}
 
 
+def _separatrix_direction(s) -> str:
+    return "forward" if s.manifold == "unstable" else "backward"
+
+
 @pytest.mark.parametrize("family", [SU211, G2], ids=lambda f: f"{f.id}{f.params}")
 def test_separatrix_integrated_once_with_its_own_limit(family, monkeypatch):
     from flagricci import dynamics
 
-    starts = []
-    integrate = dynamics.integrate_orbit
+    batches = []
+    integrate = dynamics._integrate_batch
 
-    def counting(field, p0, *args, **kwargs):
-        starts.append(p0)
-        return integrate(field, p0, *args, **kwargs)
+    def counting(field, pts, *args, **kwargs):
+        batches.append(list(pts))
+        return integrate(field, pts, *args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "integrate_orbit", counting)
+    monkeypatch.setattr(dynamics, "_integrate_batch", counting)
     seps = separatrices(family)
     monkeypatch.undo()
-    assert len(starts) == len(seps)
-    # integration is deterministic: a second run from the same start
-    # reaches the very limit the record carries
+    # one batch per direction, and every start runs in exactly one
+    assert len(batches) <= 2
+    starts = [p for batch in batches for p in batch]
+    assert sorted(starts) == sorted(s.points[0] for s in seps)
+    # a second run from the same start reaches the very limit the record
+    # carries, not another separatrix's
     field = projected_field(family)
-    for start, s in zip(starts, seps):
-        assert s.points[0] == start
-        direction = "forward" if s.manifold == "unstable" else "backward"
-        assert limit_of_orbit(field, start, direction=direction) == s.limit
+    for s in seps:
+        assert limit_of_orbit(field, s.points[0], direction=_separatrix_direction(s)) == s.limit
+
+
+@pytest.mark.parametrize("family", [SU211, SO6, G2, family_from_id("e8su8u1")],
+                         ids=lambda f: f"{f.id}{f.params}")
+def test_batched_separatrix_equals_its_orbit_alone(family):
+    field = projected_field(family)
+    for s in separatrices(family):
+        alone = integrate_orbit(field, s.points[0], direction=_separatrix_direction(s))
+        assert [(x, y) for _t, x, y, _l in alone.samples] == s.points
+        assert alone.terminal == s.limit
 
 
 def test_separatrix_tangent_to_invariant_segment():

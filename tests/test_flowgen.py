@@ -417,5 +417,9 @@ def test_kernel_point_alone_matches_point_in_batch(kernel_case):
     f, pts, _rhs, _jac = kernel_case
     batch_rhs, batch_jac = f.rhs(pts, normalized=False), f.jacobian(pts)
     for k in (0, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 2):
-        assert_close(f.rhs(pts[k], normalized=False), batch_rhs[k])
-        assert_close(f.jacobian(pts[k]), batch_jac[k])
+        assert np.array_equal(f.rhs(pts[k], normalized=False), batch_rhs[k])
+        assert np.array_equal(f.jacobian(pts[k]), batch_jac[k])
+    # batches whose last block holds a single row
+    for n in (_BLOCK + 1, 2 * _BLOCK + 1):
+        assert np.array_equal(f.rhs(pts[:n], normalized=False), batch_rhs[:n])
+        assert np.array_equal(f.jacobian(pts[:n]), batch_jac[:n])

@@ -89,6 +89,24 @@ def test_interior_point_raises():
         kernel_summands((0.3, 0.3))
 
 
+@pytest.mark.parametrize(
+    "point",
+    [(5.0, 0.5), (-3.0, 0.0), (0.5, -2e-6), (0.6, 0.400002), (float("nan"), 0.0), (0.0, float("inf"))],
+    ids=["far-right", "negative-x", "just-below-y", "just-past-hypotenuse", "nan", "inf"],
+)
+def test_kernel_rejects_points_off_the_closed_simplex(point):
+    with pytest.raises(ValueError) as info:
+        kernel_summands(point)
+    assert not isinstance(info.value, NotDegenerate)
+    with pytest.raises(ValueError):
+        classify_limit(G2, point)
+
+
+def test_kernel_accepts_points_within_slack_of_the_simplex():
+    assert set(kernel_summands((-5e-7, 0.5))) == {1}
+    assert set(kernel_summands((0.6, 0.4000005))) == {3}
+
+
 # ----------------------------------------------------------------------
 # closures
 

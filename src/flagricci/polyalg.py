@@ -29,8 +29,11 @@ def _as_fraction(c: Scalar) -> Fraction:
 class Poly:
     """Sparse polynomial: map from exponent tuples to nonzero Fractions.
 
-    Canonical form is maintained on construction (zero coefficients are
-    dropped), so equality of term maps is equality of polynomials.
+    Canonical form is maintained on construction: zero coefficients are
+    dropped and terms are stored in ascending exponent-tuple order.  So
+    equality of term maps is equality of polynomials, and equal
+    polynomials add their terms in the same order when evaluated at a
+    float point, giving bit-identical values however they were built.
     Instances are treated as immutable; no method mutates self.
     """
 
@@ -49,7 +52,7 @@ class Poly:
             c = _as_fraction(coeff)
             if c != 0:
                 clean[exps] = clean.get(exps, Fraction(0)) + c
-        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c != 0})
+        object.__setattr__(self, "terms", {e: clean[e] for e in sorted(clean) if clean[e] != 0})
         object.__setattr__(self, "arity", arity)
 
     def __setattr__(self, name, value):

@@ -367,6 +367,20 @@ def test_compiled_rhs_and_jacobian_match_exact(fam):
     )
 
 
+@pytest.mark.parametrize("fam", [su_family(2, 1, 1), so_family(6), type1_family("g2u2"),
+                                 type1_family("e8su8u1")], ids=lambda f: f"{f.id}{f.params}")
+def test_equal_polys_evaluate_bit_identically(fam):
+    """Term order is canonical: a derived polynomial and its parsed copy
+    add the same terms in the same order at a float point."""
+    f = projected_field(fam)
+    pts = simplex_points(20)
+    for p in (f.u, f.v, f.du_dx, f.dv_dy):
+        q = Poly.parse(p.to_text(), 2)
+        assert q == p
+        for x, y in pts:
+            assert q.eval((x, y)) == p.eval((x, y))
+
+
 # ----------------------------------------------------------------------
 # the blocked kernel at every batch shape and across block boundaries
 

@@ -20,7 +20,7 @@ from .catalog import (
     su_family,
     type1_family,
 )
-from .polyalg import Poly, poly_arith, poly_diff, poly_eval, poly_substitute_z
+from .polyalg import Poly
 from .flowgen import (
     ProjectedField,
     cleared_field,
@@ -102,10 +102,6 @@ __all__ = [
     "lyapunov_planar",
     "lyapunov_value",
     "monotonicity_check",
-    "poly_arith",
-    "poly_diff",
-    "poly_eval",
-    "poly_substitute_z",
     "projected_field",
     "radial_probe",
     "random_interior_points",

@@ -43,7 +43,6 @@ class FamilyDescriptor:
     dims: tuple
     group_name: str
     isotropy_name: str
-    clearing_factor: str
 
     @property
     def total_dim(self) -> int:
@@ -75,7 +74,6 @@ def su_family(m: int, n: int, p: int) -> FamilyDescriptor:
         dims=(2 * m * n, 2 * m * p, 2 * n * p),
         group_name=f"SU({s})",
         isotropy_name=f"S(U({m})xU({n})xU({p}))",
-        clearing_factor=f"{2 * s}*x*y*z",
     )
 
 
@@ -90,7 +88,6 @@ def so_family(ell: int) -> FamilyDescriptor:
         dims=(2 * (ell - 1), 2 * (ell - 1), (ell - 1) * (ell - 2)),
         group_name=f"SO({2 * ell})",
         isotropy_name=f"U(1)xU({ell - 1})",
-        clearing_factor=f"{4 * (ell - 1)}*x*y*z",
     )
 
 
@@ -103,7 +100,6 @@ def e6_family() -> FamilyDescriptor:
         dims=(16, 16, 16),
         group_name="E6",
         isotropy_name="SO(8)xU(1)xU(1)",
-        clearing_factor="6*x*y*z",
     )
 
 
@@ -125,8 +121,6 @@ def type1_family(fid: str) -> FamilyDescriptor:
     if fid not in _TYPE1_ROWS:
         raise ValueError(f"unknown Type I family {fid!r}")
     dims, group, isotropy = _TYPE1_ROWS[fid]
-    d1, d2, d3 = dims
-    delta = d1 + 4 * d2 + 9 * d3
     return FamilyDescriptor(
         id=fid,
         kind=KIND_TYPE1,
@@ -134,7 +128,6 @@ def type1_family(fid: str) -> FamilyDescriptor:
         dims=dims,
         group_name=group,
         isotropy_name=isotropy,
-        clearing_factor=f"{4 * delta * d1 * d2}*x^2*y*z",
     )
 
 

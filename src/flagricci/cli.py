@@ -16,7 +16,7 @@ import sys
 from typing import Optional
 
 from .catalog import family_from_id, gh_catalog, list_families, reference_equilibria
-from .dynamics import basin_map, integrate_orbit
+from .dynamics import basin_map, field_for, integrate_orbit
 from .equilibria import find_equilibria, verify_catalog
 from .flowgen import projected_field
 from .ghlimit import classify_limit, kernel_summands, subalgebra_closure
@@ -146,7 +146,9 @@ def _cmd_equilibria(args) -> int:
 
 def _cmd_orbit(args) -> int:
     fam = _resolve_family(args)
-    field = projected_field(fam)
+    # the orbit's end is matched against equilibria_for(fam), which reads
+    # the same cached field
+    field = field_for(fam)
     direction = "backward" if args.backward else "forward"
     try:
         traj = integrate_orbit(

@@ -14,13 +14,14 @@ added only by the callers that report them.  Every operation on a point
 is row-wise and the field kernel is row-invariant, so a point's orbit
 does not depend on the batch it runs in: all separatrices of one
 direction run as one batch, and each equals its orbit integrated alone.
-Basin labels come from one cells-by-attractors Chebyshev distance
-matrix, and the revisit scan of the monotonicity check walks its
+Basin labels come from one nearest-attractor match over all cells, and
+the revisit scan of the monotonicity check walks its
 distance matrix in blocks of rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -29,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .catalog import ATTRACTOR, SADDLE, FamilyDescriptor
-from .equilibria import EquilibriumList, find_equilibria
+from .equilibria import EquilibriumList, find_equilibria, nearest
 from .flowgen import ProjectedField, keep_rows, lyapunov_planar, projected_field, row_max_abs
 
 STALL_TOL = 1e-9
@@ -37,6 +38,14 @@ STALL_TOL = 1e-9
 STALL_STEP = 1e-6
 BOUNDARY_EXIT_TOL = 1e-9
 MATCH_TOL = 1e-6
+# basin cells run at most this many steps each
+BASIN_MAX_STEPS = 10000
+# separatrices start this far from their saddle along an eigenvector
+SEPARATRIX_OFFSET = 1e-6
+# the monotonicity check allows the Lyapunov value to rise by at most
+# LYAPUNOV_STEP_TOL per step and counts a return within REVISIT_TOL
+LYAPUNOV_STEP_TOL = 1e-10
+REVISIT_TOL = 1e-8
 # a revisit counts only after the orbit left the revisited point by more
 # than this (Chebyshev distance), so plain convergence is exempt
 REVISIT_EXCURSION = 1e-4
@@ -155,20 +164,22 @@ class MonotonicityReport:
         return not self.violations
 
 
-_FIELD_CACHE: dict = {}
-_EQ_CACHE: dict = {}
-
-
+@functools.cache
 def field_for(family: FamilyDescriptor) -> ProjectedField:
-    if family not in _FIELD_CACHE:
-        _FIELD_CACHE[family] = projected_field(family)
-    return _FIELD_CACHE[family]
+    """The family's projected field, derived once per process."""
+    return projected_field(family)
 
 
+@functools.cache
 def equilibria_for(family: FamilyDescriptor) -> EquilibriumList:
-    if family not in _EQ_CACHE:
-        _EQ_CACHE[family] = find_equilibria(field_for(family))
-    return _EQ_CACHE[family]
+    """The family's computed zero set, searched once per process."""
+    return find_equilibria(field_for(family))
+
+
+def _outside_simplex(p: np.ndarray) -> np.ndarray:
+    """Rows of the (n, 2) array p outside the closed simplex, slack BOUNDARY_EXIT_TOL."""
+    tol = BOUNDARY_EXIT_TOL
+    return (p[:, 0] < -tol) | (p[:, 1] < -tol) | (p[:, 0] + p[:, 1] > 1.0 + tol)
 
 
 def _clamp_to_simplex(p: np.ndarray) -> np.ndarray:
@@ -220,8 +231,7 @@ def _check_integration_input(pos, rtol, atol, max_time, max_steps) -> None:
     """Reject starts outside the closed simplex and non-positive budgets."""
     if not np.isfinite(pos).all():
         raise ValueError("start points must be finite")
-    tol = BOUNDARY_EXIT_TOL
-    outside = (pos[:, 0] < -tol) | (pos[:, 1] < -tol) | (pos[:, 0] + pos[:, 1] > 1.0 + tol)
+    outside = _outside_simplex(pos)
     if outside.any():
         x, y = pos[np.flatnonzero(outside)[0]].tolist()
         raise ValueError(f"start point ({x!r}, {y!r}) lies outside the closed simplex")
@@ -282,11 +292,7 @@ def _integrate_batch(
 
         accept = errnorm <= 1.0
         disp = row_max_abs(y5 - p)
-        exited = accept & (
-            (y5[:, 0] < -BOUNDARY_EXIT_TOL)
-            | (y5[:, 1] < -BOUNDARY_EXIT_TOL)
-            | (y5[:, 0] + y5[:, 1] > 1.0 + BOUNDARY_EXIT_TOL)
-        )
+        exited = accept & _outside_simplex(y5)
         if exited.any():
             y5[exited] = _clamp_to_simplex(y5[exited])
         # a rejected step keeps its point and its first stage
@@ -340,12 +346,13 @@ def _terminal_outcome(family, pos, t, code) -> LimitOutcome:
     """
     reason = _REASONS.get(int(code), "unknown")
     p = (float(pos[0]), float(pos[1]))
-    eq, dist = _match_equilibrium(family, p)
-    if code in (STALLED, BOUNDARY) and eq is not None:
-        label = eq.matched_label or f"({eq.position[0]:.9f},{eq.position[1]:.9f})"
+    eqs = equilibria_for(family)
+    idx, d = nearest([p], [eq.position for eq in eqs])
+    dist = float(d[0])
+    if code in (STALLED, BOUNDARY) and dist <= MATCH_TOL:
         return LimitOutcome(
             kind="Equilibrium",
-            label=label,
+            label=eqs[int(idx[0])].name,
             position=p,
             distance=dist,
             time_elapsed=float(t),
@@ -396,29 +403,12 @@ def integrate_orbit(
     )
 
 
-def _match_equilibrium(family: FamilyDescriptor, pos, tol: float = MATCH_TOL):
-    best, best_d = None, math.inf
-    for eq in equilibria_for(family):
-        d = math.hypot(pos[0] - eq.position[0], pos[1] - eq.position[1])
-        if d < best_d:
-            best, best_d = eq, d
-    if best is not None and best_d <= tol:
-        return best, best_d
-    return None, best_d
-
-
 def limit_of_orbit(field: ProjectedField, p0, direction: str = "forward") -> LimitOutcome:
     """Forward or backward limit, matched against the computed zero set."""
     return integrate_orbit(field, p0, direction=direction).terminal
 
 
-def basin_map(
-    family: FamilyDescriptor,
-    resolution: int,
-    margin: float = 1e-3,
-    max_time: float = 1e4,
-    max_steps: int = 10000,
-) -> BasinGrid:
+def basin_map(family: FamilyDescriptor, resolution: int, margin: float = 1e-3) -> BasinGrid:
     """Forward-limit label for every cell center strictly inside S.
 
     Labels name attractors only; anything else (saddle crawl, budget
@@ -440,28 +430,15 @@ def basin_map(
             if x > margin and y > margin and x + y < 1.0 - margin:
                 cells.append((x, y))
                 index.append((iy, ix))
-    names = [a.matched_label or f"({a.position[0]:.9f},{a.position[1]:.9f})" for a in attractors]
+    names = [a.name for a in attractors]
     labels: list = [[None] * resolution for _ in range(resolution)]
     if cells:
-        pos, _t, status, _steps, _ = _integrate_batch(
-            field,
-            cells,
-            direction="forward",
-            max_time=max_time,
-            max_steps=max_steps,
-        )
-        # Chebyshev distance of every terminal point to every attractor;
+        pos, _t, status, _steps, _ = _integrate_batch(field, cells, max_steps=BASIN_MAX_STEPS)
         # index len(attractors) stands for Undetermined
         pick = np.full(len(cells), len(attractors))
-        if attractors:
-            apos = np.array([a.position for a in attractors])
-            d = np.maximum(
-                np.abs(apos[None, :, 0] - pos[:, None, 0]),
-                np.abs(apos[None, :, 1] - pos[:, None, 1]),
-            )
-            j = np.argmin(d, axis=1)
-            hit = np.isin(status, (STALLED, BOUNDARY)) & (d[np.arange(len(cells)), j] <= MATCH_TOL)
-            pick[hit] = j[hit]
+        j, d = nearest(pos, [a.position for a in attractors])
+        hit = np.isin(status, (STALLED, BOUNDARY)) & (d <= MATCH_TOL)
+        pick[hit] = j[hit]
         choices = names + ["Undetermined"]
         for (iy, ix), k in zip(index, pick.tolist()):
             labels[iy][ix] = choices[k]
@@ -499,11 +476,12 @@ def _eigenvectors_2x2(field: ProjectedField, p) -> list:
     return pairs
 
 
-def separatrices(family: FamilyDescriptor, offset: float = 1e-6) -> list:
+def separatrices(family: FamilyDescriptor) -> list:
     """Invariant manifolds of every saddle, traced to their limits.
 
     Four orbits per saddle: the unstable eigendirections forward, the
-    stable ones backward, each launched offset away from the saddle.
+    stable ones backward, each launched SEPARATRIX_OFFSET away from the
+    saddle; a launch outside the closed simplex is skipped.
     All launches of one direction run as one batch; since no kernel row
     depends on its batch, each separatrix is the orbit integrate_orbit
     gives from its start.
@@ -516,22 +494,17 @@ def separatrices(family: FamilyDescriptor, offset: float = 1e-6) -> list:
         pairs = _eigenvectors_2x2(field, eq.position)
         if len(pairs) != 2:
             continue
-        label = eq.matched_label or f"({eq.position[0]:.6f},{eq.position[1]:.6f})"
         for lam, vec in pairs:
             manifold = "unstable" if lam > 0 else "stable"
             direction = "forward" if lam > 0 else "backward"
             for sgn in (1, -1):
                 start = (
-                    eq.position[0] + sgn * offset * vec[0],
-                    eq.position[1] + sgn * offset * vec[1],
+                    eq.position[0] + sgn * SEPARATRIX_OFFSET * vec[0],
+                    eq.position[1] + sgn * SEPARATRIX_OFFSET * vec[1],
                 )
-                if not (
-                    start[0] >= -1e-9
-                    and start[1] >= -1e-9
-                    and start[0] + start[1] <= 1.0 + 1e-9
-                ):
+                if _outside_simplex(np.array([start]))[0]:
                     continue
-                head = (label, eq.position, manifold, sgn, float(lam))
+                head = (eq.name, eq.position, manifold, sgn, float(lam))
                 launches.append((head, direction, start))
 
     traced: dict = {}  # launch index -> (points, limit)
@@ -664,19 +637,13 @@ def _first_revisit(tv, xy, revisit_tol: float) -> Optional[float]:
     return None
 
 
-def monotonicity_check(
-    family: FamilyDescriptor,
-    n_orbits: int,
-    seed: int = 0,
-    step_tol: float = 1e-10,
-    revisit_tol: float = 1e-8,
-) -> MonotonicityReport:
+def monotonicity_check(family: FamilyDescriptor, n_orbits: int, seed: int = 0) -> MonotonicityReport:
     """Gradient-like behavior along random interior orbits.
 
     The Lyapunov value must not increase between accepted steps by more
-    than step_tol, and after one unit of time no orbit may return
-    within revisit_tol of a point it already visited at least one time
-    unit earlier (no periodic orbits).
+    than LYAPUNOV_STEP_TOL, and after one unit of time no orbit may
+    return within REVISIT_TOL of a point it already visited at least one
+    time unit earlier (no periodic orbits).
     """
     if n_orbits < 1:
         raise ValueError("n_orbits must be at least 1")
@@ -696,11 +663,11 @@ def monotonicity_check(
         finite = np.isfinite(lv)
         dl = np.diff(lv[finite])
         worst = dl.max() if dl.size else 0.0
-        if worst > step_tol:
+        if worst > LYAPUNOV_STEP_TOL:
             report.violations.append(
                 (g, "lyapunov_increase", float(worst), tuple(pts[g]))
             )
-        revisit = _first_revisit(tv, xy, revisit_tol)
+        revisit = _first_revisit(tv, xy, REVISIT_TOL)
         if revisit is not None:
             report.violations.append((g, "revisit", revisit, tuple(pts[g])))
     return report

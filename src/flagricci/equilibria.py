@@ -38,6 +38,17 @@ STEP_TOL = 1e-11
 DEDUPE_TOL = 1e-6
 NONHYP_TOL = 1e-8
 BOUNDARY_TOL = 1e-8
+# a found zero takes the label of the nearest reference equilibrium
+# closer than this
+LABEL_TOL = 1e-3
+# Newton seeds: a SEED_GRID x SEED_GRID grid over the simplex inflated
+# by SEED_INFLATE, each iterated at most NEWTON_MAX_ITER times
+SEED_GRID = 200
+SEED_INFLATE = 1e-3
+NEWTON_MAX_ITER = 80
+# the radial probe samples PROBE_DIRS directions at distance PROBE_RADIUS
+PROBE_RADIUS = 1e-4
+PROBE_DIRS = 720
 # equilibria are listed by position rounded to this many decimals, far
 # below DEDUPE_TOL, so that ~1e-16 noise in a shared coordinate (the
 # x = 0.25 or x = 0.5 columns of a table) cannot reorder them
@@ -62,6 +73,11 @@ class FoundEquilibrium:
             "matched_label": self.matched_label,
             "boundary": self.boundary_flag,
         }
+
+    @property
+    def name(self) -> str:
+        """The matched reference label, else the position to 9 decimals."""
+        return self.matched_label or f"({self.position[0]:.9f},{self.position[1]:.9f})"
 
 
 class EquilibriumList(list):
@@ -114,14 +130,19 @@ def jacobian_eigen(field: ProjectedField, p) -> tuple:
     return tuple(sorted(pair, key=lambda e: (e.real, e.imag)))
 
 
-def _match_label(family: FamilyDescriptor, pos: tuple, tol: float = 1e-3) -> Optional[str]:
-    best, best_d = None, tol
-    for rec in reference_equilibria(family):
-        rp = rec.position_float()
-        d = math.hypot(pos[0] - rp[0], pos[1] - rp[1])
-        if d < best_d:
-            best, best_d = rec.label, d
-    return best
+def nearest(points, targets) -> tuple:
+    """Index of the nearest target to each point and the Euclidean distance.
+
+    points is (n, 2) and targets (m, 2); the lowest index wins a tie.
+    With no targets every index is -1 and every distance inf.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    tgt = np.asarray(targets, dtype=float).reshape(-1, 2)
+    if len(tgt) == 0:
+        return np.full(len(pts), -1), np.full(len(pts), np.inf)
+    d = np.hypot(pts[:, None, 0] - tgt[None, :, 0], pts[:, None, 1] - tgt[None, :, 1])
+    idx = d.argmin(axis=1)
+    return idx, d[np.arange(len(pts)), idx]
 
 
 def _greedy_dedupe(points: np.ndarray) -> list:
@@ -142,24 +163,20 @@ def _greedy_dedupe(points: np.ndarray) -> list:
     return kept
 
 
-def find_equilibria(
-    field: ProjectedField,
-    grid: int = 200,
-    inflate: float = 1e-3,
-    max_iter: int = 80,
-) -> EquilibriumList:
+def find_equilibria(field: ProjectedField) -> EquilibriumList:
     """All zeros of the field on the closed simplex (inflated slightly).
 
     Every grid node seeds a damped Newton iteration on the normalized
-    field; converged roots are deduplicated at pairwise distance 1e-6.
+    field; converged roots are deduplicated at pairwise distance
+    DEDUPE_TOL.
     Convergence needs both a small residual and a small Newton step,
     since the residual alone cannot localize roots where the field
     vanishes to high order (the degenerate corners).  Seeds that fail
     to converge are dropped.
     """
-    axis = np.linspace(-inflate, 1.0 + inflate, grid)
+    axis = np.linspace(-SEED_INFLATE, 1.0 + SEED_INFLATE, SEED_GRID)
     gx, gy = np.meshgrid(axis, axis)
-    keep = gx + gy <= 1.0 + inflate
+    keep = gx + gy <= 1.0 + SEED_INFLATE
     c = np.stack([gx[keep], gy[keep]], axis=-1)
     seeds_tried = len(c)
     # the seed grid is not read again; freeing it lowers the sweep's peak memory
@@ -177,7 +194,7 @@ def find_equilibria(
     fv = field.rhs(c)
     fn = row_max_abs(fv)
     ls = np.full(seeds_tried, np.inf)
-    for it in range(max_iter + 1):
+    for it in range(NEWTON_MAX_ITER + 1):
         done = (fn <= RESIDUAL_TOL) & (ls <= STEP_TOL)
         if done.any():
             g = ids[done]
@@ -185,7 +202,7 @@ def find_equilibria(
             fnorm[g] = fn[done]
             converged[g] = True
             ids, c, fv, fn, ls = keep_rows(~done, ids, c, fv, fn, ls)
-        if ids.size == 0 or it == max_iter:
+        if ids.size == 0 or it == NEWTON_MAX_ITER:
             break
         jac = field.jacobian(c, normalized=True)
         j00, j01, j10, j11 = jac[:, 0, 0], jac[:, 0, 1], jac[:, 1, 0], jac[:, 1, 1]
@@ -231,7 +248,7 @@ def find_equilibria(
     resids = fnorm[converged]
     seeds_converged = int(converged.sum())
 
-    lo, hi = -inflate, 1.0 + inflate
+    lo, hi = -SEED_INFLATE, 1.0 + SEED_INFLATE
     inside = (
         (roots[:, 0] >= lo)
         & (roots[:, 1] >= lo)
@@ -250,8 +267,10 @@ def find_equilibria(
     refined = [_polish_corner_root(field, pos) or (pos, resid) for pos, resid in candidates]
     polished = [refined[i] for i in _greedy_dedupe(np.array([pos for pos, _ in refined]))]
 
+    refs = reference_equilibria(field.family)
+    ref_idx, ref_d = nearest([pos for pos, _ in polished], [r.position_float() for r in refs])
     accepted: list = []
-    for pos, resid in polished:
+    for (pos, resid), i, d in zip(polished, ref_idx.tolist(), ref_d.tolist()):
         eigs = jacobian_eigen(field, pos)
         x, y = pos
         on_boundary = (
@@ -265,7 +284,7 @@ def find_equilibria(
                 residual=resid,
                 eigenvalues=eigs,
                 stability=classify_equilibrium(eigs),
-                matched_label=_match_label(field.family, pos),
+                matched_label=refs[i].label if d < LABEL_TOL else None,
                 boundary_flag=on_boundary,
             )
         )
@@ -324,7 +343,7 @@ def _polish_corner_root(field: ProjectedField, pos: tuple):
     return (corner[0] + lx, corner[1] + ly), fn / field.scale
 
 
-def radial_probe(field: ProjectedField, p: tuple, radius: float = 1e-4, n_dirs: int = 720) -> Optional[str]:
+def radial_probe(field: ProjectedField, p: tuple) -> Optional[str]:
     """Classify a degenerate-Jacobian point by the field's radial sign.
 
     Samples directions into the open simplex (the boundary edges carry
@@ -332,10 +351,10 @@ def radial_probe(field: ProjectedField, p: tuple, radius: float = 1e-4, n_dirs: 
     points strictly outward along all of them the point is a repeller,
     strictly inward an attractor.  Returns None when the signs mix.
     """
-    angles = np.linspace(0.0, 2.0 * math.pi, n_dirs, endpoint=False)
+    angles = np.linspace(0.0, 2.0 * math.pi, PROBE_DIRS, endpoint=False)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    probes = np.asarray(p, dtype=float) + radius * dirs
-    margin = radius * 1e-3
+    probes = np.asarray(p, dtype=float) + PROBE_RADIUS * dirs
+    margin = PROBE_RADIUS * 1e-3
     admissible = (
         (probes[:, 0] > margin)
         & (probes[:, 1] > margin)
@@ -435,20 +454,17 @@ def verify_catalog(family: FamilyDescriptor, field: Optional[ProjectedField] = N
         field_degree=field.degree(),
     )
     used = set()
-    for rec in reference_equilibria(family):
+    refs = reference_equilibria(family)
+    nearest_idx, nearest_d = nearest([rec.position_float() for rec in refs], [eq.position for eq in found])
+    for rec, best_i, best_d in zip(refs, nearest_idx.tolist(), nearest_d.tolist()):
         rp = rec.position_float()
         tol = 1e-9 if rec.position_exact else 1e-4
-        best_i, best_d = None, math.inf
-        for i, eq in enumerate(found):
-            d = math.hypot(eq.position[0] - rp[0], eq.position[1] - rp[1])
-            if d < best_d:
-                best_i, best_d = i, d
-        if best_i is None or best_d > tol:
+        if best_i < 0 or best_d > tol:
             report.checks.append(
                 RecordCheck(
                     label=rec.label,
                     expected_position=rp,
-                    found_position=None if best_i is None else found[best_i].position,
+                    found_position=None if best_i < 0 else found[best_i].position,
                     position_error=best_d,
                     position_tol=tol,
                     eigen_error=None,

@@ -1,16 +1,18 @@
 """Field derivation pipeline for the projected flow.
 
-Per family this module produces the Ricci operator components, the
-scalar curvature, a Lyapunov function for the projected flow, the
-cleared polynomial field (F, G, H) on the cone, and the planar
+Each family's Ricci operator is stated once, as a table of Laurent
+terms (ricci_terms).  From it this module derives the Ricci operator
+components, the scalar curvature, a Lyapunov function for the projected
+flow, the cleared polynomial field (F, G, H) on the cone, and the planar
 projected field (u, v) on the simplex
 
     S = {(x, y): x > 0, y > 0, x + y < 1},  z = 1 - x - y.
 
 The pipeline is: clear denominators of (-2x r_x, -2y r_y, -2z r_z) with
-a positive monomial to get (F, G, H); project onto the simplex via
-A = F - (F+G+H) x and B = G - (F+G+H) y; substitute z = 1 - x - y.
-All of it is exact rational arithmetic.
+a positive monomial, read off the table as the family's constant times
+the monomial of the least exponents, to get (F, G, H); project onto the
+simplex via A = F - (F+G+H) x and B = G - (F+G+H) y; substitute
+z = 1 - x - y.  All of it is exact rational arithmetic.
 
 For numerics, (u, v) and the four Jacobian entries compile into two
 groups, each the union of its monomials plus one float coefficient
@@ -24,6 +26,7 @@ depend on the batch it is evaluated in.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +34,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .catalog import KIND_E6, KIND_SO, KIND_SU, FamilyDescriptor
+from .catalog import KIND_SO, KIND_SU, KIND_TYPE1, FamilyDescriptor
 from .polyalg import Poly, variables
 
 F = Fraction
@@ -44,43 +47,56 @@ def _check_positive(m: Sequence) -> None:
         raise ValueError(f"metric components must be positive, got {tuple(m)}")
 
 
-def _su_ricci(m: int, n: int, p: int, x, y, z) -> tuple:
-    s = m + n + p
-    cx, cy, cz = F(p, 4 * s), F(n, 4 * s), F(m, 4 * s)
-    rx = cx * (x / (y * z) - z / (x * y) - y / (x * z)) + F(1, 2) / x
-    ry = cy * (y / (x * z) - x / (y * z) - z / (x * y)) + F(1, 2) / y
-    rz = cz * (z / (x * y) - x / (y * z) - y / (x * z)) + F(1, 2) / z
-    return rx, ry, rz
+# the monomials of the Ricci operators as exponent triples of (x, y, z)
+_X_YZ, _Y_XZ, _Z_XY = (1, -1, -1), (-1, 1, -1), (-1, -1, 1)
+_INV_X, _INV_Y, _INV_Z = (-1, 0, 0), (0, -1, 0), (0, 0, -1)
+_Y_XX = (-2, 1, 0)
+_HALF = F(1, 2)
 
 
-def _so_ricci(ell: int, x, y, z) -> tuple:
-    c = F(ell - 2, 8 * (ell - 1))
-    cz = F(1, 4 * (ell - 1))
-    rx = c * (x / (y * z) - y / (x * z) - z / (x * y)) + F(1, 2) / x
-    ry = c * (-x / (y * z) + y / (x * z) - z / (x * y)) + F(1, 2) / y
-    rz = cz * (-x / (y * z) - y / (x * z) + z / (x * y)) + F(1, 2) / z
-    return rx, ry, rz
+@functools.cache
+def ricci_terms(family: FamilyDescriptor) -> tuple:
+    """The family's Ricci operator as a Laurent term table.
 
-
-def _type1_ricci(dims: tuple, x, y, z) -> tuple:
-    d1, d2, d3 = dims
-    delta = d1 + 4 * d2 + 9 * d3
-    e = -d1 * d2 - 2 * d1 * d3 + d2 * d3
-    c1 = F(d3 * (d1 + d2), 2 * d1 * delta)
-    c2 = F(d3 * (d1 + d2), 2 * d2 * delta)
-    c3 = F(d1 + d2, 2 * delta)
-    rx = (
-        F(e, 2 * d1 * delta) * y / (x * x)
-        + c1 * (x / (y * z) - z / (x * y) - y / (x * z))
-        + F(1, 2) / x
+    Returns (k, (r_x, r_y, r_z)).  Each r_i is a tuple of (c, (a, b, e))
+    entries meaning c x^a y^b z^e; a monomial may repeat, and its entries
+    then add.  k is the positive constant of the clearing factor: 2s for
+    su(m, n, p) with s = m + n + p, 4(l - 1) for so(l), 6 for the E6 flag
+    (whose operator is that of su(1, 1, 1)) and 4 delta d1 d2 for Type I
+    with delta = d1 + 4 d2 + 9 d3.
+    """
+    if family.kind == KIND_TYPE1:
+        d1, d2, d3 = family.dims
+        delta = d1 + 4 * d2 + 9 * d3
+        e = -d1 * d2 - 2 * d1 * d3 + d2 * d3
+        c1 = F(d3 * (d1 + d2), 2 * d1 * delta)
+        c2 = F(d3 * (d1 + d2), 2 * d2 * delta)
+        c3 = F(d1 + d2, 2 * delta)
+        return 4 * delta * d1 * d2, (
+            ((F(e, 2 * d1 * delta), _Y_XX), (c1, _X_YZ), (-c1, _Z_XY), (-c1, _Y_XZ), (_HALF, _INV_X)),
+            (
+                (F(-e, 4 * d2 * delta), _Y_XX),
+                (F(e, 2 * d2 * delta), _INV_Y),
+                (-c2, _X_YZ),
+                (-c2, _Z_XY),
+                (c2, _Y_XZ),
+                (_HALF, _INV_Y),
+            ),
+            ((-c3, _X_YZ), (c3, _Z_XY), (-c3, _Y_XZ), (_HALF, _INV_Z)),
+        )
+    if family.kind == KIND_SO:
+        ell = family.params[0]
+        c = F(ell - 2, 8 * (ell - 1))
+        k, cx, cy, cz = 4 * (ell - 1), c, c, F(1, 4 * (ell - 1))
+    else:
+        m, n, p = family.params if family.kind == KIND_SU else (1, 1, 1)
+        s = m + n + p
+        k, cx, cy, cz = 2 * s, F(p, 4 * s), F(n, 4 * s), F(m, 4 * s)
+    return k, (
+        ((cx, _X_YZ), (-cx, _Z_XY), (-cx, _Y_XZ), (_HALF, _INV_X)),
+        ((cy, _Y_XZ), (-cy, _X_YZ), (-cy, _Z_XY), (_HALF, _INV_Y)),
+        ((cz, _Z_XY), (-cz, _X_YZ), (-cz, _Y_XZ), (_HALF, _INV_Z)),
     )
-    ry = (
-        F(-e, 4 * d2 * delta) * (y / (x * x) - 2 / y)
-        + c2 * (-x / (y * z) - z / (x * y) + y / (x * z))
-        + F(1, 2) / y
-    )
-    rz = c3 * (-x / (y * z) + z / (x * y) - y / (x * z)) + F(1, 2) / z
-    return rx, ry, rz
 
 
 def ricci_components(family: FamilyDescriptor, m: Sequence) -> tuple:
@@ -89,15 +105,14 @@ def ricci_components(family: FamilyDescriptor, m: Sequence) -> tuple:
     Exact when the components are int or Fraction.
     """
     _check_positive(m)
+    exact = all(isinstance(v, (int, Fraction)) for v in m)
     x, y, z = (F(v) if isinstance(v, int) else v for v in m)
-    if family.kind == KIND_SU:
-        return _su_ricci(*family.params, x, y, z)
-    if family.kind == KIND_SO:
-        return _so_ricci(family.params[0], x, y, z)
-    if family.kind == KIND_E6:
-        # identical Ricci components to the smallest SU family
-        return _su_ricci(1, 1, 1, x, y, z)
-    return _type1_ricci(family.dims, x, y, z)
+    _k, table = ricci_terms(family)
+    # a float coefficient gives the same product as the Fraction, which
+    # multiplies a float by converting itself, many times faster
+    return tuple(
+        sum((c if exact else float(c)) * x**a * y**b * z**e for c, (a, b, e) in r) for r in table
+    )
 
 
 def scalar_curvature(family: FamilyDescriptor, m: Sequence):
@@ -130,8 +145,8 @@ def lyapunov_planar(family: FamilyDescriptor, x: float, y: float) -> float:
     runs toward such strata) and +inf when two have (it runs away from
     them), so trajectory monotonicity extends to the boundary.
     """
-    # numpy scalars, whatever the caller passes: a coordinate product
-    # that underflows to 0 then divides to inf instead of raising
+    # numpy scalars, whatever the caller passes: a negative power of a
+    # coordinate that underflowed to 0 then reads inf instead of raising
     x, y = np.float64(x), np.float64(y)
     z = 1.0 - x - y
     degenerate = sum(1 for v in (x, y, z) if v <= 0.0)
@@ -140,55 +155,29 @@ def lyapunov_planar(family: FamilyDescriptor, x: float, y: float) -> float:
     return math.inf if degenerate >= 2 else -math.inf
 
 
-def clearing_factor_value(family: FamilyDescriptor, m: Sequence):
-    """The positive monomial f(x, y, z) that clears the Ricci field."""
-    x, y, z = m
-    if family.kind == KIND_SU:
-        return 2 * sum(family.params) * x * y * z
-    if family.kind == KIND_SO:
-        return 4 * (family.params[0] - 1) * x * y * z
-    if family.kind == KIND_E6:
-        return 6 * x * y * z
-    d1, d2, d3 = family.dims
-    delta = d1 + 4 * d2 + 9 * d3
-    return 4 * delta * d1 * d2 * x * x * y * z
-
-
 def cleared_field(family: FamilyDescriptor) -> Tuple[Poly, Poly, Poly]:
-    """The cleared field (F, G, H) = f (-2x r_x, -2y r_y, -2z r_z)."""
-    x, y, z = variables(3)
-    if family.kind in (KIND_SU, KIND_E6):
-        m, n, p = family.params if family.kind == KIND_SU else (1, 1, 1)
-        s = m + n + p
-        fp = -x * (p * (x**2 - y**2 - z**2) + 2 * s * y * z)
-        gp = -y * (n * (-(x**2) + y**2 - z**2) + 2 * s * x * z)
-        hp = -z * (m * (-(x**2) - y**2 + z**2) + 2 * s * x * y)
-        return fp, gp, hp
-    if family.kind == KIND_SO:
-        ell = family.params[0]
-        fp = -x * ((ell - 2) * (x**2 - y**2 - z**2) + 4 * (ell - 1) * y * z)
-        gp = -y * ((ell - 2) * (-(x**2) + y**2 - z**2) + 4 * (ell - 1) * x * z)
-        hp = -z * (2 * (-(x**2) - y**2 + z**2) + 4 * (ell - 1) * x * y)
-        return fp, gp, hp
-    d1, d2, d3 = family.dims
-    fp = -4 * d2 * x * (
-        d1 * d1 * x * y * z
-        + d1 * d2 * y * z * (4 * x - y)
-        + d1 * d3 * (x**3 - x * (y**2 - 9 * y * z + z**2) - 2 * y**2 * z)
-        + d2 * d3 * (x - z) * (x**2 + x * z - y**2)
-    )
-    gp = -2 * d1 * y * (
-        d1 * d2 * y**2 * z
-        - 2 * d1 * d3 * (x + z) * (x**2 + x * z - y**2)
-        + 8 * d2 * d2 * x**2 * z
-        - d2 * d3 * (2 * x**3 - 20 * x**2 * z - 2 * x * y**2 + 2 * x * z**2 + y**2 * z)
-    )
-    hp = 4 * d1 * d2 * x * z * (
-        d1 * (x**2 - x * y + y**2 - z**2)
-        + d2 * (x**2 - 4 * x * y + y**2 - z**2)
-        - 9 * d3 * x * y
-    )
-    return fp, gp, hp
+    """The cleared field (F, G, H) = f (-2x r_x, -2y r_y, -2z r_z).
+
+    The clearing factor f is k times the monomial that lifts the least
+    exponent of each variable over all terms of x r_x, y r_y and z r_z
+    to zero, so F, G and H are polynomials and no monomial divides all
+    three.
+    """
+    k, table = ricci_terms(family)
+    # x_i r_i: the i-th exponent of each term of r_i raised by one
+    lifted = [
+        [(c, tuple(a + (j == i) for j, a in enumerate(exps))) for c, exps in r]
+        for i, r in enumerate(table)
+    ]
+    low = [min(exps[j] for r in lifted for _c, exps in r) for j in range(3)]
+    out = []
+    for r in lifted:
+        terms: dict = {}
+        for c, exps in r:
+            key = tuple(a - lo for a, lo in zip(exps, low))
+            terms[key] = terms.get(key, 0) - 2 * k * c
+        out.append(Poly(terms, 3))
+    return tuple(out)
 
 
 # points per evaluation pass; the power table and the monomial block of

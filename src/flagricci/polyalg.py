@@ -328,32 +328,6 @@ class Poly:
         return cls(terms, arity)
 
 
-# ----------------------------------------------------------------------
-# operation-style wrappers
-
-def poly_arith(op: str, p: Poly, q: Poly) -> Poly:
-    """Exact add, sub, or mul of two polynomials of equal arity."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown op {op!r}, expected add, sub, or mul")
-
-
-def poly_substitute_z(p: Poly) -> Poly:
-    return p.substitute_z()
-
-
-def poly_diff(p: Poly, var: Union[str, int]) -> Poly:
-    return p.diff(var)
-
-
-def poly_eval(p: Poly, point: Sequence):
-    return p.eval(point)
-
-
 def variables(arity: int) -> Iterable[Poly]:
     """Convenience tuple of variable polynomials, (x, y) or (x, y, z)."""
     return tuple(Poly.variable(name, arity) for name in _VAR_NAMES[:arity])

@@ -133,6 +133,25 @@ def test_orbit_csv(capsys):
     assert lvals[-1] < lvals[0]
 
 
+def test_orbit_derives_the_field_once(capsys, monkeypatch):
+    """The orbit and the zero set its end is matched against share one field."""
+    from flagricci import cli, dynamics
+
+    calls = []
+
+    def counting(family):
+        calls.append(family)
+        return projected_field(family)
+
+    monkeypatch.setattr(dynamics, "projected_field", counting)
+    monkeypatch.setattr(cli, "projected_field", counting)
+    dynamics.field_for.cache_clear()
+    dynamics.equilibria_for.cache_clear()
+    code, _out, _ = run(capsys, "orbit", "--family", "g2u2", "--x0", "0.3", "--y0", "0.25")
+    assert code == 0
+    assert calls == [family_from_id("g2u2")]
+
+
 def test_orbit_backward_flag(capsys):
     code, out, _ = run(
         capsys,

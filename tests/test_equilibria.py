@@ -11,10 +11,12 @@ from hypothesis import assume, given, settings, strategies as st
 from flagricci.catalog import so_family, su_family, type1_family
 from flagricci.equilibria import (
     DEDUPE_TOL,
+    FoundEquilibrium,
     _greedy_dedupe,
     classify_equilibrium,
     find_equilibria,
     jacobian_eigen,
+    nearest,
     order_key,
     radial_probe,
     verify_catalog,
@@ -177,3 +179,45 @@ def test_vectorised_dedupe_matches_sequential_greedy(centers, members):
     d = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
     assume(not np.any(np.abs(d - DEDUPE_TOL) <= 1e-12 * DEDUPE_TOL))
     assert _greedy_dedupe(pts) == _sequential_greedy(pts, DEDUPE_TOL)
+
+
+def _brute_nearest(points, targets):
+    """First target at the least math.hypot distance (reference)."""
+    out = []
+    for px, py in points:
+        best, best_d = -1, math.inf
+        for k, (tx, ty) in enumerate(targets):
+            d = math.hypot(px - tx, py - ty)
+            if d < best_d:
+                best, best_d = k, d
+        out.append((best, best_d))
+    return out
+
+
+_grid = st.integers(0, 4).map(lambda k: k / 4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    points=st.lists(st.tuples(_grid, _grid), max_size=12),
+    targets=st.lists(st.tuples(_grid, _grid), max_size=6),
+)
+def test_nearest_matches_brute_force(points, targets):
+    """Coarse grid coordinates make exact ties and duplicate targets common."""
+    idx, dist = nearest(points, targets)
+    want = _brute_nearest(points, targets)
+    assert list(zip(idx.tolist(), dist.tolist())) == want
+
+
+def test_nearest_tie_goes_to_lowest_index():
+    idx, dist = nearest([(0.5, 0.5)], [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0)])
+    assert idx.tolist() == [0]
+    assert dist.tolist() == [0.5]
+
+
+def test_found_equilibrium_name():
+    def eq(label):
+        return FoundEquilibrium((0.25, 1 / 3), 0.0, (), "saddle", label, False)
+
+    assert eq("R").name == "R"
+    assert eq(None).name == "(0.250000000,0.333333333)"

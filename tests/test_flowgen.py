@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from flagricci.catalog import (
+    DEGENERATE,
     TYPE1_IDS,
     e6_family,
+    list_families,
     reference_equilibria,
     so_family,
     su_family,
@@ -24,7 +26,6 @@ from flagricci.catalog import (
 from flagricci.flowgen import (
     _BLOCK,
     cleared_field,
-    clearing_factor_value,
     lyapunov_planar,
     lyapunov_value,
     projected_field,
@@ -321,21 +322,36 @@ def test_lyapunov_planar_ignores_argument_type(fam):
     assert lyapunov_planar(fam, 0.1, 0.7) == lyapunov_value(fam, (0.1, 0.7, z))
 
 
+def test_einstein_condition_at_exact_reference_equilibria():
+    """r_x = r_y = r_z exactly at every exact Einstein metric of the tables."""
+    checked = 0
+    for fam in list_families(4, 9):
+        for rec in reference_equilibria(fam):
+            if not rec.position_exact or rec.metric_kind == DEGENERATE:
+                continue
+            x, y = rec.position
+            rx, ry, rz = ricci_components(fam, (x, y, 1 - x - y))
+            assert rx == ry == rz, (fam.id, fam.params, rec.label)
+            checked += 1
+    assert checked == 115
+
+
+@pytest.mark.parametrize("fam", list_families(3, 7), ids=lambda f: f"{f.id}{f.params}")
+def test_cleared_field_is_positive_multiple_of_ricci_field(fam):
+    """F/(-2x r_x) = G/(-2y r_y) = H/(-2z r_z) > 0: one positive clearing factor."""
+    for m in SAMPLE_METRICS:
+        values = [p.eval(m) for p in cleared_field(fam)]
+        ratios = {v / (-2 * mi * ri) for v, mi, ri in zip(values, m, ricci_components(fam, m))}
+        assert len(ratios) == 1
+        assert ratios.pop() > 0
+
+
 def test_ricci_rejects_nonpositive_metrics():
     fam = su_family(2, 1, 1)
     with pytest.raises(ValueError):
         ricci_components(fam, (Fraction(0), Fraction(1), Fraction(1)))
     with pytest.raises(ValueError):
         lyapunov_value(fam, (Fraction(-1), Fraction(1), Fraction(1)))
-
-
-def test_clearing_factor_values():
-    assert clearing_factor_value(su_family(2, 1, 1), (1, 1, 1)) == 8
-    assert clearing_factor_value(so_family(6), (1, 1, 1)) == 20
-    fam = type1_family("g2u2")
-    d1, d2, d3 = fam.dims
-    delta = d1 + 4 * d2 + 9 * d3
-    assert clearing_factor_value(fam, (1, 1, 1)) == 4 * delta * d1 * d2
 
 
 # ----------------------------------------------------------------------

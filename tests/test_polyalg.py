@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from flagricci.polyalg import Poly, poly_arith, poly_diff, poly_eval, variables
+from flagricci.polyalg import Poly, variables
 
 
 def test_construction_drops_zero_coefficients():
@@ -44,15 +44,6 @@ def test_binomial_square():
     assert p.terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
 
 
-def test_arith_wrappers_and_unknown_op():
-    x, y = variables(2)
-    assert poly_arith("add", x, y) == x + y
-    assert poly_arith("sub", x, y) == x - y
-    assert poly_arith("mul", x, y) == x * y
-    with pytest.raises(ValueError):
-        poly_arith("div", x, y)
-
-
 def test_mixed_arity_arithmetic_rejected():
     x2 = Poly.variable("x", 2)
     x3 = Poly.variable("x", 3)
@@ -70,22 +61,22 @@ def test_degree():
 def test_diff_exact():
     x, y = variables(2)
     p = Poly({(3, 2): Fraction(1, 3)}, 2)
-    assert poly_diff(p, "x") == Poly({(2, 2): 1}, 2)
-    assert poly_diff(p, "y") == Poly({(3, 1): Fraction(2, 3)}, 2)
-    assert poly_diff(Poly.constant(7, 2), "x") == Poly.zero(2)
+    assert p.diff("x") == Poly({(2, 2): 1}, 2)
+    assert p.diff("y") == Poly({(3, 1): Fraction(2, 3)}, 2)
+    assert Poly.constant(7, 2).diff("x") == Poly.zero(2)
 
 
 def test_eval_exact_fraction_point():
     x, y = variables(2)
     p = x * x + y
-    got = poly_eval(p, (Fraction(1, 2), Fraction(1, 3)))
+    got = p.eval((Fraction(1, 2), Fraction(1, 3)))
     assert got == Fraction(7, 12)
     assert isinstance(got, Fraction)
 
 
 def test_eval_float_point_returns_float():
     x, y = variables(2)
-    assert poly_eval(x + y, (0.25, 0.5)) == pytest.approx(0.75)
+    assert (x + y).eval((0.25, 0.5)) == pytest.approx(0.75)
 
 
 def test_substitute_z_eliminates_third_variable():

@@ -108,8 +108,8 @@ def ricci_components(family: FamilyDescriptor, m: Sequence) -> tuple:
     exact = all(isinstance(v, (int, Fraction)) for v in m)
     x, y, z = (F(v) if isinstance(v, int) else v for v in m)
     _k, table = ricci_terms(family)
-    # a float coefficient gives the same product as the Fraction, which
-    # multiplies a float by converting itself, many times faster
+    # Fraction * float converts the Fraction to float first, so a float
+    # coefficient gives the same value many times faster
     return tuple(
         sum((c if exact else float(c)) * x**a * y**b * z**e for c, (a, b, e) in r) for r in table
     )

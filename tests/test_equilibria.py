@@ -203,16 +203,11 @@ _grid = st.integers(0, 4).map(lambda k: k / 4)
     targets=st.lists(st.tuples(_grid, _grid), max_size=6),
 )
 def test_nearest_matches_brute_force(points, targets):
-    """Coarse grid coordinates make exact ties and duplicate targets common."""
+    """Coarse grid coordinates make exact ties and duplicate targets common;
+    an empty target list gives index -1 at distance inf."""
     idx, dist = nearest(points, targets)
     want = _brute_nearest(points, targets)
     assert list(zip(idx.tolist(), dist.tolist())) == want
-
-
-def test_nearest_tie_goes_to_lowest_index():
-    idx, dist = nearest([(0.5, 0.5)], [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0)])
-    assert idx.tolist() == [0]
-    assert dist.tolist() == [0.5]
 
 
 def test_found_equilibrium_name():

@@ -136,8 +136,6 @@ def _cmd_equilibria(args) -> int:
         "schema": 1,
         "family": fam.id,
         "params": list(fam.params),
-        "seeds_tried": found.seeds_tried,
-        "seeds_converged": found.seeds_converged,
         "equilibria": [e.as_dict() for e in found],
     }
     _emit(_json_text(doc), args.out)
@@ -265,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(handler=_cmd_field, usage_parser=sp)
 
-    sp = sub.add_parser("equilibria", help="find equilibria numerically, emit JSON")
+    sp = sub.add_parser("equilibria", help="find all equilibria exactly, emit JSON")
     _add_family_flags(sp)
     sp.add_argument("--out")
     sp.set_defaults(handler=_cmd_equilibria, usage_parser=sp)

@@ -1,20 +1,14 @@
 """Zero finding, stability classification, and catalog verification.
 
-Equilibria of the planar field are located by dense grid seeding plus a
-damped Newton iteration, then compared against the family's reference
-table: positions, Jacobian eigenvalues (where the table has closed
-forms), and stability classes all have to agree.
-
-The Newton sweep is compacted: each iteration works on the seeds still
-active, kept in seed order, and a seed leaves for good when it converges
-or dies.  Converged roots are deduplicated greedily in order of
-increasing residual: a root is kept unless a kept root lies within
-DEDUPE_TOL of it.
+Equilibria of the planar field are the common zeros of its two integer
+polynomials, found exactly by eliminating y with a resultant (see
+find_equilibria), then compared against the family's reference table:
+positions, Jacobian eigenvalues (where the table has closed forms), and
+stability classes all have to agree.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -29,40 +23,34 @@ from .catalog import (
     FamilyDescriptor,
     reference_equilibria,
 )
-from .flowgen import ProjectedField, keep_rows, row_max_abs
+from .flowgen import ProjectedField, row_max_abs
+from .polyalg import gcd, primitive, real_roots, sign_at, squarefree, subresultant, sub, value_at
 
 NONHYPERBOLIC = "nonhyperbolic"
 
-RESIDUAL_TOL = 1e-11
-STEP_TOL = 1e-11
-DEDUPE_TOL = 1e-6
 NONHYP_TOL = 1e-8
-BOUNDARY_TOL = 1e-8
 # a found zero takes the label of the nearest reference equilibrium
 # closer than this
 LABEL_TOL = 1e-3
-# Newton seeds: a SEED_GRID x SEED_GRID grid over the simplex inflated
-# by SEED_INFLATE, each iterated at most NEWTON_MAX_ITER times
-SEED_GRID = 200
-SEED_INFLATE = 1e-3
-NEWTON_MAX_ITER = 80
 # the radial probe samples PROBE_DIRS directions at distance PROBE_RADIUS
 PROBE_RADIUS = 1e-4
 PROBE_DIRS = 720
-# equilibria are listed by position rounded to this many decimals, far
-# below DEDUPE_TOL, so that ~1e-16 noise in a shared coordinate (the
-# x = 0.25 or x = 0.5 columns of a table) cannot reorder them
+# equilibria are listed by position rounded to this many decimals, so
+# that positions which differ only by rounding sort by their y
 ORDER_DECIMALS = 9
 
 
 @dataclass
 class FoundEquilibrium:
+    """A zero of the field; exact holds its Fractions when it is rational."""
+
     position: tuple
     residual: float
     eigenvalues: tuple
     stability: str
     matched_label: Optional[str]
     boundary_flag: bool
+    exact: Optional[tuple] = None
 
     def as_dict(self) -> dict:
         return {
@@ -81,7 +69,8 @@ class FoundEquilibrium:
 
 
 class EquilibriumList(list):
-    """List of FoundEquilibrium plus seed statistics from the search."""
+    """FoundEquilibria plus seeds_tried, the candidate (x, y) pairs examined
+    over real roots x of the resultant, and seeds_converged, those kept."""
 
     def __init__(self, items, seeds_tried: int, seeds_converged: int):
         super().__init__(items)
@@ -145,202 +134,70 @@ def nearest(points, targets) -> tuple:
     return idx, d[np.arange(len(pts)), idx]
 
 
-def _greedy_dedupe(points: np.ndarray) -> list:
-    """Indices of the points kept by the greedy rule, in input order.
-
-    A point is kept unless an earlier kept point lies within Euclidean
-    distance DEDUPE_TOL of it.  Each kept point drops every remaining
-    point in its DEDUPE_TOL-ball at once, which keeps the same points as
-    scanning them one by one.
-    """
-    rest = np.arange(len(points))
-    kept = []
-    while rest.size:
-        i = int(rest[0])
-        kept.append(i)
-        d = np.hypot(points[rest, 0] - points[i, 0], points[rest, 1] - points[i, 1])
-        rest = rest[d > DEDUPE_TOL]
-    return kept
-
-
 def find_equilibria(field: ProjectedField) -> EquilibriumList:
-    """All zeros of the field on the closed simplex (inflated slightly).
+    """All zeros of the field on the closed simplex, found exactly.
 
-    Every grid node seeds a damped Newton iteration on the normalized
-    field; converged roots are deduplicated at pairwise distance
-    DEDUPE_TOL.
-    Convergence needs both a small residual and a small Newton step,
-    since the residual alone cannot localize roots where the field
-    vanishes to high order (the degenerate corners).  Seeds that fail
-    to converge are dropped.
+    Res_y(u, v) eliminates y; its real roots x0 in [0, 1] are isolated
+    exactly.  Over a rational x0 the zeros are the roots in [0, 1 - x0] of
+    gcd(u(x0, y), v(x0, y)); over an irrational x0 that gcd is the degree-1
+    subresultant s1(x) y + s0(x), so y0 = -s0(x0) / s1(x0), and exact signs
+    decide whether the zero lies in the simplex or on its edge.  Rational
+    zeros keep their exact position and Jacobian.  Raises ArithmeticError
+    if u and v share a factor or several zeros over an irrational x.
     """
-    axis = np.linspace(-SEED_INFLATE, 1.0 + SEED_INFLATE, SEED_GRID)
-    gx, gy = np.meshgrid(axis, axis)
-    keep = gx + gy <= 1.0 + SEED_INFLATE
-    c = np.stack([gx[keep], gy[keep]], axis=-1)
-    seeds_tried = len(c)
-    # the seed grid is not read again; freeing it lowers the sweep's peak memory
-    del gx, gy, keep
-
-    # the sweep iterates only the active seeds, in seed order so that
-    # every kernel call sees the same batch as a full rescan would; a
-    # seed leaves for good when it converges (written back to cur and
-    # fnorm) or dies.  The pass after the last iteration only retires
-    # the seeds that converged in it.
-    cur = np.empty_like(c)
-    fnorm = np.empty(seeds_tried)
-    converged = np.zeros(seeds_tried, dtype=bool)
-    ids = np.arange(seeds_tried)
-    fv = field.rhs(c)
-    fn = row_max_abs(fv)
-    ls = np.full(seeds_tried, np.inf)
-    for it in range(NEWTON_MAX_ITER + 1):
-        done = (fn <= RESIDUAL_TOL) & (ls <= STEP_TOL)
-        if done.any():
-            g = ids[done]
-            cur[g] = np.compress(done, c, axis=0)
-            fnorm[g] = fn[done]
-            converged[g] = True
-            ids, c, fv, fn, ls = keep_rows(~done, ids, c, fv, fn, ls)
-        if ids.size == 0 or it == NEWTON_MAX_ITER:
-            break
-        jac = field.jacobian(c, normalized=True)
-        j00, j01, j10, j11 = jac[:, 0, 0], jac[:, 0, 1], jac[:, 1, 0], jac[:, 1, 1]
-        det = j00 * j11 - j01 * j10
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.stack(
-                [(j11 * fv[:, 0] - j01 * fv[:, 1]) / det, (j00 * fv[:, 1] - j10 * fv[:, 0]) / det],
-                axis=-1,
-            )
-        step_norm = row_max_abs(step)
-        # a singular Jacobian kills the seed; a tiny step leaves it in place
-        ok = np.abs(det) > 1e-300
-        tiny = ok & (step_norm <= STEP_TOL)
-        ls[tiny] = step_norm[tiny]
-        move = np.flatnonzero(ok & ~tiny)
-        # backtracking: halve until the residual drops
-        remaining = np.arange(move.size)
-        factor = 1.0
-        improved = np.zeros(move.size, dtype=bool)
-        for _damp in range(12 if move.size else 0):
-            rows = move[remaining]
-            trial = c.take(rows, axis=0) - factor * step.take(rows, axis=0)
-            ftrial = field.rhs(trial)
-            fnew = row_max_abs(ftrial)
-            better = fnew < fn[rows]
-            sel = rows[better]
-            c[sel] = np.compress(better, trial, axis=0)
-            fv[sel] = np.compress(better, ftrial, axis=0)
-            fn[sel] = fnew[better]
-            ls[sel] = factor * step_norm[sel]
-            improved[remaining[better]] = True
-            remaining = remaining[~better]
-            if remaining.size == 0:
-                break
-            factor *= 0.5
-        # seeds die on a singular Jacobian, on a failed line search, or by
-        # wandering far from the simplex
-        alive = ok.copy()
-        alive[move[~improved]] = False
-        alive &= ~(row_max_abs(c) > 3.0)
-        ids, c, fv, fn, ls = keep_rows(alive, ids, c, fv, fn, ls)
-    roots = cur[converged]
-    resids = fnorm[converged]
-    seeds_converged = int(converged.sum())
-
-    lo, hi = -SEED_INFLATE, 1.0 + SEED_INFLATE
-    inside = (
-        (roots[:, 0] >= lo)
-        & (roots[:, 1] >= lo)
-        & (roots[:, 0] + roots[:, 1] <= hi)
-    )
-    roots, resids = roots[inside], resids[inside]
-
-    order = np.argsort(resids)
-    candidates = [
-        ((float(roots[i][0]), float(roots[i][1])), float(resids[i]))
-        for i in order[_greedy_dedupe(roots[order])]
-    ]
-
-    # roots stalled against a corner get re-polished on the recentered
-    # polynomials, then deduplicated once more
-    refined = [_polish_corner_root(field, pos) or (pos, resid) for pos, resid in candidates]
-    polished = [refined[i] for i in _greedy_dedupe(np.array([pos for pos, _ in refined]))]
-
+    uy, vy = field.u.in_y(), field.v.in_y()
+    (res,), (s0, s1) = subresultant(uy, vy, 0), subresultant(uy, vy, 1)
+    if not res:
+        raise ArithmeticError(f"u and v share a factor for {field.family.id}")
+    res = squarefree(res)
+    zeros = []  # (position, on the boundary); Fractions where exact
+    tried = 0
+    for x0 in real_roots(res):
+        if isinstance(x0, Fraction):
+            g = gcd([value_at(c, x0) for c in uy], [value_at(c, x0) for c in vy])
+            if not g:
+                raise ArithmeticError(f"u and v vanish on the line x = {x0} for {field.family.id}")
+            g = squarefree(g)
+            for y0 in real_roots(g):
+                tried += 1
+                if isinstance(y0, Fraction) and x0 + y0 <= 1:
+                    zeros.append(((x0, y0), x0 == 0 or y0 == 0 or x0 + y0 == 1))
+                elif isinstance(y0, tuple) and sign_at(primitive([x0 - 1, 1]), g, y0) < 0:
+                    zeros.append(((float(x0), float(sum(y0) / 2)), x0 == 0))  # y0 < 1 - x0
+            continue
+        tried += 1
+        lead = sign_at(s1, res, x0)
+        if not lead:
+            raise ArithmeticError(f"several zeros over an irrational x for {field.family.id}")
+        # y0 = -s0 / s1 and 1 - x0 - y0 = (s0 + (1 - x0) s1) / s1
+        y_sign = -lead * sign_at(s0, res, x0)
+        z_sign = lead * sign_at(sub(s0, sub([0] + s1, s1)), res, x0)
+        if y_sign >= 0 and z_sign >= 0:
+            mid = sum(x0) / 2
+            y_mid = -value_at(s0, mid) / value_at(s1, mid)
+            zeros.append(((float(mid), float(y_mid)), not (y_sign and z_sign)))
+    positions = [tuple(float(c) for c in pos) for pos, _b in zeros]
+    residuals = row_max_abs(field.rhs(np.array(positions).reshape(-1, 2)))
     refs = reference_equilibria(field.family)
-    ref_idx, ref_d = nearest([pos for pos, _ in polished], [r.position_float() for r in refs])
-    accepted: list = []
-    for (pos, resid), i, d in zip(polished, ref_idx.tolist(), ref_d.tolist()):
+    ref_idx, ref_d = nearest(positions, [r.position_float() for r in refs])
+    accepted = []
+    for (pos, boundary), point, resid, i, d in zip(
+        zeros, positions, residuals.tolist(), ref_idx.tolist(), ref_d.tolist()
+    ):
         eigs = jacobian_eigen(field, pos)
-        x, y = pos
-        on_boundary = (
-            abs(x) < BOUNDARY_TOL
-            or abs(y) < BOUNDARY_TOL
-            or abs(1.0 - x - y) < BOUNDARY_TOL
-        )
         accepted.append(
             FoundEquilibrium(
-                position=pos,
+                position=point,
                 residual=resid,
                 eigenvalues=eigs,
                 stability=classify_equilibrium(eigs),
                 matched_label=refs[i].label if d < LABEL_TOL else None,
-                boundary_flag=on_boundary,
+                boundary_flag=boundary,
+                exact=pos if isinstance(pos[1], Fraction) else None,
             )
         )
     accepted.sort(key=lambda e: order_key(e.position))
-    return EquilibriumList(accepted, seeds_tried, seeds_converged)
-
-
-_CORNERS = ((0, 0), (0, 1), (1, 0))
-
-
-def _polish_corner_root(field: ProjectedField, pos: tuple):
-    """Refine a root that stalled near a simplex corner.
-
-    Where the field vanishes to high order the monomial basis cannot
-    resolve the root (evaluation noise swamps the true values near
-    (0,1) and (1,0)), so Newton is rerun on the exact recentered
-    polynomials in local coordinates.  Returns (position, residual) or
-    None when pos is not near a corner.
-    """
-    corner = None
-    for c in _CORNERS:
-        if math.hypot(pos[0] - c[0], pos[1] - c[1]) < 1e-4:
-            corner = c
-            break
-    if corner is None:
-        return None
-    polys = [p.shift(corner) for p in (field.u, field.v, field.du_dx, field.du_dy, field.dv_dx, field.dv_dy)]
-    lx, ly = pos[0] - corner[0], pos[1] - corner[1]
-    fcur = (float(polys[0].eval((lx, ly))), float(polys[1].eval((lx, ly))))
-    fn = max(abs(fcur[0]), abs(fcur[1]))
-    for _ in range(200):
-        j11 = float(polys[2].eval((lx, ly)))
-        j12 = float(polys[3].eval((lx, ly)))
-        j21 = float(polys[4].eval((lx, ly)))
-        j22 = float(polys[5].eval((lx, ly)))
-        det = j11 * j22 - j12 * j21
-        if abs(det) < 1e-300:
-            break
-        sx = (j22 * fcur[0] - j12 * fcur[1]) / det
-        sy = (j11 * fcur[1] - j21 * fcur[0]) / det
-        if max(abs(sx), abs(sy)) <= 1e-16:
-            break
-        moved = False
-        factor = 1.0
-        for _damp in range(12):
-            tx, ty = lx - factor * sx, ly - factor * sy
-            ft = (float(polys[0].eval((tx, ty))), float(polys[1].eval((tx, ty))))
-            ftn = max(abs(ft[0]), abs(ft[1]))
-            if ftn < fn or (ftn == 0.0 and fn == 0.0 and max(abs(tx), abs(ty)) < max(abs(lx), abs(ly))):
-                lx, ly, fcur, fn = tx, ty, ft, ftn
-                moved = True
-                break
-            factor *= 0.5
-        if not moved:
-            break
-    return (corner[0] + lx, corner[1] + ly), fn / field.scale
+    return EquilibriumList(accepted, tried, len(accepted))
 
 
 def radial_probe(field: ProjectedField, p: tuple) -> Optional[str]:
@@ -391,8 +248,6 @@ class VerificationReport:
     family: FamilyDescriptor
     checks: list = dc_field(default_factory=list)
     extras: list = dc_field(default_factory=list)
-    seeds_tried: int = 0
-    seeds_converged: int = 0
     field_degree: int = 0
 
     @property
@@ -404,22 +259,13 @@ class VerificationReport:
             "family": self.family.id,
             "params": list(self.family.params),
             "passed": self.passed,
-            "seeds_tried": self.seeds_tried,
-            "seeds_converged": self.seeds_converged,
+            # one entry per RecordCheck field, in declaration order
             "checks": [
-                {
-                    "label": c.label,
-                    "expected_position": [float(v) for v in c.expected_position],
-                    "found_position": list(c.found_position) if c.found_position else None,
-                    "position_error": c.position_error,
-                    "position_tol": c.position_tol,
-                    "eigen_error": c.eigen_error,
-                    "eigen_tol": c.eigen_tol,
-                    "expected_class": c.expected_class,
-                    "found_class": c.found_class,
-                    "passed": c.passed,
-                    "note": c.note,
-                }
+                dict(
+                    vars(c),
+                    expected_position=[float(v) for v in c.expected_position],
+                    found_position=list(c.found_position) if c.found_position else None,
+                )
                 for c in self.checks
             ],
             "extras": [e.as_dict() for e in self.extras],
@@ -447,71 +293,44 @@ def verify_catalog(family: FamilyDescriptor, field: Optional[ProjectedField] = N
     if field is None:
         field = _pf(family)
     found = find_equilibria(field)
-    report = VerificationReport(
-        family=family,
-        seeds_tried=found.seeds_tried,
-        seeds_converged=found.seeds_converged,
-        field_degree=field.degree(),
-    )
+    report = VerificationReport(family=family, field_degree=field.degree())
     used = set()
     refs = reference_equilibria(family)
     nearest_idx, nearest_d = nearest([rec.position_float() for rec in refs], [eq.position for eq in found])
     for rec, best_i, best_d in zip(refs, nearest_idx.tolist(), nearest_d.tolist()):
         rp = rec.position_float()
         tol = 1e-9 if rec.position_exact else 1e-4
-        if best_i < 0 or best_d > tol:
-            report.checks.append(
-                RecordCheck(
-                    label=rec.label,
-                    expected_position=rp,
-                    found_position=None if best_i < 0 else found[best_i].position,
-                    position_error=best_d,
-                    position_tol=tol,
-                    eigen_error=None,
-                    eigen_tol=rec.eigen_rel_tol,
-                    expected_class=rec.expected_class,
-                    found_class=None,
-                    passed=False,
-                    note="no zero within position tolerance",
-                )
-            )
-            continue
-        eq = found[best_i]
-        used.add(best_i)
-
-        # eigenvalues at the exact reference position where closed forms
-        # exist; double roots then stay exactly double
-        eigen_err = None
-        note = ""
-        if rec.position_exact:
-            eigs_here = jacobian_eigen(field, rec.position)
-        else:
-            eigs_here = eq.eigenvalues
-        if rec.eigenvalues is not None:
-            eigen_err = _eigen_rel_error(eigs_here, rec.eigenvalues)
-        found_class = classify_equilibrium(eigs_here)
-        if found_class == NONHYPERBOLIC and rec.expected_class in (REPELLER, ATTRACTOR):
-            probed = radial_probe(field, rp)
-            if probed is not None:
-                found_class = probed
-                note = "degenerate Jacobian, classified by radial probe"
+        eq = found[best_i] if best_i >= 0 else None
+        eigen_err = found_class = None
+        note = "no zero within position tolerance"
+        if best_d <= tol:
+            used.add(best_i)
+            # a rational zero's eigenvalues are exact up to the final
+            # square root, so double roots stay exactly double
+            if rec.eigenvalues is not None:
+                eigen_err = _eigen_rel_error(eq.eigenvalues, rec.eigenvalues)
+            found_class, note = eq.stability, ""
+            if found_class == NONHYPERBOLIC and rec.expected_class in (REPELLER, ATTRACTOR):
+                probed = radial_probe(field, rp)
+                if probed is not None:
+                    found_class = probed
+                    note = "degenerate Jacobian, classified by radial probe"
         eigen_ok = (
             eigen_err is None
             or (rec.eigen_rel_tol is not None and eigen_err <= rec.eigen_rel_tol)
         )
-        passed = best_d <= tol and eigen_ok and found_class == rec.expected_class
         report.checks.append(
             RecordCheck(
                 label=rec.label,
                 expected_position=rp,
-                found_position=eq.position,
+                found_position=eq and eq.position,
                 position_error=best_d,
                 position_tol=tol,
                 eigen_error=eigen_err,
                 eigen_tol=rec.eigen_rel_tol,
                 expected_class=rec.expected_class,
                 found_class=found_class,
-                passed=passed,
+                passed=best_d <= tol and eigen_ok and found_class == rec.expected_class,
                 note=note,
             )
         )

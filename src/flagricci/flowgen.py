@@ -250,10 +250,10 @@ def keep_rows(mask: np.ndarray, *arrays) -> tuple:
 class ProjectedField:
     """The planar field (u, v) with exact polynomials and fast numerics.
 
-    `scale` is the largest absolute coefficient of u and v; Newton
-    residuals and integration use the field divided by it so that
-    tolerances mean the same thing across families whose coefficients
-    span five orders of magnitude.
+    `scale` is the largest absolute coefficient of u and v; residuals and
+    integration use the field divided by it so that tolerances mean the
+    same thing across families whose coefficients span five orders of
+    magnitude.
 
     `rhs` and `jacobian` evaluate two compiled groups: (u, v) and the
     four Jacobian entries.  Each group is the union of its monomials plus

@@ -5,11 +5,19 @@ coefficients.  Everything downstream that claims bit-exactness (field
 derivation, printed-polynomial comparison, symbolic Jacobians) is built
 on this module; floats only enter once a Poly is evaluated at a float
 point.
+
+The univariate part eliminates a variable exactly.  A univariate
+polynomial is a list of integer (or, where noted, Fraction)
+coefficients, lowest degree first, without trailing zeros.  It has
+pseudo-division, gcd, square-free parts, subresultants over Z[x], and
+real-root isolation by Sturm sequences, all in integer arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
@@ -224,31 +232,14 @@ class Poly:
             out = out + Poly({(ex, ey): c}, 2) * powers[ez]
         return out
 
-    def shift(self, origin: Sequence) -> "Poly":
-        """Exact Taylor recentering: p_shift(u, v) = p(x0 + u, y0 + v).
-
-        Monomial evaluation loses digits to cancellation far from the
-        origin; recentered coefficients restore full accuracy near the
-        new origin.  Arity 2 only.
-        """
-        from math import comb
-
-        if self.arity != 2:
-            raise ValueError("shift requires an arity-2 polynomial")
-        x0, y0 = (_as_fraction(v) for v in origin)
-        out: dict = {}
+    def in_y(self) -> list:
+        """Coefficients in y, lowest power first, each an integer list in x."""
+        if self.arity != 2 or any(c.denominator != 1 for c in self.terms.values()):
+            raise ValueError("in_y requires an arity-2 polynomial with integer coefficients")
+        out = [[0] * (self.degree() + 1) for _ in range(self.degree() + 1)]
         for (i, j), c in self.terms.items():
-            for a in range(i + 1):
-                ca = comb(i, a) * x0 ** (i - a)
-                if ca == 0:
-                    continue
-                for b in range(j + 1):
-                    cb = comb(j, b) * y0 ** (j - b)
-                    if cb == 0:
-                        continue
-                    key = (a, b)
-                    out[key] = out.get(key, Fraction(0)) + c * ca * cb
-        return Poly(out, 2)
+            out[j][i] = int(c)
+        return _trim(_trim(c) for c in out)
 
     # ------------------------------------------------------------------
     # textual form
@@ -331,3 +322,194 @@ class Poly:
 def variables(arity: int) -> Iterable[Poly]:
     """Convenience tuple of variable polynomials, (x, y) or (x, y, z)."""
     return tuple(Poly.variable(name, arity) for name in _VAR_NAMES[:arity])
+
+
+# ----------------------------------------------------------------------
+# univariate polynomials
+
+
+def _trim(p) -> list:
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def sub(p: list, q: list) -> list:
+    """p - q."""
+    return _trim(a - b for a, b in zip_longest(p, q, fillvalue=0))
+
+
+def _mul(p: list, q: list) -> list:
+    out = [0] * max(0, len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _exact_div(p: list, q: list) -> list:
+    """The quotient p / q, for q dividing p in Z[x]."""
+    p, n = list(p), len(q) - 1
+    out = [0] * max(0, len(p) - n)
+    for i in range(len(out) - 1, -1, -1):
+        out[i] = p[i + n] // q[-1]
+        for j, b in enumerate(q):
+            p[i + j] -= out[i] * b
+    return out
+
+
+def value_at(p: list, r) -> Fraction:
+    """p(r), exactly for a rational r."""
+    out = Fraction(0)
+    for a in reversed(p):
+        out = out * r + a
+    return out
+
+
+def primitive(p: list) -> list:
+    """p (integer or Fraction coefficients) scaled to coprime integer
+    coefficients with a positive leading one."""
+    den = math.lcm(*(Fraction(a).denominator for a in p))
+    ints = _trim(int(a * den) for a in p)
+    g = math.gcd(*ints) if ints and ints[-1] > 0 else -math.gcd(*ints)
+    return [a // g for a in ints]
+
+
+def pseudo_rem(p: list, q: list) -> list:
+    """The r of lc(q)^(deg p - deg q + 1) p = s q + r with deg r < deg q."""
+    r = list(p)
+    for k in range(len(p) - len(q), -1, -1):
+        c = r[k + len(q) - 1]
+        r = [a * q[-1] for a in r]
+        for j, b in enumerate(q):
+            r[k + j] -= c * b
+    return _trim(r[: len(q) - 1])
+
+
+def _remainders(p: list, q: list) -> list:
+    """The signed remainder sequence p, q, -rem(p, q), ... of integer
+    polynomials up to its last nonzero member, each member divided by a
+    positive constant.  The last member is gcd(p, q) up to a constant."""
+    seq = [p, q]
+    while seq[-1]:
+        a, b = seq[-2:]
+        # pseudo_rem multiplies a by lc(b) once per quotient term
+        flip = b[-1] < 0 and max(0, len(a) - len(b) + 1) % 2
+        r = [c if flip else -c for c in pseudo_rem(a, b)]
+        seq.append([c // math.gcd(*r) for c in r])
+    return seq[:-1]
+
+
+def gcd(p: list, q: list) -> list:
+    """Primitive greatest common divisor (Fraction coefficients allowed)."""
+    return primitive(_remainders(primitive(p), primitive(q))[-1])
+
+
+def squarefree(p: list) -> list:
+    """Primitive square-free part p / gcd(p, p') of a nonzero p."""
+    p = primitive(p)
+    return primitive(_exact_div(p, gcd(p, [i * a for i, a in enumerate(p)][1:])))
+
+
+def _minors(rows: list) -> list:
+    """Determinants over Z[x] of the first n - 1 columns of the n rows
+    plus each further column, by Bareiss's fraction-free elimination, in
+    which every division is exact."""
+    m, n, sign, prev = [list(r) for r in rows], len(rows), 1, [1]
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return [[] for _ in m[-1][n - 1 :]]
+        if piv != k:
+            m[k], m[piv], sign = m[piv], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, len(m[i])):
+                m[i][j] = _exact_div(sub(_mul(m[i][j], m[k][k]), _mul(m[i][k], m[k][j])), prev)
+        prev = m[k][k]
+    return [[sign * a for a in d] for d in m[-1][n - 1 :]]
+
+
+def subresultant(f: list, g: list, j: int) -> list:
+    """Coefficients s_0, ..., s_j in Z[x] of the j-th subresultant of f and g in y.
+
+    f and g are polynomials in y over Z[x], as Poly.in_y gives them, of
+    degrees m and n.  s_i is the determinant of the rows y^k f (k < n - j)
+    and y^k g (k < m - j) on the columns of y^(m+n-j-1) ... y^(j+1) and
+    y^i; j = 0 gives Res_y(f, g).  Where gcd(f(x0, y), g(x0, y)) has
+    degree j and s_j(x0) != 0, it is s_j(x0) y^j + ... + s_0(x0).
+    """
+    m, n = len(f) - 1, len(g) - 1
+    width = m + n - j
+    rows = [[[]] * k + f[::-1] + [[]] * (width - m - 1 - k) for k in range(n - j)]
+    rows += [[[]] * k + g[::-1] + [[]] * (width - n - 1 - k) for k in range(m - j)]
+    # the columns of y^j ... y^0 come last, so one elimination gives every s_i
+    return _minors(rows)[::-1]
+
+
+def _dyadic(p: list, c: int, k: int) -> int:
+    """2^(k deg p) p(c / 2^k): the sign of p at c / 2^k, in integers."""
+    out = 0
+    for i, a in enumerate(reversed(p)):
+        out = out * c + (a << (k * i))
+    return out
+
+
+def _variations(seq: list, c: int, k: int) -> int:
+    """Sign changes along the values of seq at c / 2^k, zeros dropped."""
+    signs = [v > 0 for v in (_dyadic(s, c, k) for s in seq) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def real_roots(p: list) -> list:
+    """The real roots of a square-free p (as squarefree returns it) in
+    [0, 1], ascending: rational ones as exact Fractions, every other one
+    as an interval (lo, up) of Fractions, narrower than 2^-64, that holds
+    it and no other root.
+
+    Sturm's sequence counts the roots in each half of a bisection.  A
+    rational root has a denominator dividing the leading coefficient L,
+    so it is the fraction of denominator at most L nearest the midpoint
+    of an isolating interval narrower than 1 / L^2.
+    """
+    sturm = _remainders(p, [i * a for i, a in enumerate(p)][1:])
+    bits = max(64, 2 * p[-1].bit_length())
+    found = [Fraction(0)] if not p[0] else []
+    stack = [(0, 0)]  # (c, k): the interval (c / 2^k, (c + 1) / 2^k]
+    while stack:
+        c, k = stack.pop()
+        count = _variations(sturm, c, k) - _variations(sturm, c + 1, k)
+        if count == 1 and not _dyadic(p, c + 1, k):
+            found.append(Fraction(c + 1, 1 << k))
+        elif count == 1 and _dyadic(p, c, k):
+            # p changes sign across its one root inside: bisect by sign
+            left = _dyadic(p, c, k) > 0
+            while k < bits:
+                c, k = 2 * c, k + 1
+                mid = _dyadic(p, c + 1, k)
+                if not mid:
+                    found.append(Fraction(c + 1, 1 << k))
+                    break
+                c += (mid > 0) == left
+            else:
+                lo, up = Fraction(c, 1 << k), Fraction(c + 1, 1 << k)
+                guess = ((lo + up) / 2).limit_denominator(p[-1])
+                found.append(guess if lo < guess < up and not value_at(p, guess) else (lo, up))
+        elif count:
+            stack += [(2 * c, k + 1), (2 * c + 1, k + 1)]
+    return sorted(found, key=lambda r: r if isinstance(r, Fraction) else r[0])
+
+
+def sign_at(h: list, p: list, root: tuple) -> int:
+    """Sign (-1, 0 or 1) of h at an irrational root of the square-free p.
+
+    root is the interval real_roots(p) gave for it.  By Sturm's theorem
+    in Tarski's form, the drop in sign changes of the signed remainder
+    sequence of p and p' h across the interval is the sign of h at the
+    one root of p inside.
+    """
+    lo, up = root
+    k = (up - lo).denominator.bit_length() - 1
+    c = int(lo * (1 << k))
+    seq = _remainders(p, _mul([i * a for i, a in enumerate(p)][1:], h))
+    return _variations(seq, c, k) - _variations(seq, c + 1, k)

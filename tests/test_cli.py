@@ -1,8 +1,11 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagricci.cli import main
 from flagricci.polyalg import Poly
@@ -91,6 +94,21 @@ def test_equilibria_json(capsys):
     for e in doc["equilibria"]:
         assert e["residual"] < 1e-9
         assert e["class"] in {"attractor", "repeller", "saddle"}
+    assert not [key for key in doc if key.startswith("seeds")]
+
+
+@pytest.mark.parametrize(
+    "fid", ["g2u2", "e8su8u1", "e8e6su2u1", "f4su3su2u1", "e7su5su3u1", "e7su6su2u1", "e6su3su3su2u1"]
+)
+def test_type1_corner_eigenvalues_exactly_zero(capsys, fid):
+    """The Jacobian vanishes at the corners O and P: the JSON reports
+    exact zeros, not the rounding noise of a float evaluation."""
+    code, out, _ = run(capsys, "equilibria", "--family", fid)
+    assert code == 0
+    by_label = {e["matched_label"]: e for e in json.loads(out)["equilibria"]}
+    for label in ("O", "P"):
+        assert by_label[label]["eigenvalues"] == [[0.0, 0.0], [0.0, 0.0]]
+        assert by_label[label]["class"] == "nonhyperbolic"
 
 
 def test_verify_passes(capsys):
@@ -101,6 +119,7 @@ def test_verify_passes(capsys):
     assert doc["passed"] is True
     assert len(doc["checks"]) == 10
     assert all(c["passed"] for c in doc["checks"])
+    assert not [key for key in doc if key.startswith("seeds")]
 
 
 # ----------------------------------------------------------------------
@@ -327,3 +346,40 @@ def test_output_to_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("u = ")
+
+
+# ----------------------------------------------------------------------
+# arbitrary float flags
+
+_flag_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 0.3, 1.0, 1e308, -1e308, 5e-324, float("nan"), float("inf"), float("-inf")]),
+)
+
+
+def _quiet_main(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    x0=_flag_floats,
+    y0=_flag_floats,
+    rtol=_flag_floats,
+    atol=_flag_floats,
+    max_time=_flag_floats,
+    max_steps=st.integers(-2, 40),
+    backward=st.booleans(),
+)
+def test_orbit_returns_an_exit_code_on_any_float_flags(x0, y0, rtol, atol, max_time, max_steps, backward):
+    argv = ["orbit", "--family", "su", "--params", "2,1,1", f"--x0={x0!r}", f"--y0={y0!r}",
+            f"--rtol={rtol!r}", f"--atol={atol!r}", f"--max-time={max_time!r}", f"--max-steps={max_steps}"]
+    assert _quiet_main(argv + ["--backward"] * backward) in (0, 1, 2)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(x=_flag_floats, y=_flag_floats, fid=st.sampled_from(["g2u2", "so"]))
+def test_gh_limit_returns_an_exit_code_on_any_float_flags(x, y, fid):
+    argv = ["gh-limit", "--family", fid] + (["--params", "6"] if fid == "so" else [])
+    assert _quiet_main(argv + [f"--x={x!r}", f"--y={y!r}"]) in (0, 1, 2)

@@ -4,15 +4,13 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from flagricci.catalog import so_family, su_family, type1_family
+from flagricci import equilibria
+from flagricci.catalog import EquilibriumRecord, reference_equilibria, so_family, su_family, type1_family
 from flagricci.equilibria import (
-    DEDUPE_TOL,
     FoundEquilibrium,
-    _greedy_dedupe,
     classify_equilibrium,
     find_equilibria,
     jacobian_eigen,
@@ -59,8 +57,7 @@ def test_find_equilibria_su211_complete():
     assert len(found) == 10
     labels = sorted(e.matched_label for e in found)
     assert labels == ["K", "L", "M", "N", "O", "P", "Q", "R", "S", "T"]
-    assert found.seeds_tried > 0
-    assert found.seeds_converged > 0
+    assert found.seeds_tried == found.seeds_converged == 10
     for e in found:
         assert e.residual < 1e-11
     by_label = {e.matched_label: e for e in found}
@@ -89,18 +86,20 @@ def test_equilibrium_order_ignores_rounding_noise(fam):
         assert [lab for _p, lab in sorted(noisy, key=lambda t: order_key(t[0]))] == labels
 
 
-def test_find_equilibria_type1_vertices_polished():
-    """Corner roots are degenerate; the local polish must still land on
-    them to full precision."""
+def test_find_equilibria_type1_corners_exact():
+    """The field vanishes to high order at the corners, which elimination
+    still finds as exact rational points; the off-table saddles are
+    irrational and carry float positions only."""
     field = projected_field(type1_family("g2u2"))
     found = find_equilibria(field)
     assert len(found) == 8
+    assert (found.seeds_tried, found.seeds_converged) == (9, 8)
     by_label = {e.matched_label: e for e in found}
-    for label, exact in [("O", (0.0, 0.0)), ("P", (0.0, 1.0)), ("Q", (1.0, 0.0))]:
-        ex, ey = exact
-        fx, fy = by_label[label].position
-        assert abs(fx - ex) < 1e-9
-        assert abs(fy - ey) < 1e-9
+    for label, exact in [("O", (0, 0)), ("P", (0, 1)), ("Q", (1, 0))]:
+        assert by_label[label].exact == exact
+        assert by_label[label].position == exact
+    assert by_label["N"].exact == (Fraction(1, 6), Fraction(1, 3))
+    assert by_label["R"].exact is None and by_label["S"].exact is None
 
 
 def test_radial_probe_classifies_degenerate_points():
@@ -124,6 +123,18 @@ def test_verify_catalog_passes(fam):
     assert len(report.checks) == expected_rows
 
 
+def test_verify_catalog_reports_a_record_with_no_zero(monkeypatch):
+    bogus = EquilibriumRecord("X", (Fraction(1, 5), Fraction(1, 5)), "Degenerate", "saddle")
+    monkeypatch.setattr(equilibria, "reference_equilibria", lambda f: reference_equilibria(f) + [bogus])
+    report = verify_catalog(su_family(1, 1, 1))
+    assert not report.passed
+    *rows, check = report.checks
+    assert all(c.passed for c in rows) and len(rows) == 10
+    assert (check.label, check.passed, check.note) == ("X", False, "no zero within position tolerance")
+    assert check.found_class is None and check.eigen_error is None
+    assert check.found_position is not None and check.position_error > check.position_tol
+
+
 def test_verify_report_dict_shape():
     report = verify_catalog(su_family(1, 1, 1))
     doc = report.as_dict()
@@ -145,40 +156,6 @@ def test_found_equilibrium_as_dict():
                         "matched_label", "boundary"}
     assert isinstance(doc["eigenvalues"][0], list)
     assert len(doc["eigenvalues"][0]) == 2
-
-
-def _sequential_greedy(points, tol):
-    """Reject a point if an earlier accepted one is within tol (reference)."""
-    kept = []
-    for i, (x, y) in enumerate(points):
-        if any(math.hypot(x - points[k][0], y - points[k][1]) <= tol for k in kept):
-            continue
-        kept.append(i)
-    return kept
-
-
-_unit = st.floats(0.0, 1.0)
-_offset = st.floats(-2.0, 2.0)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(
-    centers=st.lists(st.tuples(_unit, _unit), min_size=1, max_size=4),
-    members=st.lists(st.tuples(st.integers(0, 3), _offset, _offset), min_size=1, max_size=40),
-)
-def test_vectorised_dedupe_matches_sequential_greedy(centers, members):
-    """Clusters of points within a few DEDUPE_TOL, in arbitrary order."""
-    pts = np.array(
-        [
-            (centers[k % len(centers)][0] + dx * DEDUPE_TOL, centers[k % len(centers)][1] + dy * DEDUPE_TOL)
-            for k, dx, dy in members
-        ]
-    )
-    # np.hypot and math.hypot may round a distance differently in the last
-    # place, so distances within a few ulps of the tolerance are skipped
-    d = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
-    assume(not np.any(np.abs(d - DEDUPE_TOL) <= 1e-12 * DEDUPE_TOL))
-    assert _greedy_dedupe(pts) == _sequential_greedy(pts, DEDUPE_TOL)
 
 
 def _brute_nearest(points, targets):
@@ -216,3 +193,28 @@ def test_found_equilibrium_name():
 
     assert eq("R").name == "R"
     assert eq(None).name == "(0.250000000,0.333333333)"
+
+
+_families = st.one_of(
+    st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)).map(
+        lambda t: su_family(*sorted(t, reverse=True))
+    ),
+    st.integers(4, 12).map(so_family),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(fam=_families)
+def test_exact_reference_equilibria_found_exactly(fam):
+    """Every exact reference record is found at the float of its exact
+    position, and u and v vanish exactly at every rational zero found."""
+    field = projected_field(fam)
+    found = find_equilibria(field)
+    positions = [e.position for e in found]
+    for rec in reference_equilibria(fam):
+        if rec.position_exact:
+            assert rec.position_float() in positions, rec.label
+    for e in found:
+        if e.exact is not None:
+            assert field.u.eval(e.exact) == 0 and field.v.eval(e.exact) == 0
+            assert e.position == tuple(float(c) for c in e.exact)

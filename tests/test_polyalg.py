@@ -3,8 +3,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flagricci.polyalg import Poly, variables
+from flagricci.polyalg import (
+    Poly,
+    gcd,
+    pseudo_rem,
+    real_roots,
+    sign_at,
+    squarefree,
+    subresultant,
+    value_at,
+    variables,
+)
 
 
 def test_construction_drops_zero_coefficients():
@@ -93,23 +104,6 @@ def test_substitute_z_requires_arity_three():
         Poly.variable("x", 2).substitute_z()
 
 
-def test_shift_recenters_exactly():
-    x, y = variables(2)
-    p = x * x * y - Poly.constant(2, 2) * x + y * y
-    q = p.shift((Fraction(1, 3), Fraction(-1, 2)))
-    for pt in [(0, 0), (1, 2), (Fraction(2, 7), Fraction(5, 3))]:
-        u, v = Fraction(pt[0]), Fraction(pt[1])
-        assert q.eval((u, v)) == p.eval((u + Fraction(1, 3), v - Fraction(1, 2)))
-
-
-def test_shift_rejects_float_origin_and_arity_three():
-    p = Poly.variable("x", 2)
-    with pytest.raises(TypeError):
-        p.shift((0.1, 0))
-    with pytest.raises(ValueError):
-        Poly.variable("x", 3).shift((0, 0))
-
-
 def test_to_text_descending_graded_lex():
     p = Poly(
         {(3, 1): -32, (3, 0): 6, (2, 1): 50, (1, 2): 16, (2, 0): -9, (1, 1): -17, (1, 0): 3},
@@ -168,3 +162,125 @@ def rng_polys():
                 terms[exps] = Fraction(r.randint(-40, 40), r.randint(1, 9))
             polys.append(Poly(terms, arity))
     return polys
+
+
+_coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+def _sparse_polys(arity):
+    exps = st.tuples(*[st.integers(0, 5)] * arity)
+    return st.dictionaries(exps, _coeffs, max_size=8).map(lambda t: Poly(t, arity))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=st.one_of(_sparse_polys(2), _sparse_polys(3)))
+def test_parse_round_trip_hypothesis(p):
+    assert Poly.parse(p.to_text(), p.arity) == p
+
+
+# ----------------------------------------------------------------------
+# univariate algebra and elimination
+
+
+def test_pseudo_rem_and_gcd():
+    # 4 (x^2 + 1) = (2x - 1)(2x + 1) + 5
+    assert pseudo_rem([1, 0, 1], [1, 2]) == [5]
+    # (x - 1)(x + 2) and (x - 1)(x - 3), with and without content
+    assert gcd([-2, 1, 1], [3, -4, 1]) == [-1, 1]
+    assert gcd([-6, 3, 3], [Fraction(3, 2), -2, Fraction(1, 2)]) == [-1, 1]
+    assert gcd([1, 1], [1, 2]) == [1]
+
+
+def test_squarefree_part():
+    # (x - 1)^2 (x + 2) = x^3 - 3x + 2 -> (x - 1)(x + 2)
+    assert squarefree([2, -3, 0, 1]) == [-2, 1, 1]
+    assert squarefree([0, 0, 0, 5]) == [0, 1]
+
+
+def test_resultant_by_hand():
+    x, y = variables(2)
+    f, g = (y * y - x).in_y(), (y - x).in_y()
+    # Res_y(y^2 - x, y - x) = f(y = x) = x^2 - x
+    assert subresultant(f, g, 0) == [[0, -1, 1]]
+    # the degree-1 subresultant is y - x itself: its zero y = x is the
+    # common root over every x where x^2 = x
+    assert subresultant(f, g, 1) == [[0, -1], [1]]
+
+
+def _sylvester_det(f, g, x):
+    """Res_y(f, g) at the rational x by Gaussian elimination in Fraction."""
+    fd = [value_at(c, x) for c in reversed(f)]
+    gd = [value_at(c, x) for c in reversed(g)]
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * k + fd + [0] * (n - 1 - k) for k in range(n)]
+    rows += [[0] * k + gd + [0] * (m - 1 - k) for k in range(m)]
+    det = Fraction(1)
+    for k in range(m + n):
+        piv = next((i for i in range(k, m + n) if rows[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            rows[k], rows[piv], det = rows[piv], rows[k], -det
+        det *= rows[k][k]
+        for i in range(k + 1, m + n):
+            r = rows[i][k] / rows[k][k]
+            rows[i] = [a - r * b for a, b in zip(rows[i], rows[k])]
+    return det
+
+
+def _bivariate(max_x, max_y):
+    exps = st.tuples(st.integers(0, max_x), st.integers(0, max_y))
+    terms = st.dictionaries(exps, st.integers(-9, 9), min_size=1, max_size=7)
+    return terms.map(lambda t: Poly(t, 2)).filter(lambda p: any(j for _i, j in p.terms))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(f=_bivariate(2, 3), g=_bivariate(2, 3))
+def test_resultant_equals_fraction_sylvester_determinant(f, g):
+    """Res_y has degree at most 12 in x here, so 13 points pin it down."""
+    fy, gy = f.in_y(), g.in_y()
+    res = subresultant(fy, gy, 0)[0]
+    for x in [Fraction(k, 3) for k in range(-6, 7)]:
+        assert value_at(res, x) == _sylvester_det(fy, gy, x)
+
+
+def test_real_roots_rational_exact_at_the_ends():
+    # x (x - 1) (3x - 1)
+    assert real_roots([0, 1, -4, 3]) == [0, Fraction(1, 3), 1]
+    assert all(type(r) is Fraction for r in real_roots([0, 1, -4, 3]))
+    # x^2 (x - 1)^3, whose square-free part is x (x - 1)
+    assert real_roots(squarefree([0, 0, -1, 3, -3, 1])) == [0, 1]
+    # -1 and 3/2 lie outside [0, 1]
+    assert real_roots([-3, -1, 2]) == []
+    # 1/2 + 1/(2 * 10^12) and 1/2 - 1/(2 * 10^12), 1e-12 apart
+    e = 10**12
+    p = [(e + 1) * (e - 1), -4 * e * e, 4 * e * e]
+    assert real_roots(p) == [Fraction(e - 1, 2 * e), Fraction(e + 1, 2 * e)]
+
+
+def test_real_roots_irrational_isolated_and_refined():
+    # 2x^2 - 1: the root 1/sqrt(2) in an interval narrower than 2^-64
+    ((lo, up),) = real_roots([-1, 0, 2])
+    assert 2 * lo * lo < 1 < 2 * up * up
+    assert up - lo <= Fraction(1, 2**64)
+    # 10^24 (2x - 1)^2 - 2: roots 1/2 -+ 1/(sqrt(2) 10^12), 1.4e-12 apart
+    e = 10**24
+    p = [e - 2, -4 * e, 4 * e]
+    (lo1, up1), (lo2, up2) = real_roots(p)
+    assert up1 < lo2
+    for lo, up in ((lo1, up1), (lo2, up2)):
+        assert value_at(p, lo) * value_at(p, up) < 0
+    assert abs(float((lo1 + up1) / 2) - (0.5 - 2**-0.5 * 1e-12)) < 1e-16
+    assert abs(float((lo2 + up2) / 2) - (0.5 + 2**-0.5 * 1e-12)) < 1e-16
+
+
+def test_sign_at_irrational_root():
+    p = [-1, 0, 2]
+    (root,) = real_roots(p)
+    assert sign_at([-1, 2], p, root) == 1  # 2x - 1 > 0 at 1/sqrt(2)
+    assert sign_at([2, -3], p, root) == -1  # 2 - 3x < 0 there
+    assert sign_at([0, -1, 0, 2], p, root) == 0  # x (2x^2 - 1)
+    # 99x - 70 vanishes 3.6e-5 below the root
+    assert sign_at([-70, 99], p, root) == 1
+    # 2^140 (2x^2 - 1) - 1 vanishes ~1e-43 above it, inside the interval
+    assert sign_at([-(2**140) - 1, 0, 2**141], p, root) == -1

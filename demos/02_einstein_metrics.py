@@ -1,10 +1,10 @@
 """Find every invariant Einstein metric as an equilibrium of the flow.
 
 Zeros of the projected field are exactly the Einstein metrics (up to
-scale), plus the degenerate boundary points.  A dense Newton sweep finds
-them all; the Jacobian eigenvalues classify each as attractor, repeller,
-or saddle; and verify_catalog checks the result row-by-row against the
-expected table for the family.
+scale), plus the degenerate boundary points.  Eliminating one variable
+with a resultant finds them all exactly; the Jacobian eigenvalues classify
+each as attractor, repeller, or saddle; and verify_catalog checks the
+result row-by-row against the expected table for the family.
 """
 
 from flagricci import (

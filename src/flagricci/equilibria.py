@@ -143,7 +143,7 @@ def find_equilibria(field: ProjectedField) -> EquilibriumList:
     subresultant s1(x) y + s0(x), so y0 = -s0(x0) / s1(x0), and exact signs
     decide whether the zero lies in the simplex or on its edge.  Rational
     zeros keep their exact position and Jacobian.  Raises ArithmeticError
-    if u and v share a factor or several zeros over an irrational x.
+    if u and v share a factor or have a nonlinear gcd over an irrational x.
     """
     uy, vy = field.u.in_y(), field.v.in_y()
     (res,), (s0, s1) = subresultant(uy, vy, 0), subresultant(uy, vy, 1)
@@ -168,7 +168,7 @@ def find_equilibria(field: ProjectedField) -> EquilibriumList:
         tried += 1
         lead = sign_at(s1, res, x0)
         if not lead:
-            raise ArithmeticError(f"several zeros over an irrational x for {field.family.id}")
+            raise ArithmeticError(f"gcd(u, v) is not linear in y over an irrational x for {field.family.id}")
         # y0 = -s0 / s1 and 1 - x0 - y0 = (s0 + (1 - x0) s1) / s1
         y_sign = -lead * sign_at(s0, res, x0)
         z_sign = lead * sign_at(sub(s0, sub([0] + s1, s1)), res, x0)

@@ -481,21 +481,21 @@ def real_roots(p: list) -> list:
         count = _variations(sturm, c, k) - _variations(sturm, c + 1, k)
         if count == 1 and not _dyadic(p, c + 1, k):
             found.append(Fraction(c + 1, 1 << k))
-        elif count == 1 and _dyadic(p, c, k):
+        elif count == 1 and (left := _dyadic(p, c, k)):
             # p changes sign across its one root inside: bisect by sign
-            left = _dyadic(p, c, k) > 0
             while k < bits:
                 c, k = 2 * c, k + 1
                 mid = _dyadic(p, c + 1, k)
                 if not mid:
                     found.append(Fraction(c + 1, 1 << k))
                     break
-                c += (mid > 0) == left
+                c += (mid > 0) == (left > 0)
             else:
                 lo, up = Fraction(c, 1 << k), Fraction(c + 1, 1 << k)
-                guess = ((lo + up) / 2).limit_denominator(p[-1])
+                guess = ((lo + up) / 2).limit_denominator(abs(p[-1]))
                 found.append(guess if lo < guess < up and not value_at(p, guess) else (lo, up))
         elif count:
+            # more roots, or a root at the left end hides the sign change
             stack += [(2 * c, k + 1), (2 * c + 1, k + 1)]
     return sorted(found, key=lambda r: r if isinstance(r, Fraction) else r[0])
 

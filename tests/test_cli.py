@@ -5,7 +5,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flagricci.cli import main
 from flagricci.polyalg import Poly
@@ -372,6 +372,7 @@ def _quiet_main(argv) -> int:
     max_steps=st.integers(-2, 40),
     backward=st.booleans(),
 )
+@example(x0=0.3, y0=0.2, rtol=1e-10, atol=1e-12, max_time=1e4, max_steps=40, backward=True)
 def test_orbit_returns_an_exit_code_on_any_float_flags(x0, y0, rtol, atol, max_time, max_steps, backward):
     argv = ["orbit", "--family", "su", "--params", "2,1,1", f"--x0={x0!r}", f"--y0={y0!r}",
             f"--rtol={rtol!r}", f"--atol={atol!r}", f"--max-time={max_time!r}", f"--max-steps={max_steps}"]
@@ -380,6 +381,7 @@ def test_orbit_returns_an_exit_code_on_any_float_flags(x0, y0, rtol, atol, max_t
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(x=_flag_floats, y=_flag_floats, fid=st.sampled_from(["g2u2", "so"]))
+@example(x=0.5, y=0.5, fid="so")
 def test_gh_limit_returns_an_exit_code_on_any_float_flags(x, y, fid):
     argv = ["gh-limit", "--family", fid] + (["--params", "6"] if fid == "so" else [])
     assert _quiet_main(argv + [f"--x={x!r}", f"--y={y!r}"]) in (0, 1, 2)

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, serialization, and calculus."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from flagricci.polyalg import (
     Poly,
+    _mul,
     gcd,
+    primitive,
     pseudo_rem,
     real_roots,
     sign_at,
@@ -272,6 +275,37 @@ def test_real_roots_irrational_isolated_and_refined():
         assert value_at(p, lo) * value_at(p, up) < 0
     assert abs(float((lo1 + up1) / 2) - (0.5 - 2**-0.5 * 1e-12)) < 1e-16
     assert abs(float((lo2 + up2) / 2) - (0.5 + 2**-0.5 * 1e-12)) < 1e-16
+
+
+_roots_in = st.fractions(min_value=-1, max_value=2, max_denominator=40)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    rational=st.lists(_roots_in, max_size=5),
+    squares=st.lists(st.integers(2, 60).filter(lambda n: math.isqrt(n) ** 2 != n), max_size=3),
+    sign=st.sampled_from([1, -1]),
+    probe=st.fractions(min_value=0, max_value=1, max_denominator=50),
+)
+def test_real_roots_of_products_of_known_factors(rational, squares, sign, probe):
+    """Rational roots (repeats included) come back exactly, each root
+    sqrt(n) / 8 as a narrow interval holding it, and sign_at(x - t)
+    agrees with the float position of that root."""
+    p = [sign]
+    for r in rational:
+        p = _mul(p, [-r.numerator, r.denominator])
+    for n in squares:
+        p = _mul(p, [-n, 0, 64])
+    roots = real_roots(squarefree(p))
+    assert [r for r in roots if isinstance(r, Fraction)] == sorted({r for r in rational if 0 <= r <= 1})
+    irrational = sorted(math.sqrt(n) / 8 for n in set(squares))
+    intervals = [r for r in roots if isinstance(r, tuple)]
+    assert len(intervals) == len(irrational)
+    for (lo, up), x in zip(intervals, irrational):
+        assert lo < up and up - lo <= Fraction(1, 2**64)
+        assert abs(float((lo + up) / 2) - x) < 1e-15
+        expected = (x > probe) - (x < probe)
+        assert sign_at(primitive([-probe, 1]), squarefree(p), (lo, up)) == expected
 
 
 def test_sign_at_irrational_root():

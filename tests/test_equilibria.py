@@ -1,5 +1,6 @@
 """Equilibrium search, classification, and catalog verification."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from flagricci.equilibria import (
     verify_catalog,
 )
 from flagricci.flowgen import projected_field
+from flagricci.polyalg import variables
 
 
 def test_classify_equilibrium_branches():
@@ -100,6 +102,20 @@ def test_find_equilibria_type1_corners_exact():
         assert by_label[label].position == exact
     assert by_label["N"].exact == (Fraction(1, 6), Fraction(1, 3))
     assert by_label["R"].exact is None and by_label["S"].exact is None
+
+
+def test_find_equilibria_rejects_fields_without_isolated_zeros():
+    """A common factor makes a curve of zeros; two zeros over one
+    irrational x leave no linear gcd to read y from."""
+    field = projected_field(su_family(1, 1, 1))
+    x, y = variables(2)
+    with pytest.raises(ArithmeticError, match="share a factor"):
+        find_equilibria(dataclasses.replace(field, v=field.u * (x + y + 1)))
+    with pytest.raises(ArithmeticError, match="line x = 1/2"):
+        find_equilibria(dataclasses.replace(field, u=field.u * (2 * x - 1), v=field.v * (2 * x - 1)))
+    # zeros (1/sqrt(2), 1/2) and (1/sqrt(2), -1/2)
+    with pytest.raises(ArithmeticError, match="not linear"):
+        find_equilibria(dataclasses.replace(field, u=(2 * x * x - 1) * (y + 1), v=4 * y * y - 1))
 
 
 def test_radial_probe_classifies_degenerate_points():

@@ -12,8 +12,10 @@ stage and a trial step costs six field evaluations, not seven.  The
 batch recorder keeps (t, x, y) per accepted step; Lyapunov values are
 added only by the callers that report them.  Every operation on a point
 is row-wise and the field kernel is row-invariant, so a point's orbit
-does not depend on the batch it runs in: all separatrices of one
-direction run as one batch, and each equals its orbit integrated alone.
+does not depend on the batch it runs in.  A batch takes each row's
+direction and step budget, the direction as the sign of its step: a
+phase portrait's sample orbits and its forward and backward separatrices
+run as one batch, and each equals its orbit integrated alone.
 Basin labels come from one nearest-attractor match over all cells, and
 the revisit scan of the monotonicity check walks its
 distance matrix in blocks of rows.
@@ -38,8 +40,13 @@ STALL_TOL = 1e-9
 STALL_STEP = 1e-6
 BOUNDARY_EXIT_TOL = 1e-9
 MATCH_TOL = 1e-6
-# basin cells run at most this many steps each
+# step budgets: an orbit or separatrix, a basin cell, a portrait's sample orbit
+ORBIT_MAX_STEPS = 200000
 BASIN_MAX_STEPS = 10000
+PORTRAIT_MAX_STEPS = 4000
+# larger budgets are cut to this one, which no run reaches, so every
+# budget fits in an int64
+_BUDGET_CAP = 1 << 62
 # separatrices start this far from their saddle along an eigenvector
 SEPARATRIX_OFFSET = 1e-6
 # the monotonicity check allows the Lyapunov value to rise by at most
@@ -194,31 +201,33 @@ def _clamp_to_simplex(p: np.ndarray) -> np.ndarray:
     return q
 
 
-def _dp_step(field: ProjectedField, p, k1, hh, sign, rtol, atol):
+def _dp_step(field: ProjectedField, p, k1, hs, rtol, atol):
     """One trial Dormand-Prince step for a batch of points.
 
-    k1 is the signed field at p.  Returns the fifth-order result, the
-    scaled error norm and the signed field at that result (k7), which
-    is the next step's k1 when the step is accepted (first same as
-    last).  Trial stages that overflow far outside the simplex read as
-    infinite error, so the step is rejected and the step size shrinks.
+    hs is each row's signed step: negative where the row runs backward.
+    The stages are the unsigned field, k1 the field at p.  Negation is
+    exact and rounding symmetric, so this gives bit for bit the step of
+    the reversed field with an unsigned step size.  Returns the
+    fifth-order result, the scaled error norm and the field at that
+    result (k7), which is the next step's k1 when the step is accepted
+    (first same as last).  Trial stages that overflow far outside the
+    simplex read as infinite error, so the step is rejected and the step
+    size shrinks.
     """
     # step sizes at full (n, 2) shape: numpy broadcasts a column over a
     # length-2 axis several times slower than it multiplies equal shapes
-    hc = np.repeat(hh, 2).reshape(-1, 2)
+    hc = np.repeat(hs, 2).reshape(-1, 2)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        k2 = sign * field.rhs(p + hc * (_A21 * k1), normalized=False)
-        k3 = sign * field.rhs(p + hc * (_A31 * k1 + _A32 * k2), normalized=False)
-        k4 = sign * field.rhs(p + hc * (_A41 * k1 + _A42 * k2 + _A43 * k3), normalized=False)
-        k5 = sign * field.rhs(
-            p + hc * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4), normalized=False
-        )
-        k6 = sign * field.rhs(
+        k2 = field.rhs(p + hc * (_A21 * k1), normalized=False)
+        k3 = field.rhs(p + hc * (_A31 * k1 + _A32 * k2), normalized=False)
+        k4 = field.rhs(p + hc * (_A41 * k1 + _A42 * k2 + _A43 * k3), normalized=False)
+        k5 = field.rhs(p + hc * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4), normalized=False)
+        k6 = field.rhs(
             p + hc * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5),
             normalized=False,
         )
         y5 = p + hc * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = sign * field.rhs(y5, normalized=False)
+        k7 = field.rhs(y5, normalized=False)
         err = hc * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
         scale = atol + rtol * np.maximum(np.abs(p), np.abs(y5))
         errnorm = row_max_abs(err / scale)
@@ -227,56 +236,74 @@ def _dp_step(field: ProjectedField, p, k1, hh, sign, rtol, atol):
     return y5, errnorm, k7
 
 
-def _check_integration_input(pos, rtol, atol, max_time, max_steps) -> None:
-    """Reject starts outside the closed simplex and non-positive budgets."""
+def _check_integration_input(pos, direction, rtol, atol, max_time, max_steps) -> None:
+    """Reject starts outside the closed simplex, unknown directions and
+    non-positive budgets; direction and max_steps are one value or one
+    per start."""
     if not np.isfinite(pos).all():
         raise ValueError("start points must be finite")
     outside = _outside_simplex(pos)
     if outside.any():
         x, y = pos[np.flatnonzero(outside)[0]].tolist()
         raise ValueError(f"start point ({x!r}, {y!r}) lies outside the closed simplex")
+    for d in [direction] if isinstance(direction, str) else direction:
+        if d not in ("forward", "backward"):
+            raise ValueError(f"direction must be forward or backward, got {d!r}")
+    if not isinstance(direction, str) and len(direction) != len(pos):
+        raise ValueError(f"direction has {len(direction)} entries for {len(pos)} start points")
     for name, value in (("rtol", rtol), ("atol", atol)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
     if not max_time > 0:
         raise ValueError(f"max_time must be positive, got {max_time!r}")
-    if not max_steps > 0:
+    budget = np.asarray(max_steps)
+    if budget.ndim > 1 or (budget.size and budget.dtype.kind not in "iuO"):
+        raise ValueError(f"max_steps must be an integer or one per start, got {max_steps!r}")
+    if (budget <= 0).any():
         raise ValueError(f"max_steps must be positive, got {max_steps!r}")
+    if budget.ndim and len(budget) != len(pos):
+        raise ValueError(f"max_steps has {len(budget)} entries for {len(pos)} start points")
 
 
 def _integrate_batch(
     field: ProjectedField,
     pts,
-    direction: str = "forward",
+    direction="forward",
     rtol: float = 1e-10,
     atol: float = 1e-12,
     max_time: float = 1e4,
-    max_steps: int = 200000,
+    max_steps=ORBIT_MAX_STEPS,
     record: bool = False,
 ):
     """Advance every point until stall, boundary exit, or budget.
 
-    Returns (positions, times, status codes, step counts, samples) with
-    samples a per-point list of (t, x, y) when record is set.  Raises
-    ValueError for a start outside the closed simplex (slack
-    BOUNDARY_EXIT_TOL), a non-finite start, or a non-positive tolerance
-    or budget.
+    direction ("forward" or "backward") and max_steps are one value for
+    all points or one per point.  A point stops with status MAX_STEPS
+    after max_steps accepted steps, or after 4 * max_steps trial steps
+    of its own.  Returns (positions, times, status codes, step counts,
+    samples) with samples a per-point list of (t, x, y) when record is
+    set, else None.  Raises ValueError for a start outside the closed
+    simplex (slack BOUNDARY_EXIT_TOL), a non-finite start, an unknown
+    direction, a non-positive tolerance or budget, or a per-point list
+    of the wrong length.
     """
-    sign = 1.0 if direction == "forward" else -1.0
     pos = np.array(pts, dtype=float).reshape(-1, 2).copy()
-    _check_integration_input(pos, rtol, atol, max_time, max_steps)
+    _check_integration_input(pos, direction, rtol, atol, max_time, max_steps)
     n = len(pos)
+    # the per-row extras are two 1-D arrays over all points: the sign of
+    # each row's step and its budget (a scalar is broadcast without a
+    # copy); the loop takes the running rows' entries when it needs them
+    sign = np.broadcast_to(np.where(np.asarray(direction) == "forward", 1.0, -1.0), (n,))
+    capped = np.minimum(np.asarray(max_steps, dtype=object), _BUDGET_CAP)
+    budget = np.broadcast_to(np.array(capped, dtype=np.int64), (n,))
     t = np.zeros(n)
     steps = np.zeros(n, dtype=np.int64)
     status = np.full(n, RUNNING, dtype=np.int8)
 
-    samples: list = [[] for _ in range(n)]
-    if record:
-        for g in range(n):
-            samples[g].append((0.0, float(pos[g, 0]), float(pos[g, 1])))
+    samples = [[(0.0, x, y)] for x, y in pos.tolist()] if record else None
 
-    # k1 holds the signed field at each running point (first same as last)
-    k1 = sign * field.rhs(pos, normalized=False)
+    # k1 holds the field at each running point (first same as last)
+    k1 = field.rhs(pos, normalized=False)
     speed = np.maximum(row_max_abs(k1), 1e-300)
     h = np.clip(1e-2 / speed, 1e-6, H_MAX)
     h = np.minimum(h, max_time)
@@ -285,10 +312,10 @@ def _integrate_batch(
     # kernel call sees the same batch as a scan over all points would; a
     # point's results are written back when it stops
     ids, p, tp, sp = np.arange(n), pos.copy(), t.copy(), steps.copy()
-    for _iter in range(4 * max_steps):
+    for done in range(1, 4 * int(budget.max(initial=0)) + 1):
         if ids.size == 0:
             break
-        y5, errnorm, k7 = _dp_step(field, p, k1, h, sign, rtol, atol)
+        y5, errnorm, k7 = _dp_step(field, p, k1, h * sign.take(ids), rtol, atol)
 
         accept = errnorm <= 1.0
         disp = row_max_abs(y5 - p)
@@ -321,7 +348,8 @@ def _integrate_batch(
         code[(code == RUNNING) & (rem <= 1e-12)] = MAX_TIME
         h = np.minimum(np.minimum(h * factor, H_MAX), rem)
         code[(code == RUNNING) & (h < H_MIN)] = UNDERFLOW
-        code[(code == RUNNING) & (sp >= max_steps)] = MAX_STEPS
+        # out of accepted steps, or of trial steps: 4 * budget <= done
+        code[(code == RUNNING) & (np.maximum(sp, done // 4) >= budget.take(ids))] = MAX_STEPS
 
         stop = code != RUNNING
         if stop.any():
@@ -329,8 +357,6 @@ def _integrate_batch(
             pos[g] = np.compress(stop, p, axis=0)
             t[g], steps[g], status[g] = tp[stop], sp[stop], code[stop]
             ids, p, k1, h, tp, sp = keep_rows(~stop, ids, p, k1, h, tp, sp)
-    # points still running when the step guard runs out
-    pos[ids], t[ids], steps[ids], status[ids] = p, tp, sp, MAX_STEPS
 
     return pos, t, status, steps, samples
 
@@ -375,7 +401,7 @@ def integrate_orbit(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     max_time: float = 1e4,
-    max_steps: int = 200000,
+    max_steps: int = ORBIT_MAX_STEPS,
 ) -> Trajectory:
     """Single orbit of the cleared field with dense samples.
 
@@ -384,8 +410,6 @@ def integrate_orbit(
     The terminal outcome is matched against the family's computed
     zero set, so a converged orbit arrives labeled.
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be forward or backward, got {direction!r}")
     pos, t, status, _steps, samples = _integrate_batch(
         field,
         [p0],
@@ -422,32 +446,31 @@ def basin_map(family: FamilyDescriptor, resolution: int, margin: float = 1e-3) -
     eqs = equilibria_for(family)
     attractors = [eq for eq in eqs if eq.stability == ATTRACTOR]
 
-    centers = [(i + 0.5) / resolution for i in range(resolution)]
-    cells = []
-    index = []
-    for iy, y in enumerate(centers):
-        for ix, x in enumerate(centers):
-            if x > margin and y > margin and x + y < 1.0 - margin:
-                cells.append((x, y))
-                index.append((iy, ix))
+    centers = (np.arange(resolution) + 0.5) / resolution
+    # the cells strictly inside the margin, row by row (iy outer, ix inner)
+    iy, ix = np.nonzero(
+        (centers[None, :] > margin)
+        & (centers[:, None] > margin)
+        & (centers[None, :] + centers[:, None] < 1.0 - margin)
+    )
     names = [a.name for a in attractors]
-    labels: list = [[None] * resolution for _ in range(resolution)]
-    if cells:
+    labels = np.full((resolution, resolution), None, dtype=object)
+    if iy.size:
+        cells = np.stack([centers[ix], centers[iy]], axis=1)
         pos, _t, status, _steps, _ = _integrate_batch(field, cells, max_steps=BASIN_MAX_STEPS)
         # index len(attractors) stands for Undetermined
         pick = np.full(len(cells), len(attractors))
         j, d = nearest(pos, [a.position for a in attractors])
         hit = np.isin(status, (STALLED, BOUNDARY)) & (d <= MATCH_TOL)
         pick[hit] = j[hit]
-        choices = names + ["Undetermined"]
-        for (iy, ix), k in zip(index, pick.tolist()):
-            labels[iy][ix] = choices[k]
+        labels[iy, ix] = np.array(names + ["Undetermined"], dtype=object)[pick]
+    xs = centers.tolist()
     return BasinGrid(
         family=family,
         resolution=resolution,
-        labels=labels,
-        xs=centers,
-        ys=centers,
+        labels=labels.tolist(),
+        xs=xs,
+        ys=xs,
         attractor_labels=names,
     )
 
@@ -482,12 +505,25 @@ def separatrices(family: FamilyDescriptor) -> list:
     Four orbits per saddle: the unstable eigendirections forward, the
     stable ones backward, each launched SEPARATRIX_OFFSET away from the
     saddle; a launch outside the closed simplex is skipped.
-    All launches of one direction run as one batch; since no kernel row
-    depends on its batch, each separatrix is the orbit integrate_orbit
-    gives from its start.
+    All launches run as one batch; since no kernel row depends on its
+    batch, each separatrix is the orbit integrate_orbit gives from its
+    start.
+    """
+    return phase_portrait(family, [])[1]
+
+
+def phase_portrait(family: FamilyDescriptor, starts) -> tuple:
+    """A phase portrait's sample orbits and separatrices, as one batch.
+
+    Returns (orbits, separatrices): orbits[i] lists the points (x, y) of
+    the forward orbit from starts[i], run for at most PORTRAIT_MAX_STEPS
+    steps, and separatrices is what separatrices(family) gives.  Every
+    orbit equals the one integrated alone from its start.
     """
     field = field_for(family)
-    launches: list = []  # ((label, position, manifold, sign, eigenvalue), direction, start)
+    launches = list(starts)
+    n = len(launches)
+    heads, directions, budgets = [], ["forward"] * n, [PORTRAIT_MAX_STEPS] * n
     for eq in equilibria_for(family):
         if eq.stability != SADDLE:
             continue
@@ -496,7 +532,6 @@ def separatrices(family: FamilyDescriptor) -> list:
             continue
         for lam, vec in pairs:
             manifold = "unstable" if lam > 0 else "stable"
-            direction = "forward" if lam > 0 else "backward"
             for sgn in (1, -1):
                 start = (
                     eq.position[0] + sgn * SEPARATRIX_OFFSET * vec[0],
@@ -504,21 +539,20 @@ def separatrices(family: FamilyDescriptor) -> list:
                 )
                 if _outside_simplex(np.array([start]))[0]:
                     continue
-                head = (eq.name, eq.position, manifold, sgn, float(lam))
-                launches.append((head, direction, start))
+                heads.append((eq.name, eq.position, manifold, sgn, float(lam)))
+                directions.append("forward" if lam > 0 else "backward")
+                budgets.append(ORBIT_MAX_STEPS)
+                launches.append(start)
 
-    traced: dict = {}  # launch index -> (points, limit)
-    for direction in ("forward", "backward"):
-        group = [k for k, (_h, d, _s) in enumerate(launches) if d == direction]
-        if not group:
-            continue
-        pos, t, status, _steps, samples = _integrate_batch(
-            field, [launches[k][2] for k in group], direction=direction, record=True
-        )
-        for j, k in enumerate(group):
-            points = [(x, y) for _t, x, y in samples[j]]
-            traced[k] = (points, _terminal_outcome(family, pos[j], t[j], status[j]))
-    return [Separatrix(*head, *traced[k]) for k, (head, _d, _s) in enumerate(launches)]
+    pos, t, status, _steps, samples = _integrate_batch(
+        field, launches, direction=directions, max_steps=budgets, record=True
+    )
+    paths = [[(x, y) for _t, x, y in sam] for sam in samples]
+    seps = [
+        Separatrix(*head, paths[k], _terminal_outcome(family, pos[k], t[k], status[k]))
+        for k, head in enumerate(heads, start=n)
+    ]
+    return paths[:n], seps
 
 
 # ----------------------------------------------------------------------

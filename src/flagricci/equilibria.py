@@ -24,7 +24,7 @@ from .catalog import (
     reference_equilibria,
 )
 from .flowgen import ProjectedField, row_max_abs
-from .polyalg import gcd, primitive, real_roots, sign_at, squarefree, subresultant, sub, value_at
+from .polyalg import gcd, primitive, real_roots, sign_at, squarefree, subresultant, sub, value_at, value_at_xy
 
 NONHYPERBOLIC = "nonhyperbolic"
 
@@ -102,11 +102,11 @@ def jacobian_eigen(field: ProjectedField, p) -> tuple:
     formula, so rational input points give eigenvalues that are exact up
     to the final square root.
     """
-    x, y = p
-    j11 = field.du_dx.eval((x, y))
-    j12 = field.du_dy.eval((x, y))
-    j21 = field.dv_dx.eval((x, y))
-    j22 = field.dv_dy.eval((x, y))
+    entries = (field.du_dx, field.du_dy, field.dv_dx, field.dv_dy)
+    if all(isinstance(c, (int, Fraction)) for c in p):
+        j11, j12, j21, j22 = (value_at_xy(q.in_y(), *p) for q in entries)
+    else:
+        j11, j12, j21, j22 = (q.eval(p) for q in entries)
     tr = j11 + j22
     disc = tr * tr - 4 * (j11 * j22 - j12 * j21)
     if disc >= 0:

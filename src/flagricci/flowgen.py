@@ -191,22 +191,22 @@ _BLOCK = 2048
 def _compile(polys: Sequence[Poly]) -> tuple:
     """Union of the monomials of polys and their coefficient matrix.
 
-    Returns (exps, coeffs): exps[k] is the (i, j) exponent pair of the
-    k-th monomial x^i y^j and coeffs[k, n] its coefficient in polys[n].
+    Returns (exps, coeffs, deg): exps[k] is the (i, j) exponent pair of
+    the k-th monomial x^i y^j, coeffs[k, n] its coefficient in polys[n]
+    and deg the highest power of x or y the power table needs (at least 1).
     """
     monos = sorted(set().union(*(p.terms for p in polys)))
     exps = np.array(monos, dtype=np.intp)
     coeffs = np.array([[float(p.terms.get(m, 0)) for p in polys] for m in monos])
-    return exps, coeffs
+    return exps, coeffs, max(1, int(exps.max()))
 
 
 def _eval_group(compiled: tuple, points) -> np.ndarray:
     """Values of the compiled polynomials at points (..., 2), shape (..., n_polys)."""
-    exps, coeffs = compiled
+    exps, coeffs, deg = compiled
     pts = np.asarray(points, dtype=float)
     flat = pts.reshape(-1, 2)
     out = np.empty((flat.shape[0], coeffs.shape[1]))
-    deg = max(1, int(exps.max()))
     for start in range(0, flat.shape[0], _BLOCK):
         rows = flat[start : start + _BLOCK]
         # numpy hands a one-row product to gemv, which rounds apart from

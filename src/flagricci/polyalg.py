@@ -367,6 +367,36 @@ def value_at(p: list, r) -> Fraction:
     return out
 
 
+def _scaled(p: list, c: int, d: int) -> int:
+    """d^deg(p) p(c / d), by Horner's rule in integers.
+
+    _dyadic is this for d = 2^k; its shifts take half the time of these
+    products at the k of Sturm isolation, so it stays apart.
+    """
+    out, dk = 0, 1
+    for a in reversed(p):
+        out = out * c + a * dk
+        dk *= d
+    return out
+
+
+def value_at_xy(rows: list, x: Fraction, y: Fraction) -> Fraction:
+    """p(x, y) exactly, for p in Poly.in_y's form (rows[j] the integer
+    coefficients in x of y^j) at rational x = a / d and y = b / e.
+
+    Horner's rule on the cleared numerators: d^I p_j(a / d), with I the
+    highest power of x, then the same rule in y over those integers, so
+    one division by d^I e^J remains.
+    """
+    if not rows:
+        return Fraction(0)
+    x, y = Fraction(x), Fraction(y)
+    a, d, b, e = x.numerator, x.denominator, y.numerator, y.denominator
+    top = max(len(r) for r in rows) - 1
+    inner = [_scaled(r, a, d) * d ** (top + 1 - len(r)) for r in rows]
+    return Fraction(_scaled(inner, b, e), d**top * e ** (len(rows) - 1))
+
+
 def primitive(p: list) -> list:
     """p (integer or Fraction coefficients) scaled to coprime integer
     coefficients with a positive leading one."""

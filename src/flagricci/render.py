@@ -17,13 +17,7 @@ from .catalog import (
     SADDLE,
     reference_equilibria,
 )
-from .dynamics import (
-    BasinGrid,
-    _integrate_batch,
-    field_for,
-    random_interior_points,
-    separatrices,
-)
+from .dynamics import BasinGrid, phase_portrait, random_interior_points
 
 VIEW = 800
 MARGIN = 0.05 * VIEW
@@ -174,22 +168,18 @@ def portrait_svg(family: FamilyDescriptor, seed: int = 0, n_orbits: int = 12) ->
     diamonds; separatrices are dashed.  Sample orbits start from seeded
     random interior points, so identical seeds give identical output.
     """
-    field = field_for(family)
     out = _svg_header(f"portrait {_family_title(family)}")
     out.append(_simplex_outline())
 
     rng = np.random.default_rng(seed)
-    starts = random_interior_points(n_orbits, rng)
-    _, _, _, _, samples = _integrate_batch(field, starts, max_steps=4000, record=True)
-    for orbit in samples:
-        pts = _thin([(s[1], s[2]) for s in orbit])
-        line = _polyline(pts, ORBIT_STROKE, 1.0)
+    orbits, seps = phase_portrait(family, random_interior_points(n_orbits, rng))
+    for orbit in orbits:
+        line = _polyline(_thin(orbit), ORBIT_STROKE, 1.0)
         if line:
             out.append(line)
 
-    for sep in separatrices(family):
-        pts = _thin([(px, py) for px, py in sep.points])
-        line = _polyline(pts, SEPARATRIX_STROKE, 1.8, dashed=True)
+    for sep in seps:
+        line = _polyline(_thin(sep.points), SEPARATRIX_STROKE, 1.8, dashed=True)
         if line:
             out.append(line)
 

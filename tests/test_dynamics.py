@@ -57,18 +57,28 @@ def test_direction_validation():
         integrate_orbit(field, (0.3, 0.3), direction="sideways")
 
 
+TWO_STARTS = [(0.3, 0.3), (0.2, 0.25)]
+
+
 @pytest.mark.parametrize(
-    "start, kwargs, match",
+    "starts, kwargs, match",
     [
-        ((float("nan"), 0.3), {}, "finite"),
-        ((0.3, float("inf")), {}, "finite"),
-        ((2.0, 2.0), {}, "outside the closed simplex"),
-        ((-1e-6, 0.5), {}, "outside the closed simplex"),
-        ((0.3, 0.3), {"rtol": -1.0}, "rtol"),
-        ((0.3, 0.3), {"rtol": float("nan")}, "rtol"),
-        ((0.3, 0.3), {"atol": 0.0}, "atol"),
-        ((0.3, 0.3), {"max_time": 0.0}, "max_time"),
-        ((0.3, 0.3), {"max_steps": 0}, "max_steps"),
+        ([(float("nan"), 0.3)], {}, "finite"),
+        ([(0.3, float("inf"))], {}, "finite"),
+        ([(2.0, 2.0)], {}, "outside the closed simplex"),
+        ([(-1e-6, 0.5)], {}, "outside the closed simplex"),
+        ([(0.3, 0.3)], {"rtol": -1.0}, "rtol"),
+        ([(0.3, 0.3)], {"rtol": float("nan")}, "rtol"),
+        ([(0.3, 0.3)], {"atol": 0.0}, "atol"),
+        ([(0.3, 0.3)], {"max_time": 0.0}, "max_time"),
+        ([(0.3, 0.3)], {"max_steps": 0}, "max_steps"),
+        ([(0.3, 0.3)], {"max_steps": 2.5}, "max_steps"),
+        ([(0.3, 0.3)], {"direction": "sideways"}, "direction"),
+        (TWO_STARTS, {"direction": ["forward", "sideways"]}, "direction"),
+        (TWO_STARTS, {"direction": ["backward"]}, "direction has 1 entries"),
+        (TWO_STARTS, {"max_steps": [10, 0]}, "max_steps"),
+        (TWO_STARTS, {"max_steps": [-3, 10]}, "max_steps"),
+        (TWO_STARTS, {"max_steps": [10, 10, 10]}, "max_steps has 3 entries"),
     ],
     ids=[
         "nan-x",
@@ -80,12 +90,95 @@ def test_direction_validation():
         "zero-atol",
         "zero-max-time",
         "zero-max-steps",
+        "float-max-steps",
+        "sideways",
+        "sideways-row",
+        "short-direction-list",
+        "zero-max-steps-row",
+        "negative-max-steps-row",
+        "long-max-steps-list",
     ],
 )
-def test_integration_rejects_bad_input(start, kwargs, match):
+def test_integration_rejects_bad_input(starts, kwargs, match):
+    from flagricci import dynamics
+
     field = projected_field(SU211)
     with pytest.raises(ValueError, match=match):
-        integrate_orbit(field, start, **kwargs)
+        dynamics._integrate_batch(field, starts, **kwargs)
+    if len(starts) == 1 and all(np.ndim(v) == 0 for v in kwargs.values()):
+        with pytest.raises(ValueError, match=match):
+            integrate_orbit(field, starts[0], **kwargs)
+
+
+# (start, direction, budget) rows of one batch
+MIXED_ROWS = [
+    ((0.3, 0.25), "forward", 4000),
+    ((0.1, 0.7), "backward", 200000),
+    ((0.55, 0.05), "forward", 50),
+    ((0.2, 0.2), "backward", 7),
+    ((0.4, 0.3), "forward", 3),
+    ((1 / 6 + 1e-2, 1 / 3 - 1e-2), "backward", 200000),
+]
+
+
+@pytest.mark.parametrize("family", [SU211, G2], ids=lambda f: f"{f.id}{f.params}")
+def test_mixed_batch_rows_equal_their_orbits_alone(family):
+    from flagricci import dynamics
+
+    field = projected_field(family)
+    starts, dirs, budgets = (list(c) for c in zip(*MIXED_ROWS))
+    pos, t, status, steps, samples = dynamics._integrate_batch(
+        field, starts, direction=dirs, max_steps=budgets, record=True
+    )
+    for k, (start, direction, budget) in enumerate(MIXED_ROWS):
+        alone = integrate_orbit(field, start, direction=direction, max_steps=budget)
+        assert [s[:3] for s in alone.samples] == samples[k]
+        assert alone.terminal.position == tuple(pos[k].tolist())
+        assert alone.terminal.time_elapsed == t[k]
+        assert alone.terminal.reason == dynamics._REASONS[int(status[k])]
+        assert len(alone.samples) - 1 == steps[k]
+
+
+def test_row_out_of_budget_stops_while_others_run_on():
+    from flagricci import dynamics
+
+    field = projected_field(SU211)
+    starts, dirs, budgets = (list(c) for c in zip(*MIXED_ROWS))
+    _pos, _t, status, steps, _samples = dynamics._integrate_batch(
+        field, starts, direction=dirs, max_steps=budgets
+    )
+    short = budgets.index(3)
+    assert status[short] == dynamics.MAX_STEPS and steps[short] == 3
+    others = [k for k, b in enumerate(budgets) if b > 50]
+    assert all(steps[k] > 3 and status[k] != dynamics.MAX_STEPS for k in others)
+
+
+def test_trial_step_guard_is_per_row(monkeypatch):
+    from flagricci import dynamics
+
+    field = projected_field(SU211)
+    starts = [(0.3, 0.25)] * 2
+    # tolerances no step can meet: every trial step is rejected and the
+    # step shrinks until it underflows after some 16 trials
+    strict = {"rtol": 1e-300, "atol": 1e-300}
+    _pos, _t, status, steps, _ = dynamics._integrate_batch(field, starts, max_steps=[2, 5], **strict)
+    assert status.tolist() == [dynamics.MAX_STEPS, dynamics.UNDERFLOW]
+    assert steps.tolist() == [0, 0]
+    rows = []
+    step = dynamics._dp_step
+
+    def counting(field, p, *args):
+        rows.append(len(p))
+        return step(field, p, *args)
+
+    monkeypatch.setattr(dynamics, "_dp_step", counting)
+    dynamics._integrate_batch(field, starts, max_steps=[2, 3], **strict)
+    assert rows == [2] * 8 + [1] * 4
+
+
+def test_budget_beyond_int64_runs_like_the_default():
+    field = projected_field(SU211)
+    assert integrate_orbit(field, (0.3, 0.25), max_steps=10**20) == integrate_orbit(field, (0.3, 0.25))
 
 
 def test_integration_accepts_starts_on_the_closed_simplex():
@@ -397,6 +490,17 @@ def test_basin_resolution_validation():
         basin_map(SU211, 4096)
 
 
+@pytest.mark.parametrize("resolution, margin", [(16, 1e-3), (37, 0.05), (64, 1 / 64)])
+def test_basin_cells_follow_the_margin_rule(resolution, margin):
+    grid = basin_map(SU211, resolution, margin=margin)
+    centers = [(i + 0.5) / resolution for i in range(resolution)]
+    assert grid.xs == centers and grid.ys == centers
+    for iy, y in enumerate(centers):
+        for ix, x in enumerate(centers):
+            inside = x > margin and y > margin and x + y < 1.0 - margin
+            assert (grid.labels[iy][ix] is not None) == inside
+
+
 def test_basin_su211_labels():
     grid = basin_map(SU211, 24)
     assert grid.resolution == 24
@@ -494,8 +598,8 @@ def test_separatrix_integrated_once_with_its_own_limit(family, monkeypatch):
     monkeypatch.setattr(dynamics, "_integrate_batch", counting)
     seps = separatrices(family)
     monkeypatch.undo()
-    # one batch per direction, and every start runs in exactly one
-    assert len(batches) <= 2
+    # one batch for both directions, holding every start once
+    assert len(batches) == 1
     starts = [p for batch in batches for p in batch]
     assert sorted(starts) == sorted(s.points[0] for s in seps)
     # a second run from the same start reaches the very limit the record
@@ -528,3 +632,34 @@ def test_separatrix_tangent_to_invariant_segment():
         if s.saddle_label == "S" and s.manifold == "unstable":
             assert max(abs(p[1] - 0.5) for p in s.points) < 1e-9
             assert s.limit.label in {"K", "L"}
+
+
+def test_portrait_integrates_one_batch(monkeypatch):
+    from flagricci import dynamics
+    from flagricci.render import portrait_svg
+
+    calls = []
+    integrate = dynamics._integrate_batch
+
+    def counting(field, pts, *args, **kwargs):
+        calls.append(len(pts))
+        return integrate(field, pts, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_integrate_batch", counting)
+    svg = portrait_svg(G2, seed=3)
+    # 12 sample orbits and the 8 separatrices of g2u2
+    assert calls == [12 + 8]
+    assert svg.count("<polyline") == 12 + 8
+
+
+def test_phase_portrait_orbits_and_separatrices_equal_their_parts():
+    from flagricci import dynamics
+
+    field = projected_field(SO6)
+    starts = random_interior_points(5, np.random.default_rng(4))
+    orbits, seps = dynamics.phase_portrait(SO6, starts)
+    for start, orbit in zip(starts, orbits):
+        alone = integrate_orbit(field, start, max_steps=dynamics.PORTRAIT_MAX_STEPS)
+        assert [(x, y) for _t, x, y, _l in alone.samples] == orbit
+    assert seps == separatrices(SO6)
+    assert dynamics.phase_portrait(SO6, []) == ([], seps)

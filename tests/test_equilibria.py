@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagricci import equilibria
-from flagricci.catalog import EquilibriumRecord, reference_equilibria, so_family, su_family, type1_family
+from flagricci.catalog import (
+    TYPE1_IDS,
+    EquilibriumRecord,
+    family_from_id,
+    reference_equilibria,
+    so_family,
+    su_family,
+    type1_family,
+)
 from flagricci.equilibria import (
     FoundEquilibrium,
     classify_equilibrium,
@@ -21,7 +29,10 @@ from flagricci.equilibria import (
     verify_catalog,
 )
 from flagricci.flowgen import projected_field
-from flagricci.polyalg import variables
+from flagricci.polyalg import value_at_xy, variables
+
+TABLE_FAMILIES = [su_family(2, 1, 1), su_family(1, 1, 1), so_family(6), family_from_id("e6so8u1u1")]
+TABLE_FAMILIES += [family_from_id(fid) for fid in TYPE1_IDS]
 
 
 def test_classify_equilibrium_branches():
@@ -51,6 +62,22 @@ def test_jacobian_eigen_at_so_vertex():
     field = projected_field(so_family(6))
     eigs = jacobian_eigen(field, (Fraction(0), Fraction(1)))
     assert eigs == (6, 8)
+
+
+@pytest.mark.parametrize("family", TABLE_FAMILIES, ids=lambda f: f"{f.id}{f.params}")
+def test_jacobian_entries_by_integer_horner_equal_fraction_eval(family):
+    field = projected_field(family)
+    rng = random.Random(f"{family.id}{family.params}")
+    points = [(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1, 3)), (3, Fraction(-5, 11))]
+    points += [
+        (Fraction(rng.randint(-99, 99), rng.randint(1, 10**6)), Fraction(rng.randint(-99, 99), rng.randint(1, 10**6)))
+        for _ in range(20)
+    ]
+    points += [eq.exact for eq in find_equilibria(field) if eq.exact is not None]
+    for q in (field.du_dx, field.du_dy, field.dv_dx, field.dv_dy):
+        rows = q.in_y()
+        for x, y in points:
+            assert value_at_xy(rows, x, y) == q.eval((x, y))
 
 
 def test_find_equilibria_su211_complete():

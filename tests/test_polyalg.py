@@ -17,6 +17,7 @@ from flagricci.polyalg import (
     squarefree,
     subresultant,
     value_at,
+    value_at_xy,
     variables,
 )
 
@@ -318,3 +319,17 @@ def test_sign_at_irrational_root():
     assert sign_at([-70, 99], p, root) == 1
     # 2^140 (2x^2 - 1) - 1 vanishes ~1e-43 above it, inside the interval
     assert sign_at([-(2**140) - 1, 0, 2**141], p, root) == -1
+
+
+def test_value_at_xy_by_hand():
+    x, y = variables(2)
+    p = 3 * x**2 * y - 2 * y**3 + 5 * x - 7
+    rows = p.in_y()
+    assert rows == [[-7, 5], [0, 0, 3], [], [-2]]
+    for point in ((Fraction(1, 2), Fraction(-2, 3)), (2, 0), (Fraction(-9, 4), 5), (0, 0)):
+        assert value_at_xy(rows, *point) == p.eval(point)
+    assert value_at_xy(rows, Fraction(1, 2), Fraction(-2, 3)) == Fraction(3, 4) * Fraction(-2, 3) + Fraction(
+        16, 27
+    ) + Fraction(5, 2) - 7
+    assert value_at_xy(Poly.zero(2).in_y(), Fraction(1, 3), 2) == 0
+    assert value_at_xy(Poly.constant(4, 2).in_y(), Fraction(1, 3), 2) == 4

@@ -15,13 +15,15 @@ import json
 import sys
 from typing import Optional
 
-from .catalog import family_from_id, gh_catalog, list_families, reference_equilibria
-from .dynamics import basin_map, field_for, integrate_orbit
+from .catalog import bracket_table, family_from_id, gh_catalog, list_families, reference_equilibria
+from .dynamics import (
+    BASIN_MARGIN, ORBIT_ATOL, ORBIT_MAX_STEPS, ORBIT_MAX_TIME, ORBIT_RTOL,
+    basin_map, field_for, integrate_orbit,
+)
 from .equilibria import find_equilibria, verify_catalog
 from .flowgen import projected_field
 from .ghlimit import classify_limit, kernel_summands, subalgebra_closure
-from .catalog import bracket_table
-from .render import basins_svg, portrait_svg
+from .render import PORTRAIT_ORBITS, basins_svg, portrait_svg
 
 
 class UsageError(Exception):
@@ -191,7 +193,10 @@ def _cmd_portrait(args) -> int:
     fam = _resolve_family(args)
     if not args.out:
         raise UsageError("portrait emits SVG and requires --out <path>")
-    svg = portrait_svg(fam, seed=args.seed, n_orbits=args.orbits)
+    try:
+        svg = portrait_svg(fam, seed=args.seed, n_orbits=args.orbits)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     with open(args.out, "w") as fh:
         fh.write(svg)
     return 0
@@ -273,17 +278,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x0", type=float, required=True)
     sp.add_argument("--y0", type=float, required=True)
     sp.add_argument("--backward", action="store_true")
-    sp.add_argument("--rtol", type=float, default=1e-10)
-    sp.add_argument("--atol", type=float, default=1e-12)
-    sp.add_argument("--max-time", type=float, default=1e4)
-    sp.add_argument("--max-steps", type=int, default=200000)
+    sp.add_argument("--rtol", type=float, default=ORBIT_RTOL)
+    sp.add_argument("--atol", type=float, default=ORBIT_ATOL)
+    sp.add_argument("--max-time", type=float, default=ORBIT_MAX_TIME)
+    sp.add_argument("--max-steps", type=int, default=ORBIT_MAX_STEPS)
     sp.add_argument("--out")
     sp.set_defaults(handler=_cmd_orbit, usage_parser=sp)
 
     sp = sub.add_parser("basins", help="basin-of-attraction grid, CSV plus optional SVG")
     _add_family_flags(sp)
     sp.add_argument("--res", type=int, required=True)
-    sp.add_argument("--margin", type=float, default=1e-3)
+    sp.add_argument("--margin", type=float, default=BASIN_MARGIN)
     sp.add_argument("--svg", help="also write an SVG heat map to this path")
     sp.add_argument("--out")
     sp.set_defaults(handler=_cmd_basins, usage_parser=sp)
@@ -292,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(sp)
     sp.add_argument("--out", required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--orbits", type=int, default=12)
+    sp.add_argument("--orbits", type=int, default=PORTRAIT_ORBITS)
     sp.set_defaults(handler=_cmd_portrait, usage_parser=sp)
 
     sp = sub.add_parser("gh-limit", help="classify the collapse limit at a boundary point")

@@ -16,8 +16,10 @@ does not depend on the batch it runs in.  A batch takes each row's
 direction and step budget, the direction as the sign of its step: a
 phase portrait's sample orbits and its forward and backward separatrices
 run as one batch, and each equals its orbit integrated alone.
-Basin labels come from one nearest-attractor match over all cells, and
-the revisit scan of the monotonicity check walks its
+Orbit limits and basin labels come from one rule (_limits): a stalled
+or clamped end within MATCH_TOL of a found equilibrium.  Basin labels
+name the attractors among those limits, matched over all cells at once,
+and the revisit scan of the monotonicity check walks its
 distance matrix in blocks of rows.
 """
 
@@ -34,12 +36,17 @@ import numpy as np
 from .catalog import ATTRACTOR, SADDLE, FamilyDescriptor
 from .equilibria import EquilibriumList, find_equilibria, nearest
 from .flowgen import ProjectedField, keep_rows, lyapunov_planar, projected_field, row_max_abs
+from .polyalg import restrict_to_line
 
 STALL_TOL = 1e-9
 # shortest step whose displacement alone can tell a stall (see _integrate_batch)
 STALL_STEP = 1e-6
 BOUNDARY_EXIT_TOL = 1e-9
 MATCH_TOL = 1e-6
+# basin cells lie more than this inside every edge
+BASIN_MARGIN = 1e-3
+# an orbit's default tolerances and time budget
+ORBIT_RTOL, ORBIT_ATOL, ORBIT_MAX_TIME = 1e-10, 1e-12, 1e4
 # step budgets: an orbit or separatrix, a basin cell, a portrait's sample orbit
 ORBIT_MAX_STEPS = 200000
 BASIN_MAX_STEPS = 10000
@@ -269,9 +276,9 @@ def _integrate_batch(
     field: ProjectedField,
     pts,
     direction="forward",
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    max_time: float = 1e4,
+    rtol: float = ORBIT_RTOL,
+    atol: float = ORBIT_ATOL,
+    max_time: float = ORBIT_MAX_TIME,
     max_steps=ORBIT_MAX_STEPS,
     record: bool = False,
 ):
@@ -361,36 +368,34 @@ def _integrate_batch(
     return pos, t, status, steps, samples
 
 
-def _terminal_outcome(family, pos, t, code) -> LimitOutcome:
-    """Match the terminal point against the family's computed zero set.
+def _limits(family, pos, status) -> tuple:
+    """Each point's limit among the family's computed zero set.
 
-    A stalled or boundary-clamped endpoint within MATCH_TOL of a found
-    equilibrium is an Equilibrium outcome carrying its label; anything
-    else is Undetermined, including a stall with no equilibrium nearby
-    (which would mean the search missed a zero, and deserves suspicion
-    rather than a made-up label).
+    Returns its index into equilibria_for(family), -1 for none, and its
+    distance to the nearest found equilibrium.  A stalled or
+    boundary-clamped endpoint within MATCH_TOL of a found equilibrium
+    has that limit; anything else has none, including a stall with no
+    equilibrium nearby (which would mean the search missed a zero, and
+    deserves suspicion rather than a made-up label).
     """
-    reason = _REASONS.get(int(code), "unknown")
+    idx, dist = nearest(pos, [eq.position for eq in equilibria_for(family)])
+    hit = np.isin(status, (STALLED, BOUNDARY)) & (dist <= MATCH_TOL)
+    return np.where(hit, idx, -1), dist
+
+
+def _terminal_outcome(family, pos, t, code) -> LimitOutcome:
+    """The terminal point's limit: an Equilibrium outcome carrying its
+    label, or Undetermined (see _limits)."""
     p = (float(pos[0]), float(pos[1]))
-    eqs = equilibria_for(family)
-    idx, d = nearest([p], [eq.position for eq in eqs])
-    dist = float(d[0])
-    if code in (STALLED, BOUNDARY) and dist <= MATCH_TOL:
-        return LimitOutcome(
-            kind="Equilibrium",
-            label=eqs[int(idx[0])].name,
-            position=p,
-            distance=dist,
-            time_elapsed=float(t),
-            reason=reason,
-        )
+    lim, dist = _limits(family, [p], [code])
+    j = int(lim[0])
     return LimitOutcome(
-        kind="Undetermined",
-        label=None,
+        kind="Equilibrium" if j >= 0 else "Undetermined",
+        label=equilibria_for(family)[j].name if j >= 0 else None,
         position=p,
-        distance=dist,
+        distance=float(dist[0]),
         time_elapsed=float(t),
-        reason=reason,
+        reason=_REASONS.get(int(code), "unknown"),
     )
 
 
@@ -398,9 +403,9 @@ def integrate_orbit(
     field: ProjectedField,
     p0,
     direction: str = "forward",
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    max_time: float = 1e4,
+    rtol: float = ORBIT_RTOL,
+    atol: float = ORBIT_ATOL,
+    max_time: float = ORBIT_MAX_TIME,
     max_steps: int = ORBIT_MAX_STEPS,
 ) -> Trajectory:
     """Single orbit of the cleared field with dense samples.
@@ -428,23 +433,29 @@ def integrate_orbit(
 
 
 def limit_of_orbit(field: ProjectedField, p0, direction: str = "forward") -> LimitOutcome:
-    """Forward or backward limit, matched against the computed zero set."""
-    return integrate_orbit(field, p0, direction=direction).terminal
+    """Forward or backward limit: integrate_orbit's terminal outcome, without its samples."""
+    pos, t, status, _steps, _ = _integrate_batch(field, [p0], direction=direction)
+    return _terminal_outcome(field.family, pos[0], t[0], status[0])
 
 
-def basin_map(family: FamilyDescriptor, resolution: int, margin: float = 1e-3) -> BasinGrid:
+def basin_map(family: FamilyDescriptor, resolution: int, margin: float = BASIN_MARGIN) -> BasinGrid:
     """Forward-limit label for every cell center strictly inside S.
 
     Labels name attractors only; anything else (saddle crawl, budget
     exhaustion, unmatched terminal point) is Undetermined.  A cell's
     result does not depend on the batch it runs in: it is the orbit
     integrate_orbit gives from the cell center with the same budget.
+    Raises ValueError for a margin outside [0, 1/3): a negative one puts
+    cells outside S, and one of 1/3 or more leaves no cell.
     """
     if not 16 <= resolution <= 2048:
         raise ValueError("resolution must lie in [16, 2048]")
+    if not 0 <= margin < 1 / 3:
+        raise ValueError(f"margin must be finite and in [0, 1/3), got {margin!r}")
     field = field_for(family)
     eqs = equilibria_for(family)
-    attractors = [eq for eq in eqs if eq.stability == ATTRACTOR]
+    # the name of each limit that is an attractor, Undetermined for the rest
+    names = [eq.name if eq.stability == ATTRACTOR else "Undetermined" for eq in eqs]
 
     centers = (np.arange(resolution) + 0.5) / resolution
     # the cells strictly inside the margin, row by row (iy outer, ix inner)
@@ -453,17 +464,12 @@ def basin_map(family: FamilyDescriptor, resolution: int, margin: float = 1e-3) -
         & (centers[:, None] > margin)
         & (centers[None, :] + centers[:, None] < 1.0 - margin)
     )
-    names = [a.name for a in attractors]
     labels = np.full((resolution, resolution), None, dtype=object)
     if iy.size:
         cells = np.stack([centers[ix], centers[iy]], axis=1)
         pos, _t, status, _steps, _ = _integrate_batch(field, cells, max_steps=BASIN_MAX_STEPS)
-        # index len(attractors) stands for Undetermined
-        pick = np.full(len(cells), len(attractors))
-        j, d = nearest(pos, [a.position for a in attractors])
-        hit = np.isin(status, (STALLED, BOUNDARY)) & (d <= MATCH_TOL)
-        pick[hit] = j[hit]
-        labels[iy, ix] = np.array(names + ["Undetermined"], dtype=object)[pick]
+        # the last entry, index -1, stands for no limit
+        labels[iy, ix] = np.array(names + ["Undetermined"], dtype=object)[_limits(family, pos, status)[0]]
     xs = centers.tolist()
     return BasinGrid(
         family=family,
@@ -471,7 +477,7 @@ def basin_map(family: FamilyDescriptor, resolution: int, margin: float = 1e-3) -
         labels=labels.tolist(),
         xs=xs,
         ys=xs,
-        attractor_labels=names,
+        attractor_labels=[eq.name for eq in eqs if eq.stability == ATTRACTOR],
     )
 
 
@@ -559,66 +565,30 @@ def phase_portrait(family: FamilyDescriptor, starts) -> tuple:
 # symbolic invariance identities
 
 
-def _poly_divisible_by_var(poly, var_index: int) -> bool:
-    return all(e[var_index] >= 1 for e in poly.terms)
-
-
-def _restrict_line(poly, const: Fraction, slope: Fraction) -> dict:
-    """Coefficients of p(x, const + slope*x) as a dict {power: Fraction}."""
-    out: dict = {}
-    for (a, b), c in poly.terms.items():
-        # (const + slope x)^b expanded exactly
-        for k in range(b + 1):
-            coeff = (
-                c
-                * math.comb(b, k)
-                * (const ** (b - k))
-                * (slope ** k)
-            )
-            if coeff == 0:
-                continue
-            key = a + k
-            out[key] = out.get(key, Fraction(0)) + coeff
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _restrict_vertical(poly, x0: Fraction) -> dict:
-    """Coefficients of p(x0, y) as a dict {power: Fraction}."""
-    out: dict = {}
-    for (a, b), c in poly.terms.items():
-        coeff = c * (x0 ** a)
-        if coeff == 0:
-            continue
-        out[b] = out.get(b, Fraction(0)) + coeff
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def edge_invariance_check(family: FamilyDescriptor, field: Optional[ProjectedField] = None) -> EdgeInvarianceReport:
+def edge_invariance_check(family: FamilyDescriptor) -> EdgeInvarianceReport:
     """Exact polynomial identities for the invariant segments.
 
     Boundary edges (three identities, every family): x divides u,
     y divides v, and u+v vanishes on the hypotenuse y = 1-x.  The
     three mid-segment identities (v on y=1/2, u on x=1/2, normal
     component on x+y=1/2) hold for the families with all-equal or
-    paired summand dimensions and are only asserted there.
+    paired summand dimensions and are only asserted there.  Each is
+    the restriction of u, v or u+v to its line vanishing identically.
     """
-    if field is None:
-        field = field_for(family)
-    u, v = field.u, field.v
-    upv = u + v
+    field = field_for(family)
+    u, v, upv = (p.in_y() for p in (field.u, field.v, field.u + field.v))
+    half = Fraction(1, 2)
     identities = [
-        ("x_divides_u", _poly_divisible_by_var(u, 0)),
-        ("y_divides_v", _poly_divisible_by_var(v, 1)),
-        ("u_plus_v_on_hypotenuse", not _restrict_line(upv, Fraction(1), Fraction(-1))),
+        ("x_divides_u", not restrict_to_line(u, (0, 0), (0, 1))),
+        ("y_divides_v", not restrict_to_line(v, (0, 0), (1, 0))),
+        ("u_plus_v_on_hypotenuse", not restrict_to_line(upv, (1, 0), (-1, 1))),
     ]
     if family.is_type_two:
-        identities.extend(
-            [
-                ("v_on_segment_KL", not _restrict_line(v, Fraction(1, 2), Fraction(0))),
-                ("u_on_segment_LM", not _restrict_vertical(u, Fraction(1, 2))),
-                ("normal_on_segment_MK", not _restrict_line(upv, Fraction(1, 2), Fraction(-1))),
-            ]
-        )
+        identities += [
+            ("v_on_segment_KL", not restrict_to_line(v, (0, half), (1, 0))),
+            ("u_on_segment_LM", not restrict_to_line(u, (half, 0), (0, 1))),
+            ("normal_on_segment_MK", not restrict_to_line(upv, (half, 0), (-1, 1))),
+        ]
     return EdgeInvarianceReport(family=family, identities=identities)
 
 

@@ -23,7 +23,7 @@ from .catalog import (
     FamilyDescriptor,
     reference_equilibria,
 )
-from .flowgen import ProjectedField, row_max_abs
+from .flowgen import ProjectedField, projected_field, row_max_abs
 from .polyalg import gcd, primitive, real_roots, sign_at, squarefree, subresultant, sub, value_at, value_at_xy
 
 NONHYPERBOLIC = "nonhyperbolic"
@@ -280,7 +280,7 @@ def _eigen_rel_error(found: tuple, ref: tuple) -> float:
     return err
 
 
-def verify_catalog(family: FamilyDescriptor, field: Optional[ProjectedField] = None) -> VerificationReport:
+def verify_catalog(family: FamilyDescriptor) -> VerificationReport:
     """Check every reference equilibrium against the computed zero set.
 
     A record passes when a zero sits within its position tolerance, the
@@ -288,10 +288,7 @@ def verify_catalog(family: FamilyDescriptor, field: Optional[ProjectedField] = N
     the stability class matches.  Points where the Jacobian vanishes
     identically are classified through the radial probe instead.
     """
-    from .flowgen import projected_field as _pf
-
-    if field is None:
-        field = _pf(family)
+    field = projected_field(family)
     found = find_equilibria(field)
     report = VerificationReport(family=family, field_degree=field.degree())
     used = set()

@@ -397,6 +397,24 @@ def value_at_xy(rows: list, x: Fraction, y: Fraction) -> Fraction:
     return Fraction(_scaled(inner, b, e), d**top * e ** (len(rows) - 1))
 
 
+def restrict_to_line(rows: list, point, direction) -> list:
+    """p(x0 + dx t, y0 + dy t) as coefficients in t, lowest degree first,
+    for p in Poly.in_y's form, a rational point (x0, y0) and a rational
+    direction (dx, dy).  Empty exactly when p vanishes on the line.
+
+    Horner's rule in x on each row, then in y over the rows, every step
+    a product with the line's linear polynomial in t.
+    """
+    (x0, y0), (dx, dy) = point, direction
+    out: list = []
+    for row in reversed(rows):
+        inner: list = []
+        for a in reversed(row):
+            inner = sub([a], _mul(inner, [-x0, -dx]))
+        out = sub(inner, _mul(out, [-y0, -dy]))
+    return out
+
+
 def primitive(p: list) -> list:
     """p (integer or Fraction coefficients) scaled to coprime integer
     coefficients with a positive leading one."""

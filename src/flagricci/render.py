@@ -29,6 +29,8 @@ SEPARATRIX_STROKE = "#cc3333"
 MARKER_FILL = {ATTRACTOR: "#2266cc", REPELLER: "#cc3333", SADDLE: "#22aa55"}
 MARKER_SIZE = 7.0
 UNDETERMINED_FILL = "#bbbbbb"
+# sample orbits per phase portrait
+PORTRAIT_ORBITS = 12
 
 # basin fill colors, assigned to attractor labels in sorted order
 BASIN_PALETTE = (
@@ -161,13 +163,17 @@ def _thin(points, limit: int = 400):
     return [points[i] for i in idx]
 
 
-def portrait_svg(family: FamilyDescriptor, seed: int = 0, n_orbits: int = 12) -> str:
+def portrait_svg(family: FamilyDescriptor, seed: int = 0, n_orbits: int = PORTRAIT_ORBITS) -> str:
     """Phase portrait: sample orbits, separatrices, equilibrium markers.
 
     Attractors are drawn as circles, repellers as squares, saddles as
     diamonds; separatrices are dashed.  Sample orbits start from seeded
     random interior points, so identical seeds give identical output.
+    Raises ValueError for a negative seed or orbit count.
     """
+    for name, value in (("seed", seed), ("orbit count", n_orbits)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value!r}")
     out = _svg_header(f"portrait {_family_title(family)}")
     out.append(_simplex_outline())
 

@@ -223,6 +223,23 @@ def test_basins_rejects_bad_resolution(capsys):
     assert "error" in err and "usage" in err
 
 
+@pytest.mark.parametrize("margin", ["nan", "inf", "-inf", "-0.5", "0.3333333333333333334", "0.5"])
+def test_basins_rejects_bad_margin(capsys, margin):
+    code, out, err = run(capsys, "basins", "--family", "g2u2", "--res", "16", f"--margin={margin}")
+    assert code == 2
+    assert out == ""
+    message, usage = err.split("\n", 1)
+    assert message.startswith("flagricci basins: error: margin must be finite and in [0, 1/3)")
+    assert usage.startswith("usage: flagricci basins")
+
+
+def test_basins_accepts_zero_margin(capsys):
+    code, out, _ = run(capsys, "basins", "--family", "g2u2", "--res", "16", "--margin", "0")
+    assert code == 0
+    # every cell centre with x + y < 1
+    assert len(out.splitlines()) == 1 + 15 * 16 // 2
+
+
 # ----------------------------------------------------------------------
 # portrait and gh-limit
 
@@ -247,6 +264,21 @@ def test_portrait_requires_out(capsys):
     code, _, err = run(capsys, "portrait", "--family", "g2u2")
     assert code == 2
     assert "usage" in err
+
+
+@pytest.mark.parametrize(
+    "flags, what",
+    [(["--seed", "-1"], "seed"), (["--orbits", "-3"], "orbit count")],
+    ids=["negative-seed", "negative-orbits"],
+)
+def test_portrait_rejects_negative_counts(tmp_path, capsys, flags, what):
+    out_path = tmp_path / "portrait.svg"
+    code, out, err = run(capsys, "portrait", "--family", "g2u2", "--out", str(out_path), *flags)
+    assert code == 2
+    assert out == "" and not out_path.exists()
+    message, usage = err.split("\n", 1)
+    assert message.startswith(f"flagricci portrait: error: {what} must be non-negative")
+    assert usage.startswith("usage: flagricci portrait")
 
 
 def test_gh_limit_json(capsys):

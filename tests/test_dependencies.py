@@ -2,6 +2,7 @@
 
 sympy and scipy may serve as scratch oracles, never as dependencies of
 src: this test reads every module's imports with ast, so none slips in.
+No module imports another's private (underscore-prefixed) names either.
 """
 
 import ast
@@ -25,6 +26,17 @@ def _imported_roots(tree: ast.AST) -> set:
     return roots
 
 
+def _private_imports(tree: ast.AST) -> set:
+    """Underscore-prefixed names imported from flagricci modules."""
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "flagricci")
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_only_stdlib_numpy_and_flagricci(path):
     roots = _imported_roots(ast.parse(path.read_text(), filename=str(path)))
@@ -36,3 +48,17 @@ def test_import_scan_sees_every_form():
     tree = ast.parse("import scipy.linalg\nfrom sympy import Matrix\nfrom . import polyalg\nimport os, numpy as np\n")
     assert _imported_roots(tree) == {"scipy", "sympy", "os", "numpy"}
     assert len(list(SRC.glob("*.py"))) >= 9
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_no_private_name_of_another_module(path):
+    private = sorted(_private_imports(ast.parse(path.read_text(), filename=str(path))))
+    assert not private, f"{path.name} imports {private}"
+
+
+def test_private_import_scan_sees_every_form():
+    tree = ast.parse(
+        "from .polyalg import _mul, sub\nfrom . import _x\nfrom flagricci.dynamics import _limits\n"
+        "from numpy import _core\n"
+    )
+    assert _private_imports(tree) == {"_mul", "_x", "_limits"}

@@ -7,6 +7,7 @@ import pytest
 
 from flagricci import (
     basin_map,
+    dynamics,
     edge_invariance_check,
     family_from_id,
     integrate_orbit,
@@ -16,6 +17,7 @@ from flagricci import (
     random_interior_points,
     separatrices,
 )
+from flagricci.polyalg import restrict_to_line
 
 SU211 = family_from_id("su", (2, 1, 1))
 SU111 = family_from_id("su", (1, 1, 1))
@@ -248,6 +250,17 @@ def test_interior_equilibrium_orbit_is_constant():
         assert abs(y - 1 / 3) < 1e-9
 
 
+@pytest.mark.parametrize("start", [(0.49, 0.49), (0.2, 0.3)])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_limit_of_orbit_skips_lyapunov_and_equals_the_orbit_terminal(monkeypatch, start, direction):
+    field = projected_field(SU211)
+    expected = integrate_orbit(field, start, direction=direction).terminal
+    calls = []
+    monkeypatch.setattr(dynamics, "lyapunov_planar", lambda *a: calls.append(a))
+    assert limit_of_orbit(field, start, direction=direction) == expected
+    assert calls == []
+
+
 def test_terminal_outcome_shape():
     field = projected_field(SU211)
     out = limit_of_orbit(field, (0.49, 0.49))
@@ -404,6 +417,24 @@ def test_edge_invariance_identity_names():
     ]
     names = [name for name, _ in edge_invariance_check(G2).identities]
     assert names == ["x_divides_u", "y_divides_v", "u_plus_v_on_hypotenuse"]
+
+
+# the mid-segment lines of edge_invariance_check: the polynomial restricted
+# (u, v or u + v), a point and a direction
+MID_SEGMENTS = {
+    "v_on_segment_KL": ("v", (0, Fraction(1, 2)), (1, 0)),
+    "u_on_segment_LM": ("u", (Fraction(1, 2), 0), (0, 1)),
+    "normal_on_segment_MK": ("u+v", (Fraction(1, 2), 0), (-1, 1)),
+}
+
+
+@pytest.mark.parametrize("family", all_test_families(), ids=lambda f: f.id + str(f.params))
+def test_mid_segment_lines_are_invariant_exactly_for_type_two(family):
+    """Each Type I family fails all three mid-segment identities."""
+    field = projected_field(family)
+    polys = {"u": field.u, "v": field.v, "u+v": field.u + field.v}
+    for name, (which, point, direction) in MID_SEGMENTS.items():
+        assert bool(restrict_to_line(polys[which].in_y(), point, direction)) != family.is_type_two, name
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ from flagricci.polyalg import (
     primitive,
     pseudo_rem,
     real_roots,
+    restrict_to_line,
     sign_at,
     squarefree,
     subresultant,
@@ -333,3 +334,46 @@ def test_value_at_xy_by_hand():
     ) + Fraction(5, 2) - 7
     assert value_at_xy(Poly.zero(2).in_y(), Fraction(1, 3), 2) == 0
     assert value_at_xy(Poly.constant(4, 2).in_y(), Fraction(1, 3), 2) == 4
+
+
+_line_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    p=_bivariate(3, 3),
+    point=st.tuples(_line_rationals, _line_rationals),
+    direction=st.tuples(_line_rationals, _line_rationals),
+    t=_line_rationals,
+)
+def test_restrict_to_line_agrees_with_eval(p, point, direction, t):
+    (x0, y0), (dx, dy) = point, direction
+    assert value_at(restrict_to_line(p.in_y(), point, direction), t) == p.eval((x0 + dx * t, y0 + dy * t))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    q=_bivariate(2, 2),
+    point=st.tuples(_line_rationals, _line_rationals),
+    direction=st.tuples(_line_rationals, _line_rationals).filter(any),
+)
+def test_restrict_to_line_is_empty_on_a_factor_line(q, point, direction):
+    """A multiple of the line's equation restricts to the empty list."""
+    (x0, y0), (dx, dy) = point, direction
+    x, y = variables(2)
+    line = dy * (x - x0) - dx * (y - y0)
+    p = line * q * math.lcm(*(c.denominator for c in line.terms.values()))
+    assert restrict_to_line(p.in_y(), point, direction) == []
+    assert restrict_to_line((p + 1).in_y(), point, direction) == [1]
+
+
+def test_restrict_to_line_by_hand():
+    x, y = variables(2)
+    # x y - 1 on (1, 0) + t (-1, 1): (1 - t) t - 1
+    assert restrict_to_line((x * y - 1).in_y(), (1, 0), (-1, 1)) == [-1, 1, -1]
+    # x (x + y - 1) vanishes on the hypotenuse and on x = 0
+    rows = (x * (x + y - 1)).in_y()
+    assert restrict_to_line(rows, (1, 0), (-1, 1)) == []
+    assert restrict_to_line(rows, (0, 0), (0, 1)) == []
+    assert restrict_to_line(rows, (0, Fraction(1, 2)), (1, 0)) == [0, Fraction(-1, 2), 1]
+    assert restrict_to_line(Poly.zero(2).in_y(), (0, 0), (1, 0)) == []

@@ -233,13 +233,6 @@ def test_basins_rejects_bad_margin(capsys, margin):
     assert usage.startswith("usage: flagricci basins")
 
 
-def test_basins_accepts_zero_margin(capsys):
-    code, out, _ = run(capsys, "basins", "--family", "g2u2", "--res", "16", "--margin", "0")
-    assert code == 0
-    # every cell centre with x + y < 1
-    assert len(out.splitlines()) == 1 + 15 * 16 // 2
-
-
 # ----------------------------------------------------------------------
 # portrait and gh-limit
 

@@ -521,7 +521,7 @@ def test_basin_resolution_validation():
         basin_map(SU211, 4096)
 
 
-@pytest.mark.parametrize("resolution, margin", [(16, 1e-3), (37, 0.05), (64, 1 / 64)])
+@pytest.mark.parametrize("resolution, margin", [(16, 1e-3), (37, 0.05), (64, 1 / 64), (16, 0.0), (37, 0.3)])
 def test_basin_cells_follow_the_margin_rule(resolution, margin):
     grid = basin_map(SU211, resolution, margin=margin)
     centers = [(i + 0.5) / resolution for i in range(resolution)]

@@ -430,7 +430,7 @@ MID_SEGMENTS = {
 
 @pytest.mark.parametrize("family", all_test_families(), ids=lambda f: f.id + str(f.params))
 def test_mid_segment_lines_are_invariant_exactly_for_type_two(family):
-    """Each Type I family fails all three mid-segment identities."""
+    """The mid-segment lines are invariant for every Type II family and no Type I one."""
     field = projected_field(family)
     polys = {"u": field.u, "v": field.v, "u+v": field.u + field.v}
     for name, (which, point, direction) in MID_SEGMENTS.items():

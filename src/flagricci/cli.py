@@ -5,7 +5,8 @@ gh-limit, verify.  JSON and CSV artifacts go to stdout unless --out is
 given; SVG artifacts always require a file path.  Identical flags (and
 seed) produce byte-identical output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error or an
+output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -26,8 +27,12 @@ from .ghlimit import classify_limit, kernel_summands, subalgebra_closure
 from .render import PORTRAIT_ORBITS, basins_svg, portrait_svg
 
 
-class UsageError(Exception):
-    """Bad flag combination or value; reported with the usage block."""
+class UsageError(ValueError):
+    """Bad flag combination or value; reported with the usage block.
+
+    main reports every ValueError this way, as the library raises it for
+    the input it rejects.
+    """
 
 
 # ----------------------------------------------------------------------
@@ -52,10 +57,7 @@ def _resolve_family(args):
             params = tuple(int(tok) for tok in args.params.split(","))
         except ValueError:
             raise UsageError(f"--params must be comma-separated integers, got {args.params!r}")
-    try:
-        return family_from_id(args.family, params)
-    except (ValueError, KeyError) as exc:
-        raise UsageError(str(exc))
+    return family_from_id(args.family, params)
 
 
 def _eig_pairs(eigs) -> Optional[list]:
@@ -106,10 +108,7 @@ def _family_json(fam) -> dict:
 # subcommand handlers
 
 def _cmd_families(args) -> int:
-    try:
-        fams = list_families(mnp_bound=args.mnp_bound, ell_bound=args.ell_bound)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    fams = list_families(mnp_bound=args.mnp_bound, ell_bound=args.ell_bound)
     doc = {"schema": 1, "families": [_family_json(f) for f in fams]}
     _emit(_json_text(doc), args.out)
     return 0
@@ -150,18 +149,15 @@ def _cmd_orbit(args) -> int:
     # the same cached field
     field = field_for(fam)
     direction = "backward" if args.backward else "forward"
-    try:
-        traj = integrate_orbit(
-            field,
-            (args.x0, args.y0),
-            direction=direction,
-            rtol=args.rtol,
-            atol=args.atol,
-            max_time=args.max_time,
-            max_steps=args.max_steps,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    traj = integrate_orbit(
+        field,
+        (args.x0, args.y0),
+        direction=direction,
+        rtol=args.rtol,
+        atol=args.atol,
+        max_time=args.max_time,
+        max_steps=args.max_steps,
+    )
     rows = ["t,x,y,L"]
     for t, x, y, lv in traj.samples:
         rows.append(f"{t!r},{x!r},{y!r},{lv!r}")
@@ -171,10 +167,7 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_basins(args) -> int:
     fam = _resolve_family(args)
-    try:
-        grid = basin_map(fam, args.res, margin=args.margin)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    grid = basin_map(fam, args.res, margin=args.margin)
     rows = ["ix,iy,x,y,label"]
     for iy in range(grid.resolution):
         for ix in range(grid.resolution):
@@ -193,10 +186,7 @@ def _cmd_portrait(args) -> int:
     fam = _resolve_family(args)
     if not args.out:
         raise UsageError("portrait emits SVG and requires --out <path>")
-    try:
-        svg = portrait_svg(fam, seed=args.seed, n_orbits=args.orbits)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    svg = portrait_svg(fam, seed=args.seed, n_orbits=args.orbits)
     with open(args.out, "w") as fh:
         fh.write(svg)
     return 0
@@ -204,11 +194,9 @@ def _cmd_portrait(args) -> int:
 
 def _cmd_gh_limit(args) -> int:
     fam = _resolve_family(args)
-    try:
-        kernel = kernel_summands((args.x, args.y))
-        label = classify_limit(fam, (args.x, args.y))
-    except ValueError as exc:  # an interior (NotDegenerate) or invalid point
-        raise UsageError(str(exc))
+    # an interior (NotDegenerate) or invalid point raises ValueError
+    kernel = kernel_summands((args.x, args.y))
+    label = classify_limit(fam, (args.x, args.y))
     closure = subalgebra_closure(bracket_table(fam), kernel)
     doc = {
         "schema": 1,
@@ -324,9 +312,12 @@ def main(argv=None) -> int:
         return int(code) if code is not None else 0
     try:
         return args.handler(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"flagricci {args.command}: error: {exc}", file=sys.stderr)
         print(args.usage_parser.format_usage(), end="", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an --out or --svg path that cannot be written
+        print(f"flagricci {args.command}: error: {exc}", file=sys.stderr)
         return 2
 
 

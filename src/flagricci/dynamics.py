@@ -425,8 +425,9 @@ def integrate_orbit(
         max_steps=max_steps,
         record=True,
     )
+    _t, x, y = np.array(samples[0]).T
     return Trajectory(
-        samples=[s + (lyapunov_planar(field.family, s[1], s[2]),) for s in samples[0]],
+        samples=[s + (lv,) for s, lv in zip(samples[0], lyapunov_planar(field.family, x, y).tolist())],
         direction=direction,
         terminal=_terminal_outcome(field.family, pos[0], t[0], status[0]),
     )
@@ -445,8 +446,8 @@ def basin_map(family: FamilyDescriptor, resolution: int, margin: float = BASIN_M
     exhaustion, unmatched terminal point) is Undetermined.  A cell's
     result does not depend on the batch it runs in: it is the orbit
     integrate_orbit gives from the cell center with the same budget.
-    Raises ValueError for a margin outside [0, 1/3): a negative one puts
-    cells outside S, and one of 1/3 or more leaves no cell.
+    Raises ValueError for a margin outside [0, 1/3) (a negative one puts
+    cells outside S) or one that leaves no cell center at this resolution.
     """
     if not 16 <= resolution <= 2048:
         raise ValueError("resolution must lie in [16, 2048]")
@@ -464,12 +465,13 @@ def basin_map(family: FamilyDescriptor, resolution: int, margin: float = BASIN_M
         & (centers[:, None] > margin)
         & (centers[None, :] + centers[:, None] < 1.0 - margin)
     )
+    if not iy.size:
+        raise ValueError(f"margin {margin!r} leaves no cell center inside S at resolution {resolution}")
     labels = np.full((resolution, resolution), None, dtype=object)
-    if iy.size:
-        cells = np.stack([centers[ix], centers[iy]], axis=1)
-        pos, _t, status, _steps, _ = _integrate_batch(field, cells, max_steps=BASIN_MAX_STEPS)
-        # the last entry, index -1, stands for no limit
-        labels[iy, ix] = np.array(names + ["Undetermined"], dtype=object)[_limits(family, pos, status)[0]]
+    cells = np.stack([centers[ix], centers[iy]], axis=1)
+    pos, _t, status, _steps, _ = _integrate_batch(field, cells, max_steps=BASIN_MAX_STEPS)
+    # the last entry, index -1, stands for no limit
+    labels[iy, ix] = np.array(names + ["Undetermined"], dtype=object)[_limits(family, pos, status)[0]]
     xs = centers.tolist()
     return BasinGrid(
         family=family,
@@ -663,7 +665,7 @@ def monotonicity_check(family: FamilyDescriptor, n_orbits: int, seed: int = 0) -
             continue
         arr = np.array(sam)
         tv, xy = arr[:, 0], arr[:, 1:3]
-        lv = np.array([lyapunov_planar(family, s[1], s[2]) for s in sam])
+        lv = lyapunov_planar(family, xy[:, 0], xy[:, 1])
         finite = np.isfinite(lv)
         dl = np.diff(lv[finite])
         worst = dl.max() if dl.size else 0.0

@@ -27,7 +27,6 @@ depend on the batch it is evaluated in.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
@@ -43,7 +42,7 @@ F = Fraction
 def _check_positive(m: Sequence) -> None:
     if len(m) != 3:
         raise ValueError("metric must have three components")
-    if any(v <= 0 for v in m):
+    if any(np.any(v <= 0) for v in m):
         raise ValueError(f"metric components must be positive, got {tuple(m)}")
 
 
@@ -102,14 +101,14 @@ def ricci_terms(family: FamilyDescriptor) -> tuple:
 def ricci_components(family: FamilyDescriptor, m: Sequence) -> tuple:
     """Ricci operator multiples (r_x, r_y, r_z) at the metric (x, y, z).
 
-    Exact when the components are int or Fraction.
+    Exact when the components are int or Fraction.  Floats and arrays go
+    through numpy alike, so a number gets the value of an array entry.
     """
     _check_positive(m)
     exact = all(isinstance(v, (int, Fraction)) for v in m)
-    x, y, z = (F(v) if isinstance(v, int) else v for v in m)
+    x, y, z = (F(v) if exact else np.asarray(v, dtype=float) for v in m)
     _k, table = ricci_terms(family)
-    # Fraction * float converts the Fraction to float first, so a float
-    # coefficient gives the same value many times faster
+    # float coefficients for float input: Fraction * ndarray is an object array
     return tuple(
         sum((c if exact else float(c)) * x**a * y**b * z**e for c, (a, b, e) in r) for r in table
     )
@@ -122,37 +121,36 @@ def scalar_curvature(family: FamilyDescriptor, m: Sequence):
     return d1 * rx + d2 * ry + d3 * rz
 
 
-def lyapunov_value(family: FamilyDescriptor, m: Sequence) -> float:
+def lyapunov_value(family: FamilyDescriptor, m: Sequence):
     """Scale-invariant quantity that strictly decreases along the flow.
 
     The value is -S(m) (x^d1 y^d2 z^d3)^(1/d) with d the total
     dimension.  It is invariant under m -> lambda m, finite on the open
     cone, and constant exactly at equilibria of the projected flow.
+    Components may be same-shape arrays; S is exact for int or Fraction.
     """
-    _check_positive(m)
-    s = float(scalar_curvature(family, m))
+    s = scalar_curvature(family, m)
     d1, d2, d3 = family.dims
-    d = family.total_dim
-    x, y, z = (float(v) for v in m)
-    vol_pow = math.exp((d1 * math.log(x) + d2 * math.log(y) + d3 * math.log(z)) / d)
-    return -s * vol_pow
+    x, y, z = (np.asarray(v, dtype=float) for v in m)
+    vol_pow = np.exp((d1 * np.log(x) + d2 * np.log(y) + d3 * np.log(z)) / family.total_dim)
+    return -np.asarray(s, dtype=float) * vol_pow
 
 
-def lyapunov_planar(family: FamilyDescriptor, x: float, y: float) -> float:
-    """Lyapunov value at the lifted point (x, y, 1-x-y).
+def lyapunov_planar(family: FamilyDescriptor, x, y):
+    """Lyapunov value at the lifted points (x, y, 1-x-y).
 
-    Returns -inf when exactly one coordinate has degenerated (the flow
-    runs toward such strata) and +inf when two have (it runs away from
-    them), so trajectory monotonicity extends to the boundary.
+    x and y are numbers (giving a float) or same-shape arrays.  The value
+    is -inf where exactly one coordinate has degenerated (the flow runs
+    toward such strata) and +inf where two have (it runs away from them),
+    so trajectory monotonicity extends to the boundary.
     """
-    # numpy scalars, whatever the caller passes: a negative power of a
-    # coordinate that underflowed to 0 then reads inf instead of raising
-    x, y = np.float64(x), np.float64(y)
-    z = 1.0 - x - y
-    degenerate = sum(1 for v in (x, y, z) if v <= 0.0)
-    if degenerate == 0:
-        return lyapunov_value(family, (x, y, z))
-    return math.inf if degenerate >= 2 else -math.inf
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    z = np.asarray(1.0 - x - y)
+    degenerate = (x <= 0.0).astype(int) + (y <= 0.0) + (z <= 0.0)
+    out = np.where(degenerate >= 2, np.inf, -np.inf)
+    inside = degenerate == 0
+    out[inside] = lyapunov_value(family, (x[inside], y[inside], z[inside]))
+    return out if out.ndim else float(out)
 
 
 def cleared_field(family: FamilyDescriptor) -> Tuple[Poly, Poly, Poly]:

@@ -29,8 +29,10 @@ SEPARATRIX_STROKE = "#cc3333"
 MARKER_FILL = {ATTRACTOR: "#2266cc", REPELLER: "#cc3333", SADDLE: "#22aa55"}
 MARKER_SIZE = 7.0
 UNDETERMINED_FILL = "#bbbbbb"
-# sample orbits per phase portrait
+# sample orbits per phase portrait, by default and at most (a recorded
+# orbit holds ~44 KB while the portrait is built)
 PORTRAIT_ORBITS = 12
+PORTRAIT_MAX_ORBITS = 1000
 
 # basin fill colors, assigned to attractor labels in sorted order
 BASIN_PALETTE = (
@@ -169,11 +171,13 @@ def portrait_svg(family: FamilyDescriptor, seed: int = 0, n_orbits: int = PORTRA
     Attractors are drawn as circles, repellers as squares, saddles as
     diamonds; separatrices are dashed.  Sample orbits start from seeded
     random interior points, so identical seeds give identical output.
-    Raises ValueError for a negative seed or orbit count.
+    Raises ValueError for a negative seed or an orbit count outside [0, PORTRAIT_MAX_ORBITS].
     """
     for name, value in (("seed", seed), ("orbit count", n_orbits)):
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value!r}")
+    if n_orbits > PORTRAIT_MAX_ORBITS:
+        raise ValueError(f"orbit count must be at most {PORTRAIT_MAX_ORBITS}, got {n_orbits!r}")
     out = _svg_header(f"portrait {_family_title(family)}")
     out.append(_simplex_outline())
 

@@ -7,6 +7,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from flagricci import render
 from flagricci.cli import main
 from flagricci.polyalg import Poly
 from flagricci import family_from_id, projected_field
@@ -233,6 +234,16 @@ def test_basins_rejects_bad_margin(capsys, margin):
     assert usage.startswith("usage: flagricci basins")
 
 
+def test_basins_rejects_a_margin_that_leaves_no_cell(capsys):
+    # no cell center (i + 0.5) / 16 lies inside a margin of 0.33
+    code, out, err = run(capsys, "basins", "--family", "g2u2", "--res", "16", "--margin", "0.33")
+    assert code == 2
+    assert out == ""
+    message, usage = err.split("\n", 1)
+    assert message == "flagricci basins: error: margin 0.33 leaves no cell center inside S at resolution 16"
+    assert usage.startswith("usage: flagricci basins")
+
+
 # ----------------------------------------------------------------------
 # portrait and gh-limit
 
@@ -271,6 +282,21 @@ def test_portrait_rejects_negative_counts(tmp_path, capsys, flags, what):
     assert out == "" and not out_path.exists()
     message, usage = err.split("\n", 1)
     assert message.startswith(f"flagricci portrait: error: {what} must be non-negative")
+    assert usage.startswith("usage: flagricci portrait")
+
+
+def test_portrait_rejects_too_many_orbits(tmp_path, capsys, monkeypatch):
+    def fail(*_args):
+        raise AssertionError("phase_portrait must not run")
+
+    monkeypatch.setattr(render, "phase_portrait", fail)
+    out_path = tmp_path / "portrait.svg"
+    orbits = str(render.PORTRAIT_MAX_ORBITS + 1)
+    code, out, err = run(capsys, "portrait", "--family", "g2u2", "--out", str(out_path), "--orbits", orbits)
+    assert code == 2
+    assert out == "" and not out_path.exists()
+    message, usage = err.split("\n", 1)
+    assert message == f"flagricci portrait: error: orbit count must be at most {render.PORTRAIT_MAX_ORBITS}, got {orbits}"
     assert usage.startswith("usage: flagricci portrait")
 
 
@@ -371,6 +397,30 @@ def test_output_to_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("u = ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["families", "--out"],
+        ["field", "--family", "g2u2", "--out"],
+        ["equilibria", "--family", "g2u2", "--out"],
+        ["orbit", "--family", "g2u2", "--x0", "0.3", "--y0", "0.3", "--max-steps", "5", "--out"],
+        ["basins", "--family", "g2u2", "--res", "16", "--out"],
+        ["basins", "--family", "g2u2", "--res", "16", "--svg"],
+        ["portrait", "--family", "g2u2", "--orbits", "0", "--out"],
+        ["gh-limit", "--family", "g2u2", "--x", "0.5", "--y", "0.5", "--out"],
+        ["verify", "--family", "g2u2", "--out"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-1]}",
+)
+def test_unwritable_output_path_is_a_one_line_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.txt"
+    code, _, err = run(capsys, *argv, str(target))
+    assert code == 2
+    assert err.startswith(f"flagricci {argv[0]}: error: ")
+    assert err.count("\n") == 1 and str(target) in err
+    assert "Traceback" not in err
 
 
 # ----------------------------------------------------------------------

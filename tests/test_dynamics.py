@@ -449,6 +449,22 @@ def test_monotonicity_passes(family):
     assert report.violations == []
 
 
+def test_lyapunov_is_evaluated_once_per_orbit(monkeypatch):
+    real = dynamics.lyapunov_planar
+    calls = []
+
+    def counting(family, x, y):
+        calls.append(np.shape(x))
+        return real(family, x, y)
+
+    monkeypatch.setattr(dynamics, "lyapunov_planar", counting)
+    traj = integrate_orbit(projected_field(SU211), (0.2, 0.3))
+    assert calls == [(len(traj.samples),)]
+    calls.clear()
+    assert monotonicity_check(SU211, 5).passed
+    assert len(calls) == 5 and all(len(shape) == 1 and shape[0] > 1 for shape in calls)
+
+
 def test_monotonicity_rejects_empty_sample():
     with pytest.raises(ValueError):
         monotonicity_check(SU211, 0)

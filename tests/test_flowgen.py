@@ -322,6 +322,67 @@ def test_lyapunov_planar_ignores_argument_type(fam):
     assert lyapunov_planar(fam, 0.1, 0.7) == lyapunov_value(fam, (0.1, 0.7, z))
 
 
+# interior points, points one or two of whose coordinates are <= 0, and
+# points where a coordinate or a power of one under- or overflows
+_PLANAR_POINTS = [
+    (0.3, 0.3), (0.1, 0.7), (0.2, 0.5), (0.0, 0.5), (0.5, 0.5), (-0.1, 0.4), (0.0, 0.0),
+    (0.0, 1.0), (1.2, -0.2), (1e-200, 0.5), (0.5, 1e-200), (0.99999, 5e-324),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "fam", [su_family(2, 1, 1), type1_family("g2u2"), type1_family("e8e6su2u1")], ids=lambda f: f.id
+)
+def test_lyapunov_planar_array_equals_elementwise_calls(fam):
+    """An array call gives bit for bit the values of one call per point, at any shape."""
+    rng = np.random.default_rng(5)
+    pts = np.vstack([_PLANAR_POINTS, rng.dirichlet([1, 1, 1], 500)[:, :2]])
+    alone = [lyapunov_planar(fam, x, y) for x, y in pts.tolist()]
+    assert all(type(v) is float for v in alone)
+    bits = np.array(alone).view(np.int64)
+    for x, y, want in zip(pts[:, 0], pts[:, 1], bits):
+        got = lyapunov_planar(fam, np.asarray(x), np.asarray(y))
+        assert type(got) is float and np.float64(got).view(np.int64) == want
+    # strided columns, a contiguous copy and two 2-d layouts
+    for xs, ys in [
+        (pts[:, 0], pts[:, 1]),
+        (pts[:, 0].copy(), pts[:, 1].copy()),
+        (pts[:, 0].reshape(2, -1), pts[:, 1].reshape(2, -1)),
+        (pts[:, 0].reshape(-1, 2), pts[:, 1].reshape(-1, 2)),
+    ]:
+        got = lyapunov_planar(fam, xs, ys)
+        assert got.shape == xs.shape
+        assert np.array_equal(got.ravel().view(np.int64), bits)
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [su_family(2, 1, 1), type1_family("g2u2"), type1_family("e8su8u1"), type1_family("e8e6su2u1")],
+    ids=lambda f: f.id,
+)
+def test_lyapunov_planar_near_the_edges_matches_exact_scalar_curvature(fam):
+    """Within 1e-12 relative of -S vol, S exact at the float points 1e-3 and 1e-4 from an edge.
+
+    S cancels near an edge: a polynomial in (x, y) for the cleared S,
+    expanded after z = 1 - x - y, misses this by 1e-10 and more.
+    """
+    d1, d2, d3 = fam.dims
+    t = np.linspace(0.01, 0.99, 50)
+    for delta in (1e-3, 1e-4):
+        pts = np.vstack([
+            np.stack([t * (1 - delta), (1 - t) * (1 - delta)], axis=1),
+            np.stack([np.full_like(t, delta), t * (1 - delta)], axis=1),
+            np.stack([t * (1 - delta), np.full_like(t, delta)], axis=1),
+        ])
+        values = lyapunov_planar(fam, pts[:, 0], pts[:, 1])
+        for (x, y), got in zip(pts.tolist(), values.tolist()):
+            z = 1.0 - x - y
+            s = float(scalar_curvature(fam, (Fraction(x), Fraction(y), Fraction(z))))
+            want = -s * math.exp((d1 * math.log(x) + d2 * math.log(y) + d3 * math.log(z)) / fam.total_dim)
+            assert abs(got - want) <= 1e-12 * abs(want), (delta, x, y)
+
+
 def test_einstein_condition_at_exact_reference_equilibria():
     """r_x = r_y = r_z exactly at every exact Einstein metric of the tables."""
     checked = 0

@@ -4,9 +4,10 @@ A boundary point of the simplex is a metric with one or two vanishing
 summand coefficients.  The vanished summands generate (through the
 bracket table) a subalgebra h, and the collapsed limit is the quotient
 by the group H it generates: a point if h is everything, a named
-homogeneous space otherwise.  Symmetric pairs and the maximal-rank
-(Borel-de Siebenthal style) subgroups are told apart by the bracket
-criterion [m, m] contained in h.
+homogeneous space otherwise.  Kernels and closures are plain sets of
+summand indices.  Symmetric pairs and the maximal-rank (Borel-de
+Siebenthal style) subgroups are told apart by the bracket criterion
+[m, m] contained in h.
 """
 
 from flagricci import (
@@ -25,7 +26,7 @@ def walk(family, point):
     label = classify_limit(family, point)
     print(f"  point ({point[0]:.2f}, {point[1]:.2f}):"
           f" vanished summands {sorted(kernel)} ->"
-          f" closure {sorted(closure.summands)}"
+          f" closure {sorted(closure)}"
           f" -> {label.name} (dim {label.dim}, {label.space_class})")
 
 

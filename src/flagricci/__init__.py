@@ -18,6 +18,7 @@ from .catalog import (
     reference_equilibria,
     so_family,
     su_family,
+    subalgebra_closure,
     type1_family,
 )
 from .polyalg import Poly
@@ -56,12 +57,9 @@ from .dynamics import (
     separatrices,
 )
 from .ghlimit import (
-    KernelPattern,
     NotDegenerate,
-    SubalgebraClosure,
     classify_limit,
     kernel_summands,
-    subalgebra_closure,
     symmetric_pair_check,
 )
 
@@ -75,14 +73,12 @@ __all__ = [
     "FamilyDescriptor",
     "FoundEquilibrium",
     "GHLimitLabel",
-    "KernelPattern",
     "LimitOutcome",
     "MonotonicityReport",
     "NotDegenerate",
     "Poly",
     "ProjectedField",
     "Separatrix",
-    "SubalgebraClosure",
     "Trajectory",
     "VerificationReport",
     "basin_map",

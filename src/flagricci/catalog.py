@@ -1,9 +1,10 @@
 """Static data for every flag family with three isotropy summands.
 
 For each family this module records the summand dimensions, the Lie
-bracket relations between summands, the known equilibria of the
-projected flow (with closed-form eigenvalues where available), and the
-collapsed-limit target spaces keyed by which summands degenerate.
+bracket relations between summands and their closure, the known
+equilibria of the projected flow (with closed-form eigenvalues where
+available), and the collapsed-limit target spaces keyed by which
+summands degenerate.
 
 Two families are parametric (the SU and SO series); the rest are eight
 fixed spaces: one exceptional Type II flag and the seven Type I flags.
@@ -11,8 +12,9 @@ fixed spaces: one exceptional Type II flag and the seven Type I flags.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -131,11 +133,6 @@ def type1_family(fid: str) -> FamilyDescriptor:
     )
 
 
-PARAMETRIC_IDS = ("su", "so")
-CONSTANT_IDS = ("e6so8u1u1",) + TYPE1_IDS
-ALL_IDS = PARAMETRIC_IDS + CONSTANT_IDS
-
-
 def family_from_id(fid: str, params: Optional[tuple] = None) -> FamilyDescriptor:
     """Build a descriptor from an id plus parameters where required."""
     if fid == "su":
@@ -181,13 +178,17 @@ def list_families(mnp_bound: Optional[int] = None, ell_bound: Optional[int] = No
 # ----------------------------------------------------------------------
 # bracket tables
 
+ALL_SUMMANDS = frozenset({1, 2, 3})
+
+
 @dataclass(frozen=True)
 class BracketTable:
     """Symmetric 3x3 table of bracket targets between isotropy summands.
 
-    entry(i, j) is the set of components (among "k", "m1", "m2", "m3")
-    that can receive [m_i, m_j].  The rules [k, m_i] in m_i and
-    [k, k] in k are implicit.
+    entry(i, j) is the set of summand indices (among 1, 2, 3) that can
+    receive [m_i, m_j]; the isotropy algebra k, which may receive any
+    bracket of a summand with itself, is left out.  The rules
+    [k, m_i] in m_i and [k, k] in k are implicit.
     """
 
     entries: tuple
@@ -197,26 +198,39 @@ class BracketTable:
 
 
 def _table(rows: dict) -> BracketTable:
-    grid = [[None] * 3 for _ in range(3)]
+    """Table from its nonempty entries; every other entry lands in k alone."""
+    grid = [[frozenset()] * 3 for _ in range(3)]
     for (i, j), targets in rows.items():
         grid[i - 1][j - 1] = frozenset(targets)
         grid[j - 1][i - 1] = frozenset(targets)
     return BracketTable(tuple(tuple(row) for row in grid))
 
 
-_TYPE2_TABLE = _table({
-    (1, 1): {"k"}, (2, 2): {"k"}, (3, 3): {"k"},
-    (1, 2): {"m3"}, (1, 3): {"m2"}, (2, 3): {"m1"},
-})
+_TYPE2_TABLE = _table({(1, 2): {3}, (1, 3): {2}, (2, 3): {1}})
 
-_TYPE1_TABLE = _table({
-    (1, 1): {"k", "m2"}, (2, 2): {"k"}, (3, 3): {"k"},
-    (1, 2): {"m1", "m3"}, (1, 3): {"m2"}, (2, 3): {"m1"},
-})
+_TYPE1_TABLE = _table({(1, 1): {2}, (1, 2): {1, 3}, (1, 3): {2}, (2, 3): {1}})
 
 
 def bracket_table(family: FamilyDescriptor) -> BracketTable:
     return _TYPE2_TABLE if family.is_type_two else _TYPE1_TABLE
+
+
+def subalgebra_closure(table: BracketTable, kernel) -> frozenset:
+    """Least bracket-closed set of summands containing the kernel.
+
+    Starting from the kernel, any summand reachable as a bracket target
+    of two members is added until nothing new appears; k always belongs
+    to the subalgebra and is not listed.  The kernel must be a nonempty
+    subset of {1, 2, 3}, or ValueError is raised.
+    """
+    present = frozenset(kernel)
+    if not present or not present <= ALL_SUMMANDS:
+        raise ValueError(f"kernel must be a nonempty subset of {{1, 2, 3}}, got {sorted(present)}")
+    while True:
+        grown = present.union(*(table.entry(i, j) for i in present for j in present))
+        if grown == present:
+            return present
+        present = grown
 
 
 # ----------------------------------------------------------------------
@@ -453,7 +467,6 @@ def _e6_gh() -> dict:
 def _type1_gh(fid: str) -> dict:
     (sym_name, sym_dim), (bds_name, bds_dim) = _TYPE1_GH[fid]
     return {
-        frozenset({1}): _POINT_LABEL,
         frozenset({2}): GHLimitLabel("NamedSpace", sym_name, SYMMETRIC_PAIR, sym_dim),
         frozenset({3}): GHLimitLabel("NamedSpace", bds_name, BOREL_DE_SIEBENTHAL, bds_dim),
     }
@@ -462,24 +475,22 @@ def _type1_gh(fid: str) -> dict:
 def gh_catalog(family: FamilyDescriptor) -> dict:
     """Map each nonempty kernel pattern to its collapsed-limit label.
 
-    Patterns whose bracket closure reaches every summand (all the
-    two-element patterns, the full pattern, and additionally {1} for
-    Type I) collapse to a point.
+    A pattern whose bracket closure reaches every summand collapses to a
+    point; each other pattern is a single summand and takes the named
+    space stored for it.
     """
     if family.kind == KIND_SU:
-        table = _su_gh(*family.params)
+        named = _su_gh(*family.params)
     elif family.kind == KIND_SO:
-        table = _so_gh(family.params[0])
+        named = _so_gh(family.params[0])
     elif family.kind == KIND_E6:
-        table = _e6_gh()
+        named = _e6_gh()
     else:
-        table = _type1_gh(family.id)
-    out = dict(table)
-    for pattern in (
-        frozenset({1, 2}),
-        frozenset({1, 3}),
-        frozenset({2, 3}),
-        frozenset({1, 2, 3}),
-    ):
-        out[pattern] = _POINT_LABEL
+        named = _type1_gh(family.id)
+    table = bracket_table(family)
+    out = {}
+    for r in (1, 2, 3):
+        for pattern in map(frozenset, itertools.combinations(sorted(ALL_SUMMANDS), r)):
+            is_point = subalgebra_closure(table, pattern) == ALL_SUMMANDS
+            out[pattern] = _POINT_LABEL if is_point else named[pattern]
     return out

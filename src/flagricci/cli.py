@@ -13,17 +13,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
-from .catalog import bracket_table, family_from_id, gh_catalog, list_families, reference_equilibria
+from .catalog import (
+    bracket_table, family_from_id, gh_catalog, list_families, reference_equilibria,
+    subalgebra_closure,
+)
 from .dynamics import (
     BASIN_MARGIN, ORBIT_ATOL, ORBIT_MAX_STEPS, ORBIT_MAX_TIME, ORBIT_RTOL,
     basin_map, field_for, integrate_orbit,
 )
 from .equilibria import find_equilibria, verify_catalog
 from .flowgen import projected_field
-from .ghlimit import classify_limit, kernel_summands, subalgebra_closure
+from .ghlimit import classify_limit, kernel_summands
 from .render import PORTRAIT_ORBITS, basins_svg, portrait_svg
 
 
@@ -175,10 +179,17 @@ def _cmd_basins(args) -> int:
             if lab is None:
                 continue
             rows.append(f"{ix},{iy},{grid.xs[ix]!r},{grid.ys[iy]!r},{lab}")
-    _emit("\n".join(rows) + "\n", args.out)
+    # the SVG goes first and is removed if the CSV cannot be written, so
+    # a path that fails leaves neither artifact behind
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(basins_svg(grid))
+    try:
+        _emit("\n".join(rows) + "\n", args.out)
+    except OSError:
+        if args.svg:
+            os.remove(args.svg)
+        raise
     return 0
 
 
@@ -204,8 +215,8 @@ def _cmd_gh_limit(args) -> int:
         "params": list(fam.params),
         "x": args.x,
         "y": args.y,
-        "kernel": sorted(kernel.vanished),
-        "h_summands": sorted(closure.summands),
+        "kernel": sorted(kernel),
+        "h_summands": sorted(closure),
         "is_point": label.kind == "Point",
         "space": {
             "name": label.name,

@@ -225,16 +225,13 @@ def _dp_step(field: ProjectedField, p, k1, hs, rtol, atol):
     # length-2 axis several times slower than it multiplies equal shapes
     hc = np.repeat(hs, 2).reshape(-1, 2)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        k2 = field.rhs(p + hc * (_A21 * k1), normalized=False)
-        k3 = field.rhs(p + hc * (_A31 * k1 + _A32 * k2), normalized=False)
-        k4 = field.rhs(p + hc * (_A41 * k1 + _A42 * k2 + _A43 * k3), normalized=False)
-        k5 = field.rhs(p + hc * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4), normalized=False)
-        k6 = field.rhs(
-            p + hc * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5),
-            normalized=False,
-        )
+        k2 = field.rhs(p + hc * (_A21 * k1))
+        k3 = field.rhs(p + hc * (_A31 * k1 + _A32 * k2))
+        k4 = field.rhs(p + hc * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+        k5 = field.rhs(p + hc * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+        k6 = field.rhs(p + hc * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
         y5 = p + hc * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = field.rhs(y5, normalized=False)
+        k7 = field.rhs(y5)
         err = hc * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
         scale = atol + rtol * np.maximum(np.abs(p), np.abs(y5))
         errnorm = row_max_abs(err / scale)
@@ -310,7 +307,7 @@ def _integrate_batch(
     samples = [[(0.0, x, y)] for x, y in pos.tolist()] if record else None
 
     # k1 holds the field at each running point (first same as last)
-    k1 = field.rhs(pos, normalized=False)
+    k1 = field.rhs(pos)
     speed = np.maximum(row_max_abs(k1), 1e-300)
     h = np.clip(1e-2 / speed, 1e-6, H_MAX)
     h = np.minimum(h, max_time)
@@ -485,7 +482,7 @@ def basin_map(family: FamilyDescriptor, resolution: int, margin: float = BASIN_M
 
 def _eigenvectors_2x2(field: ProjectedField, p) -> list:
     """Real eigenpairs (eigenvalue, unit vector) of the Jacobian at p."""
-    jac = field.jacobian(np.array([p]), normalized=True)[0]
+    jac = field.jacobian(np.array([p]))[0] / field.scale
     a, b, c, d = jac[0, 0], jac[0, 1], jac[1, 0], jac[1, 1]
     tr, det = a + d, a * d - b * c
     disc = tr * tr / 4 - det

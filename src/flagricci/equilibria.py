@@ -32,6 +32,11 @@ NONHYP_TOL = 1e-8
 # a found zero takes the label of the nearest reference equilibrium
 # closer than this
 LABEL_TOL = 1e-3
+# a reference equilibrium needs a found zero within this distance: the
+# exact closed-form positions are met up to rounding, while the Type I
+# saddle table gives its positions to five decimals only
+POSITION_TOL_EXACT = 1e-9
+POSITION_TOL_DECIMAL = 1e-4
 # the radial probe samples PROBE_DIRS directions at distance PROBE_RADIUS
 PROBE_RADIUS = 1e-4
 PROBE_DIRS = 720
@@ -177,7 +182,7 @@ def find_equilibria(field: ProjectedField) -> EquilibriumList:
             y_mid = -value_at(s0, mid) / value_at(s1, mid)
             zeros.append(((float(mid), float(y_mid)), not (y_sign and z_sign)))
     positions = [tuple(float(c) for c in pos) for pos, _b in zeros]
-    residuals = row_max_abs(field.rhs(np.array(positions).reshape(-1, 2)))
+    residuals = row_max_abs(field.rhs(np.array(positions).reshape(-1, 2)) / field.scale)
     refs = reference_equilibria(field.family)
     ref_idx, ref_d = nearest(positions, [r.position_float() for r in refs])
     accepted = []
@@ -219,7 +224,7 @@ def radial_probe(field: ProjectedField, p: tuple) -> Optional[str]:
     )
     if not admissible.any():
         return None
-    vals = field.rhs(probes[admissible], normalized=False)
+    vals = field.rhs(probes[admissible])
     radial = np.einsum("ij,ij->i", vals, dirs[admissible])
     if (radial > 0).all():
         return REPELLER
@@ -296,7 +301,7 @@ def verify_catalog(family: FamilyDescriptor) -> VerificationReport:
     nearest_idx, nearest_d = nearest([rec.position_float() for rec in refs], [eq.position for eq in found])
     for rec, best_i, best_d in zip(refs, nearest_idx.tolist(), nearest_d.tolist()):
         rp = rec.position_float()
-        tol = 1e-9 if rec.position_exact else 1e-4
+        tol = POSITION_TOL_EXACT if rec.position_exact else POSITION_TOL_DECIMAL
         eq = found[best_i] if best_i >= 0 else None
         eigen_err = found_class = None
         note = "no zero within position tolerance"

@@ -248,8 +248,9 @@ def keep_rows(mask: np.ndarray, *arrays) -> tuple:
 class ProjectedField:
     """The planar field (u, v) with exact polynomials and fast numerics.
 
-    `scale` is the largest absolute coefficient of u and v; residuals and
-    integration use the field divided by it so that tolerances mean the
+    `scale` is the largest absolute coefficient of u and v.  `rhs` and
+    `jacobian` return the raw field; the zero residuals and the separatrix
+    eigenvectors divide it by `scale` so that their tolerances mean the
     same thing across families whose coefficients span five orders of
     magnitude.
 
@@ -276,20 +277,14 @@ class ProjectedField:
     def degree(self) -> int:
         return max(self.u.degree(), self.v.degree())
 
-    def rhs(self, points: np.ndarray, normalized: bool = True) -> np.ndarray:
+    def rhs(self, points: np.ndarray) -> np.ndarray:
         """Field values at points with shape (..., 2)."""
-        out = _eval_group(self._field_group, points)
-        if normalized:
-            out /= self.scale
-        return out
+        return _eval_group(self._field_group, points)
 
-    def jacobian(self, points: np.ndarray, normalized: bool = False) -> np.ndarray:
+    def jacobian(self, points: np.ndarray) -> np.ndarray:
         """Jacobian [[du/dx, du/dy], [dv/dx, dv/dy]] at points (..., 2)."""
         out = _eval_group(self._jacobian_group, points)
-        out = out.reshape(out.shape[:-1] + (2, 2))
-        if normalized:
-            out /= self.scale
-        return out
+        return out.reshape(out.shape[:-1] + (2, 2))
 
 
 def projected_field(family: FamilyDescriptor) -> ProjectedField:

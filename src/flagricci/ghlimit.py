@@ -12,9 +12,9 @@ space the catalog attaches to the kernel pattern.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .catalog import (
+    ALL_SUMMANDS,
     BOREL_DE_SIEBENTHAL,
     SYMMETRIC_PAIR,
     BracketTable,
@@ -22,40 +22,17 @@ from .catalog import (
     GHLimitLabel,
     bracket_table,
     gh_catalog,
+    subalgebra_closure,
 )
 
 KERNEL_EPS = 1e-6
-
-_ALL = frozenset({1, 2, 3})
-_SUMMAND_INDEX = {"m1": 1, "m2": 2, "m3": 3}
 
 
 class NotDegenerate(ValueError):
     """The limit point is interior, so no summand collapses."""
 
 
-@dataclass(frozen=True)
-class KernelPattern:
-    """Set of summand indices whose lifted coordinate vanished."""
-
-    vanished: frozenset
-
-    def __iter__(self):
-        return iter(sorted(self.vanished))
-
-
-@dataclass(frozen=True)
-class SubalgebraClosure:
-    """Summands contained in the subalgebra generated by the kernel and k."""
-
-    summands: frozenset
-
-    @property
-    def is_all(self) -> bool:
-        return self.summands == _ALL
-
-
-def kernel_summands(limit_point, eps: float = KERNEL_EPS) -> KernelPattern:
+def kernel_summands(limit_point, eps: float = KERNEL_EPS) -> frozenset:
     """Indices of the summands that collapse at a boundary limit point.
 
     The planar point (x, y) lifts to simplex coordinates (x, y, 1-x-y);
@@ -76,32 +53,7 @@ def kernel_summands(limit_point, eps: float = KERNEL_EPS) -> KernelPattern:
         raise NotDegenerate(
             f"point ({x}, {y}) is interior: no lifted coordinate below {eps}"
         )
-    return KernelPattern(vanished)
-
-
-def subalgebra_closure(table: BracketTable, kernel: KernelPattern) -> SubalgebraClosure:
-    """Least bracket-closed set of summands containing the kernel.
-
-    Starting from the kernel, any summand reachable as a bracket target
-    of two members is added until nothing new appears; the component k
-    is absorbed silently since it always belongs to the subalgebra.
-    """
-    if not kernel.vanished:
-        raise ValueError("kernel must be nonempty")
-    present = set(kernel.vanished)
-    while True:
-        added = set()
-        for i in present:
-            for j in present:
-                for name in table.entry(i, j):
-                    if name == "k":
-                        continue
-                    idx = _SUMMAND_INDEX[name]
-                    if idx not in present:
-                        added.add(idx)
-        if not added:
-            return SubalgebraClosure(frozenset(present))
-        present |= added
+    return vanished
 
 
 def symmetric_pair_check(table: BracketTable, h_summands) -> bool:
@@ -114,26 +66,22 @@ def symmetric_pair_check(table: BracketTable, h_summands) -> bool:
     a set that brackets outside itself is rejected with ValueError.
     """
     h = frozenset(h_summands)
-    if not h <= _ALL:
+    if not h <= ALL_SUMMANDS:
         raise ValueError(f"h_summands must be a subset of {{1, 2, 3}}, got {sorted(h)}")
-    m = _ALL - h
-
-    def targets(i: int, j: int) -> set:
-        return {_SUMMAND_INDEX[name] for name in table.entry(i, j) if name != "k"}
-
+    m = ALL_SUMMANDS - h
     for i in h:
         for j in h:
-            if not targets(i, j) <= h:
+            if not table.entry(i, j) <= h:
                 raise ValueError(
                     f"h_summands is not bracket-closed: [m{i}, m{j}] leaves it"
                 )
     for i in h:
         for j in m:
-            if not targets(i, j) <= m:
+            if not table.entry(i, j) <= m:
                 return False
     for i in m:
         for j in m:
-            if not targets(i, j) <= h:
+            if not table.entry(i, j) <= h:
                 return False
     return True
 
@@ -143,28 +91,23 @@ def classify_limit(
 ) -> GHLimitLabel:
     """Collapsed-limit label for a degenerate boundary limit point.
 
-    Computes the kernel pattern, closes it under the bracket table, and
-    returns Point when the closure exhausts every summand; otherwise the
-    catalog entry for the kernel pattern is returned, after verifying
-    for the families whose labels record it that the symmetric-pair test
-    agrees with the stored class.
+    Looks the kernel pattern up in the catalog, which labels Point every
+    pattern whose bracket closure exhausts the summands.  For the
+    families whose labels record it, the symmetric-pair test on the
+    closure is checked against the stored class.
     """
     kernel = kernel_summands(limit_point, eps)
-    table = bracket_table(family)
-    closure = subalgebra_closure(table, kernel)
-    catalog = gh_catalog(family)
-    if closure.is_all:
-        return catalog[_ALL]
-    label = catalog[kernel.vanished]
+    label = gh_catalog(family)[kernel]
     if label.space_class in (SYMMETRIC_PAIR, BOREL_DE_SIEBENTHAL):
+        table = bracket_table(family)
         derived = (
             SYMMETRIC_PAIR
-            if symmetric_pair_check(table, closure.summands)
+            if symmetric_pair_check(table, subalgebra_closure(table, kernel))
             else BOREL_DE_SIEBENTHAL
         )
         if label.space_class != derived:
             raise RuntimeError(
                 f"catalog class {label.space_class!r} disagrees with the bracket "
-                f"check for kernel {sorted(kernel.vanished)} of {family.id}"
+                f"check for kernel {sorted(kernel)} of {family.id}"
             )
     return label

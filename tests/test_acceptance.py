@@ -216,13 +216,13 @@ def test_criterion_7_jacobian_correctness():
             field = field_for(fam)
             rng = np.random.default_rng(99)
             pts = np.array(random_interior_points(50, rng))
-            jac = field.jacobian(pts, normalized=True)
+            jac = field.jacobian(pts) / field.scale
             fd = np.empty_like(jac)
             for axis in (0, 1):
                 step = np.zeros(2)
                 step[axis] = h
-                hi = field.rhs(pts + step, normalized=True)
-                lo = field.rhs(pts - step, normalized=True)
+                hi = field.rhs(pts + step) / field.scale
+                lo = field.rhs(pts - step) / field.scale
                 fd[:, :, axis] = (hi - lo) / (2 * h)
             scale = np.maximum(np.abs(jac).max(axis=(1, 2)), 1.0)
             err = np.abs(fd - jac).max(axis=(1, 2)) / scale

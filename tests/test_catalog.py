@@ -161,22 +161,23 @@ def test_bracket_tables_are_symmetric():
 
 def test_type2_bracket_cyclic_structure():
     t = bracket_table(su_family(2, 1, 1))
-    assert t.entry(1, 1) == frozenset({"k"})
-    assert t.entry(2, 2) == frozenset({"k"})
-    assert t.entry(3, 3) == frozenset({"k"})
-    assert t.entry(1, 2) == frozenset({"m3"})
-    assert t.entry(1, 3) == frozenset({"m2"})
-    assert t.entry(2, 3) == frozenset({"m1"})
+    # entries hold summand indices; k is implicit, so [m_i, m_i] lists nothing
+    assert t.entry(1, 1) == frozenset()
+    assert t.entry(2, 2) == frozenset()
+    assert t.entry(3, 3) == frozenset()
+    assert t.entry(1, 2) == frozenset({3})
+    assert t.entry(1, 3) == frozenset({2})
+    assert t.entry(2, 3) == frozenset({1})
 
 
 def test_type1_bracket_structure():
     t = bracket_table(type1_family("f4su3su2u1"))
-    assert t.entry(1, 1) == frozenset({"k", "m2"})
-    assert t.entry(2, 2) == frozenset({"k"})
-    assert t.entry(3, 3) == frozenset({"k"})
-    assert t.entry(1, 2) == frozenset({"m1", "m3"})
-    assert t.entry(1, 3) == frozenset({"m2"})
-    assert t.entry(2, 3) == frozenset({"m1"})
+    assert t.entry(1, 1) == frozenset({2})
+    assert t.entry(2, 2) == frozenset()
+    assert t.entry(3, 3) == frozenset()
+    assert t.entry(1, 2) == frozenset({1, 3})
+    assert t.entry(1, 3) == frozenset({2})
+    assert t.entry(2, 3) == frozenset({1})
 
 
 def test_e6_uses_type2_table():

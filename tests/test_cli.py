@@ -423,6 +423,22 @@ def test_unwritable_output_path_is_a_one_line_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "bad, good",
+    [("--svg", None), ("--svg", "--out"), ("--out", "--svg")],
+    ids=["svg-to-stdout", "svg-with-out", "out-with-svg"],
+)
+def test_basins_leaves_nothing_behind_when_a_path_cannot_be_written(tmp_path, capsys, bad, good):
+    argv = ["basins", "--family", "g2u2", "--res", "16", bad, str(tmp_path / "missing" / "x")]
+    if good:
+        argv += [good, str(tmp_path / "written")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("flagricci basins: error: ") and err.count("\n") == 1
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 # ----------------------------------------------------------------------
 # arbitrary float flags
 

@@ -668,7 +668,7 @@ def test_batched_separatrix_equals_its_orbit_alone(family):
 
 def test_separatrix_tangent_to_invariant_segment():
     field = projected_field(SO6)
-    jac = field.jacobian(np.array([(3 / 14, 0.5)]), normalized=True)[0]
+    jac = field.jacobian(np.array([(3 / 14, 0.5)]))[0] / field.scale
     eigvals, eigvecs = np.linalg.eig(jac)
     tangencies = [
         abs(eigvecs[1, i]) / np.hypot(eigvecs[0, i], eigvecs[1, i]) for i in range(2)

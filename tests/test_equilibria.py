@@ -97,6 +97,16 @@ def test_find_equilibria_su211_complete():
     assert not by_label["N"].boundary_flag
 
 
+def test_residuals_are_relative_to_the_field_scale():
+    # e8su8u1 has the largest coefficients (7.4e7); the raw field at its
+    # zeros reaches ~2.5e-10, the field divided by its scale ~3e-18
+    field = projected_field(type1_family("e8su8u1"))
+    for e in find_equilibria(field):
+        raw = max(abs(c) for c in field.rhs(e.position).tolist())
+        assert e.residual == raw / field.scale
+        assert e.residual < 1e-15
+
+
 @pytest.mark.parametrize("fam", [su_family(1, 1, 1), type1_family("g2u2")],
                          ids=lambda f: f"{f.id}{f.params}")
 def test_equilibrium_order_ignores_rounding_noise(fam):

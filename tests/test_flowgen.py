@@ -424,7 +424,7 @@ def test_ricci_rejects_nonpositive_metrics():
 def test_compiled_rhs_and_jacobian_match_exact(fam):
     f = projected_field(fam)
     pts = np.array([[0.2, 0.3], [0.1, 0.7], [0.45, 0.45], [0.61, 0.11]])
-    raw = f.rhs(pts, normalized=False)
+    raw = f.rhs(pts)
     for k, (x, y) in enumerate(pts):
         ue = float(f.u.eval((x, y)))
         ve = float(f.v.eval((x, y)))
@@ -436,8 +436,6 @@ def test_compiled_rhs_and_jacobian_match_exact(fam):
         assert jac[k, 0, 1] == pytest.approx(float(f.du_dy.eval((x, y))), rel=1e-12, abs=1e-9)
         assert jac[k, 1, 0] == pytest.approx(float(f.dv_dx.eval((x, y))), rel=1e-12, abs=1e-9)
         assert jac[k, 1, 1] == pytest.approx(float(f.dv_dy.eval((x, y))), rel=1e-12, abs=1e-9)
-    norm = f.rhs(pts)
-    assert np.allclose(norm * f.scale, raw, rtol=1e-12, atol=0)
     assert f.scale == max(
         max(abs(c) for c in f.u.terms.values()),
         max(abs(c) for c in f.v.terms.values()),
@@ -491,26 +489,26 @@ def kernel_case(request):
 @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
 def test_kernel_matches_exact_at_every_batch_size(kernel_case, n):
     f, pts, rhs, jac = kernel_case
-    assert_close(f.rhs(pts[:n], normalized=False), rhs[:n])
+    assert_close(f.rhs(pts[:n]), rhs[:n])
     assert_close(f.jacobian(pts[:n]), jac[:n])
 
 
 def test_kernel_single_point_and_nested_batch(kernel_case):
     f, pts, rhs, jac = kernel_case
-    assert_close(f.rhs(pts[0], normalized=False), rhs[0])
+    assert_close(f.rhs(pts[0]), rhs[0])
     assert_close(f.jacobian(pts[0]), jac[0])
     nested = pts[:15].reshape(3, 5, 2)
-    assert_close(f.rhs(nested, normalized=False), rhs[:15].reshape(3, 5, 2))
+    assert_close(f.rhs(nested), rhs[:15].reshape(3, 5, 2))
     assert_close(f.jacobian(nested), jac[:15].reshape(3, 5, 2, 2))
 
 
 def test_kernel_point_alone_matches_point_in_batch(kernel_case):
     f, pts, _rhs, _jac = kernel_case
-    batch_rhs, batch_jac = f.rhs(pts, normalized=False), f.jacobian(pts)
+    batch_rhs, batch_jac = f.rhs(pts), f.jacobian(pts)
     for k in (0, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 2):
-        assert np.array_equal(f.rhs(pts[k], normalized=False), batch_rhs[k])
+        assert np.array_equal(f.rhs(pts[k]), batch_rhs[k])
         assert np.array_equal(f.jacobian(pts[k]), batch_jac[k])
     # batches whose last block holds a single row
     for n in (_BLOCK + 1, 2 * _BLOCK + 1):
-        assert np.array_equal(f.rhs(pts[:n], normalized=False), batch_rhs[:n])
+        assert np.array_equal(f.rhs(pts[:n]), batch_rhs[:n])
         assert np.array_equal(f.jacobian(pts[:n]), batch_jac[:n])

@@ -26,6 +26,7 @@ import numpy as np
 
 SU211 = family_from_id("su", (2, 1, 1))
 G2 = family_from_id("g2u2")
+_ALL = frozenset({1, 2, 3})
 
 TYPE1_IDS = (
     "e8e6su2u1",
@@ -67,14 +68,12 @@ _PATTERN_POINT = {
 
 
 def test_kernel_reference_points():
-    assert set(kernel_summands((0.0, 0.5))) == {1}
-    assert set(kernel_summands((0.5, 0.5))) == {3}
-    assert set(kernel_summands((0.0, 0.0))) == {1, 2}
-
-
-def test_kernel_iterates_sorted():
-    assert list(kernel_summands((0.0, 0.0))) == [1, 2]
-    assert list(kernel_summands((1.0, 0.0))) == [2, 3]
+    # a kernel is a plain frozenset of summand indices
+    assert kernel_summands((0.0, 0.5)) == frozenset({1})
+    assert kernel_summands((0.5, 0.5)) == frozenset({3})
+    assert kernel_summands((0.0, 0.0)) == frozenset({1, 2})
+    assert kernel_summands((1.0, 0.0)) == frozenset({2, 3})
+    assert type(kernel_summands((0.0, 0.0))) is frozenset
 
 
 def test_kernel_threshold():
@@ -115,50 +114,48 @@ def test_closure_type_two_singletons_are_closed():
     table = bracket_table(SU211)
     for i in (1, 2, 3):
         closure = subalgebra_closure(table, kernel_summands(_PATTERN_POINT[frozenset({i})]))
-        assert closure.summands == frozenset({i})
-        assert not closure.is_all
+        assert closure == frozenset({i})
 
 
 def test_closure_type_two_pairs_generate_everything():
     table = bracket_table(SU211)
     for pair in ({1, 2}, {1, 3}, {2, 3}):
         closure = subalgebra_closure(table, kernel_summands(_PATTERN_POINT[frozenset(pair)]))
-        assert closure.is_all
+        assert closure == _ALL
 
 
 def test_closure_type_one():
     table = bracket_table(G2)
-    assert subalgebra_closure(table, kernel_summands((0.0, 0.37))).is_all
-    assert subalgebra_closure(table, kernel_summands((0.37, 0.0))).summands == frozenset({2})
-    assert subalgebra_closure(table, kernel_summands((0.6, 0.4))).summands == frozenset({3})
-    assert subalgebra_closure(table, kernel_summands((1.0, 0.0))).is_all
+    assert subalgebra_closure(table, kernel_summands((0.0, 0.37))) == _ALL
+    assert subalgebra_closure(table, kernel_summands((0.37, 0.0))) == frozenset({2})
+    assert subalgebra_closure(table, kernel_summands((0.6, 0.4))) == frozenset({3})
+    assert subalgebra_closure(table, kernel_summands((1.0, 0.0))) == _ALL
 
 
 def test_closure_rejects_empty_kernel():
-    from flagricci.ghlimit import KernelPattern
-
     table = bracket_table(SU211)
     with pytest.raises(ValueError):
-        subalgebra_closure(table, KernelPattern(vanished=frozenset()))
+        subalgebra_closure(table, frozenset())
+
+
+@pytest.mark.parametrize("kernel", [{0}, {4}, {1, 4}])
+def test_closure_rejects_indices_outside_the_summands(kernel):
+    with pytest.raises(ValueError, match="subset of"):
+        subalgebra_closure(bracket_table(G2), kernel)
 
 
 @pytest.mark.parametrize("family", catalog_families(), ids=lambda f: f.id + str(f.params))
 def test_closure_monotone_and_idempotent(family):
-    from flagricci.ghlimit import KernelPattern, SubalgebraClosure
-
     table = bracket_table(family)
     subsets = [
         frozenset(s)
         for r in (1, 2, 3)
         for s in itertools.combinations((1, 2, 3), r)
     ]
-    closures = {
-        s: subalgebra_closure(table, KernelPattern(vanished=s)).summands for s in subsets
-    }
+    closures = {s: subalgebra_closure(table, s) for s in subsets}
     for a in subsets:
         assert a <= closures[a]
-        closed = subalgebra_closure(table, KernelPattern(vanished=closures[a]))
-        assert closed.summands == closures[a]
+        assert subalgebra_closure(table, closures[a]) == closures[a]
         for b in subsets:
             if a <= b:
                 assert closures[a] <= closures[b]

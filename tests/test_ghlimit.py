@@ -76,6 +76,13 @@ def test_kernel_reference_points():
     assert type(kernel_summands((0.0, 0.0))) is frozenset
 
 
+def test_kernel_iterates_sorted():
+    # a frozenset of the small ints {1, 2, 3} iterates in ascending order
+    # (hash(i) == i); the CLI still reports kernels through sorted()
+    assert list(kernel_summands((0.0, 0.0))) == [1, 2]
+    assert list(kernel_summands((1.0, 0.0))) == [2, 3]
+
+
 def test_kernel_threshold():
     assert set(kernel_summands((1e-7, 0.5))) == {1}
     with pytest.raises(NotDegenerate):

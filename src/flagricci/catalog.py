@@ -307,13 +307,12 @@ def _su_records(m: int, n: int, p: int) -> list:
 
 
 def _so_kl_saddle_eigs(ell: int) -> tuple:
-    """Decimal eigenvalue expressions for the two off-center SO saddles."""
-    def lam(sign: float) -> float:
-        inner = ell * (ell * ((0.308642 * ell - 2.22222) * ell + 5.97531) - 7.11111) + 3.16049
-        return ell / (1.33333 - ell) ** 2 * (
-            (0.0555556 * ell - 0.111111) * ell + sign * 0.5 * math.sqrt(inner)
-        )
-    return (lam(-1.0), lam(1.0))
+    """Eigenvalues at the two off-center SO saddles S and T.
+
+    The discriminant of their Jacobian is the square ((l-2)(5l-8)/9)^2,
+    so both eigenvalues are rational.
+    """
+    return (F(-2 * ell * (ell - 2) ** 2, (3 * ell - 4) ** 2), F(ell * (ell - 2), 3 * ell - 4))
 
 
 def _so_records(ell: int) -> list:
@@ -342,7 +341,6 @@ def _so_records(ell: int) -> list:
             KAHLER_EINSTEIN,
             SADDLE,
             kl,
-            eigen_rel_tol=1e-3,
         ),
         rec(
             "T",
@@ -350,7 +348,6 @@ def _so_records(ell: int) -> list:
             KAHLER_EINSTEIN,
             SADDLE,
             kl,
-            eigen_rel_tol=1e-3,
         ),
     ]
 

@@ -314,10 +314,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list) -> list:
+    """argv with each negative number that follows a long option joined to it.
+
+    argparse takes a token that starts with "-" for an option unless it
+    looks like a negative number to its pattern, which takes -0.5 but
+    not -5e-07; as --flag=-5e-07 any value reaches the flag.
+    """
+    out: list = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and prev != "--" and "=" not in prev and tok.startswith("-"):
+            try:
+                float(tok)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{prev}={tok}"
+                continue
+        out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0

@@ -17,10 +17,16 @@ direction and step budget, the direction as the sign of its step: a
 phase portrait's sample orbits and its forward and backward separatrices
 run as one batch, and each equals its orbit integrated alone.
 Orbit limits and basin labels come from one rule (_limits): a stalled
-or clamped end within MATCH_TOL of a found equilibrium.  Basin labels
-name the attractors among those limits, matched over all cells at once,
-and the revisit scan of the monotonicity check walks its
-distance matrix in blocks of rows.
+or clamped end within MATCH_TOL of a found equilibrium, or the attractor
+of the sink trap that caught it.  A sink trap is a Lyapunov sublevel set
+around a rational attractor, certified in Fractions to be forward
+invariant and to drain to it (SinkTrap, sink_trap).  Only basin_map
+passes traps: its cells stop on entering one instead of crawling the
+exponential tail to a stall, which is about half of their accepted
+steps.  Orbits, portraits, separatrices and the monotonicity check keep
+the stall rule and their whole paths.  Basin labels name the attractors
+among the limits, matched over all cells at once, and the revisit scan
+of the monotonicity check walks its distance matrix in blocks of rows.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -83,14 +89,17 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 )
 
 # termination codes
-RUNNING, STALLED, BOUNDARY, UNDERFLOW, MAX_TIME, MAX_STEPS = 0, 1, 2, 3, 4, 5
+RUNNING, STALLED, BOUNDARY, UNDERFLOW, MAX_TIME, MAX_STEPS, TRAPPED = 0, 1, 2, 3, 4, 5, 6
 _REASONS = {
     STALLED: "stalled",
     BOUNDARY: "boundary",
     UNDERFLOW: "underflow",
     MAX_TIME: "max_time",
     MAX_STEPS: "max_steps",
+    TRAPPED: "trapped",
 }
+# a trap's radius is the largest multiple of 2^-TRAP_BITS that its bound certifies
+TRAP_BITS = 32
 
 
 @dataclass
@@ -157,6 +166,28 @@ class Separatrix:
     limit: LimitOutcome
 
 
+class SinkTrap(NamedTuple):
+    """A certified trap {V < level} around a rational attractor.
+
+    V(w) = wᵀPw with w = (x, y) - center, and P = ((pxx, pxy), (pxy, pyy))
+    solves AᵀP + PA = -I for the exact Jacobian A at the center.  Every
+    point with V < level lies within radius of the center, where
+    dV/dt < 0 except at the center, so the set is forward invariant and
+    each orbit in it tends to the center (Khalil, Nonlinear Systems,
+    §8.2).  The simplex edges are invariant, so its part in the closed
+    simplex is too.  index locates the attractor in equilibria_for; floats
+    holds (cx, cy, pxx, 2 pxy, pyy, level) for the float test, with the
+    level shrunk past that test's rounding error.
+    """
+
+    index: int
+    center: tuple
+    p: tuple
+    radius: Fraction
+    level: Fraction
+    floats: tuple
+
+
 @dataclass
 class EdgeInvarianceReport:
     family: FamilyDescriptor
@@ -188,6 +219,109 @@ def field_for(family: FamilyDescriptor) -> ProjectedField:
 def equilibria_for(family: FamilyDescriptor) -> EquilibriumList:
     """The family's computed zero set, searched once per process."""
     return find_equilibria(field_for(family))
+
+
+def _shifted(poly, center) -> dict:
+    """The coefficients of poly(center + w), keyed by the exponents of w."""
+    x0, y0 = center
+    out: dict = {}
+    for (i, j), c in poly.terms.items():
+        for a in range(i + 1):
+            ca = c * math.comb(i, a) * x0 ** (i - a)
+            for b in range(j + 1):
+                out[a, b] = out.get((a, b), 0) + ca * math.comb(j, b) * y0 ** (j - b)
+    return out
+
+
+def _sqrt_above(q: Fraction) -> Fraction:
+    """A rational upper bound on sqrt(q), above it by at most 2^-40 / q.denominator."""
+    return Fraction(math.isqrt(q.numerator * q.denominator << 80) + 1, q.denominator << 40)
+
+
+def sink_trap(field: ProjectedField, center, index: int) -> Optional[SinkTrap]:
+    """The certified trap around the zero center (exact Fractions), or None.
+
+    None unless the exact Jacobian A at center has trace < 0 < det.
+    Shifted to center, the field is A w plus its degree-k parts for
+    k >= 2, each at most C_k |w|^k with C_k the sum of the absolute
+    coefficients of both components, so
+    dV/dt <= -|w|^2 (1 - 2 λmax(P) sum_k C_k |w|^(k-1)).  The radius r is
+    the largest multiple of 2^-TRAP_BITS, at most 1, at which that factor
+    stays positive, with λmax(P) bounded above by a rational; the level
+    is a rational lower bound on λmin(P) times r^2, so V < level gives
+    |w| < r.  None also when no positive radius is certified.
+    """
+    su, sv = _shifted(field.u, center), _shifted(field.v, center)
+    if su.get((0, 0)) or sv.get((0, 0)):
+        raise ValueError(f"{center} is not a zero of the field")
+    a, b, c, d = su.get((1, 0), 0), su.get((0, 1), 0), sv.get((1, 0), 0), sv.get((0, 1), 0)
+    tr, det = a + d, a * d - b * c
+    if not tr < 0 < det:
+        return None
+    # P = -(det I + adj(A)ᵀ adj(A)) / (2 tr det)
+    k = -2 * tr * det
+    pxx, pxy, pyy = (det + c * c + d * d) / k, -(a * c + b * d) / k, (det + a * a + b * b) / k
+    lam_max = (pxx + pyy) / 2 + _sqrt_above(((pxx - pyy) / 2) ** 2 + pxy**2)
+    # λmin λmax = det P
+    lam_min = (pxx * pyy - pxy**2) / lam_max
+    bound: dict = {}
+    for s in (su, sv):
+        for (i, j), coeff in s.items():
+            if i + j >= 2:
+                bound[i + j] = bound.get(i + j, 0) + abs(coeff)
+
+    def certified(r) -> bool:
+        return 2 * lam_max * sum(ck * r ** (deg - 1) for deg, ck in bound.items()) < 1
+
+    unit = Fraction(1, 1 << TRAP_BITS)
+    lo, hi = 0, 1 << TRAP_BITS
+    if certified(1):
+        lo = hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if certified(mid * unit) else (lo, mid)
+    if not lo:
+        return None
+    radius = lo * unit
+    level = lam_min * radius**2
+    # V in floats at a point of the closed simplex errs by less than
+    # 32 2^-53 λmax max(|w|, 2^-50) (the rounded center, seven roundings),
+    # so a float V below this shrunk level puts the point inside the trap
+    shrunk = level * (1 - Fraction(64, 1 << 53) * lam_max / (lam_min * radius))
+    return SinkTrap(
+        index=index,
+        center=tuple(center),
+        p=(pxx, pxy, pyy),
+        radius=radius,
+        level=level,
+        floats=tuple(float(v) for v in (*center, pxx, 2 * pxy, pyy, shrunk)),
+    )
+
+
+@functools.cache
+def traps_for(family: FamilyDescriptor) -> tuple:
+    """The certified traps of the family's rational attractors, built once per process.
+
+    An attractor at an irrational position, or one with no certified
+    radius, has none.
+    """
+    field = field_for(family)
+    traps = (
+        sink_trap(field, eq.exact, j)
+        for j, eq in enumerate(equilibria_for(family))
+        if eq.stability == ATTRACTOR and eq.exact is not None
+    )
+    return tuple(trap for trap in traps if trap is not None)
+
+
+def _trap_of(traps, p: np.ndarray) -> np.ndarray:
+    """Index into traps of the trap holding each row of the (n, 2) array p, -1 for none."""
+    held = np.full(len(p), -1)
+    for j, trap in enumerate(traps):
+        cx, cy, pxx, pxy2, pyy, level = trap.floats
+        dx, dy = p[:, 0] - cx, p[:, 1] - cy
+        held[(pxx * dx + pxy2 * dy) * dx + pyy * dy * dy < level] = j
+    return held
 
 
 def _outside_simplex(p: np.ndarray) -> np.ndarray:
@@ -278,18 +412,22 @@ def _integrate_batch(
     max_time: float = ORBIT_MAX_TIME,
     max_steps=ORBIT_MAX_STEPS,
     record: bool = False,
+    traps=None,
 ):
     """Advance every point until stall, boundary exit, or budget.
 
     direction ("forward" or "backward") and max_steps are one value for
     all points or one per point.  A point stops with status MAX_STEPS
     after max_steps accepted steps, or after 4 * max_steps trial steps
-    of its own.  Returns (positions, times, status codes, step counts,
-    samples) with samples a per-point list of (t, x, y) when record is
-    set, else None.  Raises ValueError for a start outside the closed
-    simplex (slack BOUNDARY_EXIT_TOL), a non-finite start, an unknown
-    direction, a non-positive tolerance or budget, or a per-point list
-    of the wrong length.
+    of its own.  With traps (SinkTraps), a point that starts in a trap,
+    or lands in one after an accepted step it did not end by a boundary
+    exit, stops there with status TRAPPED; its path up to then is the
+    one it takes without traps.  Returns (positions, times, status
+    codes, step counts, samples) with samples a per-point list of
+    (t, x, y) when record is set, else None.  Raises ValueError for a
+    start outside the closed simplex (slack BOUNDARY_EXIT_TOL), a
+    non-finite start, an unknown direction, a non-positive tolerance or
+    budget, or a per-point list of the wrong length.
     """
     pos = np.array(pts, dtype=float).reshape(-1, 2).copy()
     _check_integration_input(pos, direction, rtol, atol, max_time, max_steps)
@@ -306,16 +444,22 @@ def _integrate_batch(
 
     samples = [[(0.0, x, y)] for x, y in pos.tolist()] if record else None
 
+    # the loop carries only the running points, in input order, so every
+    # kernel call sees the same batch as a scan over all points would; a
+    # point's results are written back when it stops
+    ids = np.arange(n)
+    if traps:
+        caught = _trap_of(traps, pos) >= 0
+        status[caught] = TRAPPED
+        ids = ids[~caught]
+    p, tp, sp = pos.take(ids, axis=0), t.take(ids), steps.take(ids)
+
     # k1 holds the field at each running point (first same as last)
-    k1 = field.rhs(pos)
+    k1 = field.rhs(p)
     speed = np.maximum(row_max_abs(k1), 1e-300)
     h = np.clip(1e-2 / speed, 1e-6, H_MAX)
     h = np.minimum(h, max_time)
 
-    # the loop carries only the running points, in input order, so every
-    # kernel call sees the same batch as a scan over all points would; a
-    # point's results are written back when it stops
-    ids, p, tp, sp = np.arange(n), pos.copy(), t.copy(), steps.copy()
     for done in range(1, 4 * int(budget.max(initial=0)) + 1):
         if ids.size == 0:
             break
@@ -345,6 +489,8 @@ def _integrate_batch(
         code = np.full(ids.size, RUNNING, dtype=np.int8)
         code[exited] = BOUNDARY
         code[stalled] = STALLED
+        if traps:
+            code[~exited & (_trap_of(traps, p) >= 0)] = TRAPPED
 
         # step-size update, guarding the zero-error case
         factor = np.clip(0.9 * np.maximum(errnorm, 1e-300) ** -0.2, 0.2, 5.0)
@@ -365,11 +511,12 @@ def _integrate_batch(
     return pos, t, status, steps, samples
 
 
-def _limits(family, pos, status) -> tuple:
+def _limits(family, pos, status, traps=None) -> tuple:
     """Each point's limit among the family's computed zero set.
 
     Returns its index into equilibria_for(family), -1 for none, and its
-    distance to the nearest found equilibrium.  A stalled or
+    distance to the nearest found equilibrium.  A TRAPPED point has the
+    attractor of the trap (among traps) that holds it.  A stalled or
     boundary-clamped endpoint within MATCH_TOL of a found equilibrium
     has that limit; anything else has none, including a stall with no
     equilibrium nearby (which would mean the search missed a zero, and
@@ -377,7 +524,12 @@ def _limits(family, pos, status) -> tuple:
     """
     idx, dist = nearest(pos, [eq.position for eq in equilibria_for(family)])
     hit = np.isin(status, (STALLED, BOUNDARY)) & (dist <= MATCH_TOL)
-    return np.where(hit, idx, -1), dist
+    lim = np.where(hit, idx, -1)
+    if traps:
+        held = _trap_of(traps, pos)
+        caught = (status == TRAPPED) & (held >= 0)
+        lim[caught] = np.array([trap.index for trap in traps])[held[caught]]
+    return lim, dist
 
 
 def _terminal_outcome(family, pos, t, code) -> LimitOutcome:
@@ -441,8 +593,12 @@ def basin_map(family: FamilyDescriptor, resolution: int, margin: float = BASIN_M
 
     Labels name attractors only; anything else (saddle crawl, budget
     exhaustion, unmatched terminal point) is Undetermined.  A cell's
-    result does not depend on the batch it runs in: it is the orbit
-    integrate_orbit gives from the cell center with the same budget.
+    label is its orbit's limit.  Its path is the one integrate_orbit
+    gives from the cell center with the same budget, bit for bit, up to
+    the step that enters a sink trap of traps_for(family).  It stops
+    there and takes the trap's attractor, which the orbit from that
+    point provably tends to.  No cell's result depends on the batch it
+    runs in.
     Raises ValueError for a margin outside [0, 1/3) (a negative one puts
     cells outside S) or one that leaves no cell center at this resolution.
     """
@@ -466,9 +622,10 @@ def basin_map(family: FamilyDescriptor, resolution: int, margin: float = BASIN_M
         raise ValueError(f"margin {margin!r} leaves no cell center inside S at resolution {resolution}")
     labels = np.full((resolution, resolution), None, dtype=object)
     cells = np.stack([centers[ix], centers[iy]], axis=1)
-    pos, _t, status, _steps, _ = _integrate_batch(field, cells, max_steps=BASIN_MAX_STEPS)
+    traps = traps_for(family)
+    pos, _t, status, _steps, _ = _integrate_batch(field, cells, max_steps=BASIN_MAX_STEPS, traps=traps)
     # the last entry, index -1, stands for no limit
-    labels[iy, ix] = np.array(names + ["Undetermined"], dtype=object)[_limits(family, pos, status)[0]]
+    labels[iy, ix] = np.array(names + ["Undetermined"], dtype=object)[_limits(family, pos, status, traps)[0]]
     xs = centers.tolist()
     return BasinGrid(
         family=family,

@@ -119,6 +119,8 @@ def test_so_reference_table():
     assert recs["R"].position == (Fraction(1, 4), Fraction(1, 4))
     assert recs["R"].eigenvalues == (Fraction(-1, 2), Fraction(ell, 4))
     assert recs["S"].position == (Fraction(ell, 6 * ell - 8), Fraction(1, 2))
+    # -2l(l-2)^2/(3l-4)^2 and l(l-2)/(3l-4): -0.97959 and 1.71429 at l = 6
+    assert recs["S"].eigenvalues == recs["T"].eigenvalues == (Fraction(-48, 49), Fraction(12, 7))
     # P and Q are mirror images under swapping x and y (the first two
     # summand dimensions agree), so they must carry the same spectrum
     assert recs["P"].eigenvalues == recs["Q"].eigenvalues

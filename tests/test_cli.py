@@ -439,6 +439,47 @@ def test_basins_leaves_nothing_behind_when_a_path_cannot_be_written(tmp_path, ca
     assert list(tmp_path.iterdir()) == []
 
 
+# negative values written with an exponent, which argparse alone reads
+# as an option: each must reach the library as its --flag=value form does
+_NEGATIVE_FLAG_CASES = [
+    (["gh-limit", "--family", "g2u2", "--y", "0.5"], "--x", "-5e-07"),
+    (["gh-limit", "--family", "g2u2", "--x", "0.5"], "--y", "-5e-07"),
+    (["orbit", "--family", "g2u2", "--y0", "0.3", "--max-steps", "5"], "--x0", "-5e-10"),
+    (["orbit", "--family", "g2u2", "--x0", "0.3", "--max-steps", "5"], "--y0", "-5e-10"),
+    (["basins", "--family", "g2u2", "--res", "16"], "--margin", "-1e-3"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, value", _NEGATIVE_FLAG_CASES, ids=[c[1] for c in _NEGATIVE_FLAG_CASES])
+def test_float_flags_take_negative_exponent_values(capsys, argv, flag, value):
+    spaced = run(capsys, *argv, flag, value)
+    joined = run(capsys, *argv, f"{flag}={value}")
+    assert spaced == joined
+    assert "expected one argument" not in spaced[2]
+
+
+def test_negative_exponent_value_is_classified(capsys):
+    code, out, _ = run(capsys, "gh-limit", "--family", "g2u2", "--x", "-5e-07", "--y", "0.5")
+    assert code == 0
+    assert json.loads(out)["kernel"] == [1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gh-limit", "--family", "g2u2", "--x", "--y", "0.5"],
+        ["gh-limit", "--family", "g2u2", "--y", "0.5", "--x"],
+        ["orbit", "--family", "g2u2", "--x0", "--", "-5e-07", "--y0", "0.3"],
+    ],
+    ids=["followed-by-a-flag", "at-the-end", "before-the-separator"],
+)
+def test_flag_without_its_value_still_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "expected one argument" in err
+
+
 # ----------------------------------------------------------------------
 # arbitrary float flags
 

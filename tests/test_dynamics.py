@@ -1,5 +1,7 @@
-"""Orbit integration, limits, basins, separatrices, and invariance reports."""
+"""Orbit integration, limits, basins, sink traps, separatrices, and invariance reports."""
 
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,13 +13,14 @@ from flagricci import (
     edge_invariance_check,
     family_from_id,
     integrate_orbit,
+    jacobian_eigen,
     limit_of_orbit,
     monotonicity_check,
     projected_field,
     random_interior_points,
     separatrices,
 )
-from flagricci.polyalg import restrict_to_line
+from flagricci.polyalg import restrict_to_line, value_at_xy
 
 SU211 = family_from_id("su", (2, 1, 1))
 SU111 = family_from_id("su", (1, 1, 1))
@@ -595,6 +598,156 @@ def test_basin_coarse_agrees_with_fine():
 
 
 # ----------------------------------------------------------------------
+# certified sink traps
+
+TABLE_FAMILIES = [SU211, SU111, SO6] + [
+    family_from_id(fid)
+    for fid in (
+        "e6so8u1u1", "e8e6su2u1", "e8su8u1", "e7su5su3u1", "e7su6su2u1", "e6su3su3su2u1", "f4su3su2u1", "g2u2",
+    )
+]
+
+
+def _v(trap, w) -> Fraction:
+    pxx, pxy, pyy = trap.p
+    return pxx * w[0] ** 2 + 2 * pxy * w[0] * w[1] + pyy * w[1] ** 2
+
+
+def _v_dot(field, trap, w) -> Fraction:
+    """dV/dt = 2 wᵀP f(center + w), the field evaluated exactly."""
+    pxx, pxy, pyy = trap.p
+    point = (trap.center[0] + w[0], trap.center[1] + w[1])
+    fu, fv = (value_at_xy(q.in_y(), *point) for q in (field.u, field.v))
+    return 2 * ((pxx * w[0] + pxy * w[1]) * fu + (pxy * w[0] + pyy * w[1]) * fv)
+
+
+def _unit_directions(n: int) -> list:
+    """4n rational unit vectors around the circle, ((1 - s^2), 2s) / (1 + s^2) and their negatives."""
+    half = [((1 - s * s) / (1 + s * s), 2 * s / (1 + s * s)) for s in (Fraction(k, n) for k in range(-n, n))]
+    return half + [(-x, -y) for x, y in half]
+
+
+def _sqrt_below(q: Fraction) -> Fraction:
+    return Fraction(math.isqrt(q.numerator * q.denominator << 100), q.denominator << 50)
+
+
+@pytest.mark.parametrize("family", TABLE_FAMILIES, ids=lambda f: f.id + str(f.params))
+def test_every_table_attractor_has_a_trap_solving_the_lyapunov_equation(family):
+    field = dynamics.field_for(family)
+    eqs = dynamics.equilibria_for(family)
+    traps = dynamics.traps_for(family)
+    assert sorted(t.index for t in traps) == [j for j, eq in enumerate(eqs) if eq.stability == "attractor"]
+    assert len(traps) == 3
+    for trap in traps:
+        assert trap.center == eqs[trap.index].exact
+        a, b, c, d = (value_at_xy(q.in_y(), *trap.center) for q in (field.du_dx, field.du_dy, field.dv_dx, field.dv_dy))
+        pxx, pxy, pyy = trap.p
+        # AᵀP + PA = -I
+        assert 2 * (a * pxx + c * pxy) == -1 and 2 * (b * pxy + d * pyy) == -1
+        assert b * pxx + (a + d) * pxy + c * pyy == 0
+        # V >= (level / r^2) |w|^2: P - (level / r^2) I is positive semidefinite
+        m = trap.level / trap.radius**2
+        assert m > 0 and pxx >= m and (pxx - m) * (pyy - m) >= pxy**2
+        assert 0 < trap.floats[-1] < trap.level
+
+
+@pytest.mark.parametrize("family", TABLE_FAMILIES, ids=lambda f: f.id + str(f.params))
+def test_trap_certificate_holds_exactly_on_its_boundary_and_inside(family):
+    """dV/dt < 0, in Fractions, at rational points of each trap's boundary,
+    of the circle of its radius (which holds the trap) and of its inside."""
+    field = dynamics.field_for(family)
+    rng = random.Random(f"{family.id}{family.params}")
+    for trap in dynamics.traps_for(family):
+        points = []
+        for d in _unit_directions(8):
+            # the boundary point along d, moved inward by a rounding the next line bounds
+            t = _sqrt_below(trap.level / _v(trap, d))
+            points.append((t * d[0], t * d[1]))
+            assert trap.level * (1 - Fraction(1, 1 << 40)) < _v(trap, points[-1]) <= trap.level
+            points.append((trap.radius * d[0], trap.radius * d[1]))
+        inside = 0
+        while inside < 24:
+            w = tuple(trap.radius * Fraction(rng.randrange(-(1 << 20), 1 << 20), 1 << 20) for _ in range(2))
+            if any(w) and _v(trap, w) < trap.level:
+                points.append(w)
+                inside += 1
+        for w in points:
+            assert _v_dot(field, trap, w) < 0, (family.id, trap.center, w)
+
+
+def test_start_inside_a_trap_takes_zero_steps(monkeypatch):
+    from flagricci.flowgen import ProjectedField
+
+    field = dynamics.field_for(G2)
+    traps = dynamics.traps_for(G2)
+    starts = []
+    for trap in traps:
+        cx, cy = (float(c) for c in trap.center)
+        # a quarter radius from the attractor, toward the centroid of S
+        dx, dy = 1 / 3 - cx, 1 / 3 - cy
+        k = float(trap.radius) / 4 / math.hypot(dx, dy)
+        starts.append((cx + k * dx, cy + k * dy))
+    # no field evaluation at all for a batch of trapped starts
+    evaluated = []
+    rhs = ProjectedField.rhs
+    monkeypatch.setattr(ProjectedField, "rhs", lambda self, pts: evaluated.append(len(pts)) or rhs(self, pts))
+    _pos, _t, status, steps, _ = dynamics._integrate_batch(field, starts, traps=traps)
+    monkeypatch.undo()
+    assert sum(evaluated) == 0 and steps.tolist() == [0, 0, 0]
+    starts.append((0.3, 0.3))
+    pos, t, status, steps, _ = dynamics._integrate_batch(field, starts, traps=traps)
+    assert status.tolist()[:3] == [dynamics.TRAPPED] * 3
+    assert steps.tolist()[:3] == [0, 0, 0] and t.tolist()[:3] == [0.0, 0.0, 0.0]
+    assert pos[:3].tolist() == [list(p) for p in starts[:3]]
+    assert steps[3] > 0 and status[3] == dynamics.TRAPPED
+    lim, _ = dynamics._limits(G2, pos, status, traps)
+    assert lim.tolist() == [trap.index for trap in traps] + [lim[3]]
+    assert dynamics._terminal_outcome(G2, pos[0], t[0], status[0]).reason == "trapped"
+
+
+@pytest.mark.parametrize("family", [SU211, G2], ids=lambda f: f.id)
+def test_trapped_path_is_the_free_path_up_to_trap_entry(family):
+    field = dynamics.field_for(family)
+    starts = random_interior_points(6, np.random.default_rng(11))
+    *_, free = dynamics._integrate_batch(field, starts, record=True)
+    _pos, _t, status, steps, caught = dynamics._integrate_batch(
+        field, starts, record=True, traps=dynamics.traps_for(family)
+    )
+    assert (status == dynamics.TRAPPED).all()
+    for k in range(len(starts)):
+        assert len(caught[k]) == steps[k] + 1 < len(free[k])
+        assert caught[k] == free[k][: len(caught[k])]
+
+
+@pytest.mark.parametrize(
+    "family, resolution",
+    [(SU211, 64), (SO6, 64), (G2, 64), (family_from_id("e8su8u1"), 64), (SU211, 128)],
+    ids=lambda v: v.id if hasattr(v, "id") else str(v),
+)
+def test_basin_map_with_traps_equals_free_integration(family, resolution, monkeypatch):
+    results = []
+    integrate = dynamics._integrate_batch
+
+    def keeping(*args, **kwargs):
+        results.append(integrate(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(dynamics, "_integrate_batch", keeping)
+    grid = basin_map(family, resolution)
+    monkeypatch.undo()
+    # every cell of these families ends in a trap
+    assert (results[0][2] == dynamics.TRAPPED).all()
+    cells = [(x, y) for y, row in zip(grid.ys, grid.labels) for x, lab in zip(grid.xs, row) if lab is not None]
+    pos, _t, status, _steps, _ = dynamics._integrate_batch(
+        dynamics.field_for(family), cells, max_steps=dynamics.BASIN_MAX_STEPS
+    )
+    eqs = dynamics.equilibria_for(family)
+    names = [eq.name if eq.stability == "attractor" else "Undetermined" for eq in eqs] + ["Undetermined"]
+    free = [names[j] for j in dynamics._limits(family, pos, status)[0]]
+    assert [lab for row in grid.labels for lab in row if lab is not None] == free
+
+
+# ----------------------------------------------------------------------
 # separatrices
 
 
@@ -664,6 +817,22 @@ def test_batched_separatrix_equals_its_orbit_alone(family):
         alone = integrate_orbit(field, s.points[0], direction=_separatrix_direction(s))
         assert [(x, y) for _t, x, y, _l in alone.samples] == s.points
         assert alone.terminal == s.limit
+
+
+@pytest.mark.parametrize("family", [SU211, family_from_id("e8su8u1")], ids=lambda f: f.id)
+def test_separatrix_eigenvalue_is_the_saddle_eigenvalue_over_the_field_scale(family):
+    """The eigenvectors come from the Jacobian divided by field.scale (up to
+    7.4e7 for e8su8u1), so each launch's eigenvalue is a real eigenvalue of
+    the raw Jacobian at its saddle over the scale."""
+    field = dynamics.field_for(family)
+    saddles = {eq.name: eq for eq in dynamics.equilibria_for(family) if eq.stability == "saddle"}
+    seps = separatrices(family)
+    assert {s.saddle_label for s in seps} == set(saddles)
+    for s in seps:
+        eq = saddles[s.saddle_label]
+        eigs = [e.real for e in jacobian_eigen(field, eq.exact or eq.position)]
+        assert min(abs(s.eigenvalue * field.scale - e) / abs(e) for e in eigs) < 1e-9
+        assert (s.eigenvalue > 0) == (s.manifold == "unstable")
 
 
 def test_separatrix_tangent_to_invariant_segment():

@@ -176,6 +176,22 @@ def test_verify_catalog_passes(fam):
     assert len(report.checks) == expected_rows
 
 
+@pytest.mark.parametrize("ell", range(4, 13))
+def test_so_saddle_reference_eigenvalues_are_exact(ell):
+    """The S and T rows carry Fractions whose sum and product are the exact
+    trace and determinant of the Jacobian there, checked at the default
+    1e-7 eigenvalue tolerance."""
+    fam = so_family(ell)
+    field = projected_field(fam)
+    for rec in reference_equilibria(fam):
+        if rec.label not in ("S", "T"):
+            continue
+        lo, hi = rec.eigenvalues
+        assert isinstance(lo, Fraction) and isinstance(hi, Fraction) and rec.eigen_rel_tol == 1e-7
+        a, b, c, d = (q.eval(rec.position) for q in (field.du_dx, field.du_dy, field.dv_dx, field.dv_dy))
+        assert (a + d, a * d - b * c) == (lo + hi, lo * hi)
+
+
 def test_verify_catalog_reports_a_record_with_no_zero(monkeypatch):
     bogus = EquilibriumRecord("X", (Fraction(1, 5), Fraction(1, 5)), "Degenerate", "saddle")
     monkeypatch.setattr(equilibria, "reference_equilibria", lambda f: reference_equilibria(f) + [bogus])

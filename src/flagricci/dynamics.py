@@ -22,7 +22,7 @@ of the sink trap that caught it.  A sink trap is a Lyapunov sublevel set
 around a rational attractor, certified in Fractions to be forward
 invariant and to drain to it (SinkTrap, sink_trap).  Only basin_map
 passes traps: its cells stop on entering one instead of crawling the
-exponential tail to a stall, which is about half of their accepted
+exponential tail to a stall, 69-88% of the table families' accepted
 steps.  Orbits, portraits, separatrices and the monotonicity check keep
 the stall rule and their whole paths.  Basin labels name the attractors
 among the limits, matched over all cells at once, and the revisit scan
@@ -98,8 +98,9 @@ _REASONS = {
     MAX_STEPS: "max_steps",
     TRAPPED: "trapped",
 }
-# a trap's radius is the largest multiple of 2^-TRAP_BITS that its bound certifies
-TRAP_BITS = 32
+# sink traps bound dV/dt on 4 TRAP_N sectors of directions, in integers over 2^_TRAP_SCALE
+TRAP_N = 64
+_TRAP_SCALE = 128
 
 
 @dataclass
@@ -170,14 +171,14 @@ class SinkTrap(NamedTuple):
     """A certified trap {V < level} around a rational attractor.
 
     V(w) = wᵀPw with w = (x, y) - center, and P = ((pxx, pxy), (pxy, pyy))
-    solves AᵀP + PA = -I for the exact Jacobian A at the center.  Every
-    point with V < level lies within radius of the center, where
-    dV/dt < 0 except at the center, so the set is forward invariant and
-    each orbit in it tends to the center (Khalil, Nonlinear Systems,
-    §8.2).  The simplex edges are invariant, so its part in the closed
-    simplex is too.  index locates the attractor in equilibria_for; floats
-    holds (cx, cy, pxx, 2 pxy, pyy, level) for the float test, with the
-    level shrunk past that test's rounding error.
+    solves AᵀP + PA = -I for the exact Jacobian A at the center.  On the
+    set dV/dt < 0 except at the center, proved sector by sector of
+    directions, so it is forward invariant and each orbit in it tends to
+    the center (Khalil, Nonlinear Systems, §8.2); it lies within radius
+    of the center.  The simplex edges are invariant, so its part in the
+    closed simplex is too.  index locates the attractor in equilibria_for;
+    floats holds (cx, cy, pxx, 2 pxy, pyy, level) for the float test, with
+    the level shrunk past that test's rounding error.
     """
 
     index: int
@@ -238,18 +239,76 @@ def _sqrt_above(q: Fraction) -> Fraction:
     return Fraction(math.isqrt(q.numerator * q.denominator << 80) + 1, q.denominator << 40)
 
 
+def _dv_dt_parts(su, sv, p) -> dict:
+    """The parts {g: {(i, j): coeff}} of degree g of W(w) = dV/dt = 2 wᵀP f(w),
+    for V(w) = wᵀPw, P = (pxx, pxy, pyy), and f = (su, sv) shifted to the zero."""
+    pxx, pxy, pyy = p
+    parts: dict = {}
+    for s, (a, b) in ((su, (pxx, pxy)), (sv, (pxy, pyy))):
+        for (i, j), c in s.items():
+            part = parts.setdefault(i + j + 1, {})
+            part[i + 1, j] = part.get((i + 1, j), 0) + 2 * a * c
+            part[i, j + 1] = part.get((i, j + 1), 0) + 2 * b * c
+    return parts
+
+
+def _trap_sectors(parts, p, lam_min) -> tuple:
+    """Bounds on W_g (g >= 3) and on dᵀPd over the 4n sectors of unit vectors d, n = TRAP_N.
+
+    The directions sign ((n^2 - k^2), 2kn) / (n^2 + k^2), k = -n..n, sign = ±1,
+    lie at most 2/n rad apart; sector i runs from k = i mod 2n - n to k + 1,
+    with sign +1 for i < 2n.  Returns (bounds, m) in integers over
+    2^_TRAP_SCALE: bounds[g][i] >= max(W_g(d), 0) and m[i] <= dᵀPd on sector
+    i, from its ends and the slopes |dW_g/dθ| <= g sum|coeffs of W_g| and
+    |d(dᵀPd)/dθ| <= |pxx - pyy| + 2|pxy| over half its width; m is at least
+    lam_min, a lower bound on λmin(P), rounded down.
+    """
+    n, one = TRAP_N, 1 << _TRAP_SCALE
+    pxx, pxy, pyy = p
+    polys = {2: {(2, 0): pxx, (1, 1): 2 * pxy, (0, 2): pyy}, **{g: w for g, w in parts.items() if g >= 3}}
+    k = np.arange(-n, n + 1).astype(object)
+    x, y, r = n * n - k * k, 2 * n * k, n * n + k * k
+    bounds = {}
+    for g, poly in polys.items():
+        den = math.lcm(*(c.denominator for c in poly.values()))
+        coeffs = [(e, int(c * den)) for e, c in poly.items()]
+        num, div = sum(c * x**i * y**j for (i, j), c in coeffs) * one, den * r**g
+        # floor and ceiling of one * poly(d) at each direction
+        lo, hi = num // div, -(-num // div)
+        if g == 2:
+            slope = math.ceil((abs(pxx - pyy) + 2 * abs(pxy)) * one / n)
+            m = np.maximum(np.minimum(lo[:-1], lo[1:]) - slope, math.floor(lam_min * one))
+            continue
+        slope = math.ceil(Fraction(g * sum(abs(c) for _, c in coeffs) * one, den * n))
+        # W_g(-d) = (-1)^g W_g(d), so on the negated sectors an odd part's bound is its floor negated
+        back = np.maximum(hi[:-1], hi[1:]) if g % 2 == 0 else -np.minimum(lo[:-1], lo[1:])
+        bounds[g] = np.maximum(np.concatenate([np.maximum(hi[:-1], hi[1:]), back]) + slope, 0)
+    return bounds, np.concatenate([m, m])
+
+
+def _certifies(sectors, level: Fraction) -> bool:
+    """Whether the sector bounds prove dV/dt < 0 on {0 < V < level}, exactly.
+
+    On a ray ρd of sector i, V < level gives ρ < sqrt(level / m[i]), and
+    dV/dt <= ρ^2 (-1 + sum_g bounds[g][i] ρ^(g-2)), nondecreasing in ρ; the
+    check takes a rational ρ = a/b above that root, in integers."""
+    bounds, m = sectors
+    one, top = 1 << _TRAP_SCALE, max(bounds, default=2)
+    den = level.denominator * m
+    a, b = np.frompyfunc(math.isqrt, 1, 1)(level.numerator * one * den << 80) + 1, den << 40
+    total = sum(u * a ** (g - 2) * b ** (top - g) for g, u in bounds.items())
+    return bool((total < one * b ** (top - 2)).all())
+
+
 def sink_trap(field: ProjectedField, center, index: int) -> Optional[SinkTrap]:
     """The certified trap around the zero center (exact Fractions), or None.
 
     None unless the exact Jacobian A at center has trace < 0 < det.
-    Shifted to center, the field is A w plus its degree-k parts for
-    k >= 2, each at most C_k |w|^k with C_k the sum of the absolute
-    coefficients of both components, so
-    dV/dt <= -|w|^2 (1 - 2 λmax(P) sum_k C_k |w|^(k-1)).  The radius r is
-    the largest multiple of 2^-TRAP_BITS, at most 1, at which that factor
-    stays positive, with λmax(P) bounded above by a rational; the level
-    is a rational lower bound on λmin(P) times r^2, so V < level gives
-    |w| < r.  None also when no positive radius is certified.
+    Shifted to center, dV/dt = -|w|^2 plus its parts W_g of degree g >= 3
+    (_dv_dt_parts).  The level is the least of the sector levels m ρ^2
+    (_trap_sectors), each ρ <= 2 found by a float search, checked exactly
+    (_certifies).  The radius is a rational upper bound on
+    sqrt(level / λmin(P)), so V < level gives |w| below it.
     """
     su, sv = _shifted(field.u, center), _shifted(field.v, center)
     if su.get((0, 0)) or sv.get((0, 0)):
@@ -260,33 +319,27 @@ def sink_trap(field: ProjectedField, center, index: int) -> Optional[SinkTrap]:
         return None
     # P = -(det I + adj(A)ᵀ adj(A)) / (2 tr det)
     k = -2 * tr * det
-    pxx, pxy, pyy = (det + c * c + d * d) / k, -(a * c + b * d) / k, (det + a * a + b * b) / k
+    p = pxx, pxy, pyy = (det + c * c + d * d) / k, -(a * c + b * d) / k, (det + a * a + b * b) / k
     lam_max = (pxx + pyy) / 2 + _sqrt_above(((pxx - pyy) / 2) ** 2 + pxy**2)
     # λmin λmax = det P
     lam_min = (pxx * pyy - pxy**2) / lam_max
-    bound: dict = {}
-    for s in (su, sv):
-        for (i, j), coeff in s.items():
-            if i + j >= 2:
-                bound[i + j] = bound.get(i + j, 0) + abs(coeff)
-
-    def certified(r) -> bool:
-        return 2 * lam_max * sum(ck * r ** (deg - 1) for deg, ck in bound.items()) < 1
-
-    unit = Fraction(1, 1 << TRAP_BITS)
-    lo, hi = 0, 1 << TRAP_BITS
-    if certified(1):
-        lo = hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if certified(mid * unit) else (lo, mid)
-    if not lo:
-        return None
-    radius = lo * unit
-    level = lam_min * radius**2
-    # V in floats at a point of the closed simplex errs by less than
-    # 32 2^-53 λmax max(|w|, 2^-50) (the rounded center, seven roundings),
-    # so a float V below this shrunk level puts the point inside the trap
+    sectors = bounds, m = _trap_sectors(_dv_dt_parts(su, sv, p), p, lam_min)
+    # bisection in floats for each sector's largest ρ
+    one = 1 << _TRAP_SCALE
+    columns = [(g - 2, (u / one).astype(float)) for g, u in bounds.items()]
+    lo, hi = np.zeros(len(m)), np.full(len(m), 2.0)
+    for _ in range(40):
+        mid = (lo + hi) / 2
+        below = sum(u * mid**e for e, u in columns) < 1
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    level = Fraction(float(((m / one).astype(float) * lo * lo).min()) * (1 - 2.0**-20))
+    while not _certifies(sectors, level):
+        level /= 2
+    radius = _sqrt_above(level / lam_min)
+    # V in floats at a point of the closed simplex (|w| <= sqrt 2) errs by
+    # less than 16 2^-53 λmax |w|: under half the margin below up to
+    # |w| = 2 radius, beyond which V > 4 level, so a float V below this
+    # shrunk level puts the point inside the trap
     shrunk = level * (1 - Fraction(64, 1 << 53) * lam_max / (lam_min * radius))
     return SinkTrap(
         index=index,
@@ -302,8 +355,8 @@ def sink_trap(field: ProjectedField, center, index: int) -> Optional[SinkTrap]:
 def traps_for(family: FamilyDescriptor) -> tuple:
     """The certified traps of the family's rational attractors, built once per process.
 
-    An attractor at an irrational position, or one with no certified
-    radius, has none.
+    An attractor at an irrational position, or one whose exact Jacobian
+    is not a hyperbolic sink, has none.
     """
     field = field_for(family)
     traps = (

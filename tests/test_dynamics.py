@@ -653,18 +653,16 @@ def test_every_table_attractor_has_a_trap_solving_the_lyapunov_equation(family):
 
 @pytest.mark.parametrize("family", TABLE_FAMILIES, ids=lambda f: f.id + str(f.params))
 def test_trap_certificate_holds_exactly_on_its_boundary_and_inside(family):
-    """dV/dt < 0, in Fractions, at rational points of each trap's boundary,
-    of the circle of its radius (which holds the trap) and of its inside."""
+    """dV/dt < 0, in Fractions, at rational points of each trap's boundary and of its inside."""
     field = dynamics.field_for(family)
     rng = random.Random(f"{family.id}{family.params}")
     for trap in dynamics.traps_for(family):
         points = []
-        for d in _unit_directions(8):
+        for d in _unit_directions(64):
             # the boundary point along d, moved inward by a rounding the next line bounds
             t = _sqrt_below(trap.level / _v(trap, d))
             points.append((t * d[0], t * d[1]))
             assert trap.level * (1 - Fraction(1, 1 << 40)) < _v(trap, points[-1]) <= trap.level
-            points.append((trap.radius * d[0], trap.radius * d[1]))
         inside = 0
         while inside < 24:
             w = tuple(trap.radius * Fraction(rng.randrange(-(1 << 20), 1 << 20), 1 << 20) for _ in range(2))
@@ -673,6 +671,105 @@ def test_trap_certificate_holds_exactly_on_its_boundary_and_inside(family):
                 inside += 1
         for w in points:
             assert _v_dot(field, trap, w) < 0, (family.id, trap.center, w)
+
+
+def _sectors_of(field, trap):
+    """The parts of dV/dt and the sector bounds that the trap's certificate uses."""
+    su, sv = (dynamics._shifted(q, trap.center) for q in (field.u, field.v))
+    parts = dynamics._dv_dt_parts(su, sv, trap.p)
+    pxx, pxy, pyy = trap.p
+    lam_min = (pxx * pyy - pxy**2) / ((pxx + pyy) / 2 + dynamics._sqrt_above(((pxx - pyy) / 2) ** 2 + pxy**2))
+    return parts, dynamics._trap_sectors(parts, trap.p, lam_min)
+
+
+
+
+@pytest.mark.parametrize("family", TABLE_FAMILIES, ids=lambda f: f.id + str(f.params))
+def test_sector_bounds_hold_inside_each_sector(family):
+    """Each sector's bound on W_g = the degree-g part of dV/dt, and on dᵀPd,
+    holds exactly at rational unit directions strictly inside the sector."""
+    field = dynamics.field_for(family)
+    n, one = dynamics.TRAP_N, 1 << dynamics._TRAP_SCALE
+    rng = random.Random(f"{family.id}{family.params}")
+    for trap in dynamics.traps_for(family):
+        parts, (bounds, m) = _sectors_of(field, trap)
+        # AᵀP + PA = -I makes the quadratic part of dV/dt exactly -|w|^2
+        assert {e: c for e, c in parts[2].items() if c} == {(2, 0): -1, (0, 2): -1}
+        assert sorted(bounds) == [g for g in sorted(parts) if g >= 3] and len(m) == 4 * n
+        for i in range(4 * n):
+            sign, k = 1 if i < 2 * n else -1, i % (2 * n) - n
+            for s in (Fraction(2 * k + 1, 2 * n), Fraction(k, n) + Fraction(rng.randrange(1, 1 << 16), n << 16)):
+                # d = (x, y) / r, a unit vector in the sector
+                a, b = s.numerator, s.denominator
+                x, y, r = sign * (b * b - a * a), sign * 2 * a * b, a * a + b * b
+                for g, bound in bounds.items():
+                    w_g = sum(c * x**i_ * y**j for (i_, j), c in parts[g].items())
+                    assert w_g * one <= bound[i] * r**g, (family.id, trap.index, i, g)
+                assert _v(trap, (x, y)) * one >= m[i] * r * r, (family.id, trap.index, i)
+        assert dynamics._certifies((bounds, m), trap.level)
+
+
+def test_level_check_rejects_a_level_where_dv_dt_is_not_negative():
+    """A rational point of g2u2 near M where dV/dt >= 0 lies below the level
+    9e-5; the exact check rejects that level and accepts the trap's."""
+    field = dynamics.field_for(G2)
+    eqs = dynamics.equilibria_for(G2)
+    (trap,) = [t for t in dynamics.traps_for(G2) if eqs[t.index].name == "M"]
+    w, level = (Fraction(27, 2500), Fraction(147, 2000)), Fraction(9, 10**5)
+    assert _v(trap, w) < level and _v_dot(field, trap, w) >= 0
+    _parts, sectors = _sectors_of(field, trap)
+    assert not dynamics._certifies(sectors, level)
+    assert dynamics._certifies(sectors, trap.level) and 2 * trap.level > level
+
+
+def _radius_bound_level(field, trap) -> Fraction:
+    """The level of the C_k radius bound, the reference the sector certificate replaced.
+
+    C_k is the sum of the absolute coefficients of degree k of both shifted
+    components, r the largest multiple of 2^-32 in (0, 1] with
+    2 λmax sum_k C_k r^(k-1) < 1, and the level λmin r^2 (rational bounds).
+    """
+    su, sv = (dynamics._shifted(q, trap.center) for q in (field.u, field.v))
+    bound: dict = {}
+    for s in (su, sv):
+        for (i, j), coeff in s.items():
+            if i + j >= 2:
+                bound[i + j] = bound.get(i + j, 0) + abs(coeff)
+    pxx, pxy, pyy = trap.p
+    lam_max = (pxx + pyy) / 2 + dynamics._sqrt_above(((pxx - pyy) / 2) ** 2 + pxy**2)
+    lo, hi = 0, 1 << 32
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        r = Fraction(mid, 1 << 32)
+        lo, hi = (mid, hi) if 2 * lam_max * sum(c * r ** (k - 1) for k, c in bound.items()) < 1 else (lo, mid)
+    return (pxx * pyy - pxy**2) / lam_max * Fraction(lo, 1 << 32) ** 2
+
+
+@pytest.mark.parametrize("family", TABLE_FAMILIES, ids=lambda f: f.id + str(f.params))
+def test_sector_levels_are_at_least_four_times_the_radius_bound(family):
+    field = dynamics.field_for(family)
+    for trap in dynamics.traps_for(family):
+        assert trap.level >= 4 * _radius_bound_level(field, trap), (family.id, trap.index)
+
+
+@pytest.mark.parametrize("family", [SU211, SO6, G2, family_from_id("e8su8u1"), family_from_id("e8e6su2u1")],
+                         ids=lambda f: f.id)
+def test_float_trap_test_admits_only_points_inside_the_trap(family):
+    """Float points within 1e-12 of each trap boundary: every one that the
+    float test admits has exact V < level, and both sides are sampled."""
+    rng = np.random.default_rng(5)
+    traps = dynamics.traps_for(family)
+    for j, trap in enumerate(traps):
+        cx, cy, pxx, pxy2, pyy, _ = trap.floats
+        theta = rng.uniform(0, 2 * np.pi, 4000)
+        d = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        rho = np.sqrt(float(trap.level) / (pxx * d[:, 0] ** 2 + pxy2 * d[:, 0] * d[:, 1] + pyy * d[:, 1] ** 2))
+        p = np.array([cx, cy]) + (rho + rng.uniform(-1e-12, 1e-12, 4000))[:, None] * d
+        p = p[~dynamics._outside_simplex(p)]
+        admitted = dynamics._trap_of([trap], p) == 0
+        assert 0 < admitted.sum() < len(p)
+        for x, y in p[admitted]:
+            assert _v(trap, (Fraction(x) - trap.center[0], Fraction(y) - trap.center[1])) < trap.level
 
 
 def test_start_inside_a_trap_takes_zero_steps(monkeypatch):

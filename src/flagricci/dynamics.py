@@ -344,7 +344,7 @@ def sink_trap(field: ProjectedField, center, index: int) -> Optional[SinkTrap]:
     return SinkTrap(
         index=index,
         center=tuple(center),
-        p=(pxx, pxy, pyy),
+        p=p,
         radius=radius,
         level=level,
         floats=tuple(float(v) for v in (*center, pxx, 2 * pxy, pyy, shrunk)),

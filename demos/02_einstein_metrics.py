@@ -8,10 +8,10 @@ result row-by-row against the expected table for the family.
 """
 
 from flagricci import (
+    corner_class,
     family_from_id,
     find_equilibria,
     projected_field,
-    radial_probe,
     verify_catalog,
 )
 
@@ -26,9 +26,9 @@ def show(family):
         where = "boundary" if eq.boundary_flag else "interior"
         note = ""
         if eq.stability == "nonhyperbolic":
-            # some corners have an exactly zero linearization; the field's
-            # radial sign still decides the dynamic type
-            note = f"  (radial probe: {radial_probe(field, eq.position)})"
+            # some corners have an exactly zero linearization; the sign of
+            # the field's lowest radial form still decides the dynamic type
+            note = f"  (lowest radial form: {corner_class(field, eq.exact)})"
         print(f"  {eq.matched_label}  ({x:.6f}, {y:.6f})  {eq.stability:9s}"
               f"  eigenvalues [{ev}]  {where}{note}")
     report = verify_catalog(family)

@@ -35,9 +35,9 @@ from .equilibria import (
     FoundEquilibrium,
     VerificationReport,
     classify_equilibrium,
+    corner_class,
     find_equilibria,
     jacobian_eigen,
-    radial_probe,
     verify_catalog,
 )
 from .dynamics import (
@@ -86,6 +86,7 @@ __all__ = [
     "classify_equilibrium",
     "classify_limit",
     "cleared_field",
+    "corner_class",
     "e6_family",
     "edge_invariance_check",
     "family_from_id",
@@ -101,7 +102,6 @@ __all__ = [
     "monotonicity_check",
     "phase_portrait",
     "projected_field",
-    "radial_probe",
     "random_interior_points",
     "reference_equilibria",
     "ricci_components",

@@ -42,7 +42,7 @@ import numpy as np
 from .catalog import ATTRACTOR, SADDLE, FamilyDescriptor
 from .equilibria import EquilibriumList, find_equilibria, nearest
 from .flowgen import ProjectedField, keep_rows, lyapunov_planar, projected_field, row_max_abs
-from .polyalg import restrict_to_line
+from .polyalg import restrict_to_line, taylor_shift
 
 STALL_TOL = 1e-9
 # shortest step whose displacement alone can tell a stall (see _integrate_batch)
@@ -222,18 +222,6 @@ def equilibria_for(family: FamilyDescriptor) -> EquilibriumList:
     return find_equilibria(field_for(family))
 
 
-def _shifted(poly, center) -> dict:
-    """The coefficients of poly(center + w), keyed by the exponents of w."""
-    x0, y0 = center
-    out: dict = {}
-    for (i, j), c in poly.terms.items():
-        for a in range(i + 1):
-            ca = c * math.comb(i, a) * x0 ** (i - a)
-            for b in range(j + 1):
-                out[a, b] = out.get((a, b), 0) + ca * math.comb(j, b) * y0 ** (j - b)
-    return out
-
-
 def _sqrt_above(q: Fraction) -> Fraction:
     """A rational upper bound on sqrt(q), above it by at most 2^-40 / q.denominator."""
     return Fraction(math.isqrt(q.numerator * q.denominator << 80) + 1, q.denominator << 40)
@@ -310,7 +298,7 @@ def sink_trap(field: ProjectedField, center, index: int) -> Optional[SinkTrap]:
     (_certifies).  The radius is a rational upper bound on
     sqrt(level / λmin(P)), so V < level gives |w| below it.
     """
-    su, sv = _shifted(field.u, center), _shifted(field.v, center)
+    su, sv = taylor_shift(field.u, center), taylor_shift(field.v, center)
     if su.get((0, 0)) or sv.get((0, 0)):
         raise ValueError(f"{center} is not a zero of the field")
     a, b, c, d = su.get((1, 0), 0), su.get((0, 1), 0), sv.get((1, 0), 0), sv.get((0, 1), 0)
@@ -355,16 +343,12 @@ def sink_trap(field: ProjectedField, center, index: int) -> Optional[SinkTrap]:
 def traps_for(family: FamilyDescriptor) -> tuple:
     """The certified traps of the family's rational attractors, built once per process.
 
-    An attractor at an irrational position, or one whose exact Jacobian
-    is not a hyperbolic sink, has none.
+    A rational zero is an attractor exactly when its Jacobian has trace < 0 < det,
+    so each gets a trap; an attractor at an irrational position has none.
     """
     field = field_for(family)
-    traps = (
-        sink_trap(field, eq.exact, j)
-        for j, eq in enumerate(equilibria_for(family))
-        if eq.stability == ATTRACTOR and eq.exact is not None
-    )
-    return tuple(trap for trap in traps if trap is not None)
+    attractors = [(j, eq.exact) for j, eq in enumerate(equilibria_for(family)) if eq.stability == ATTRACTOR]
+    return tuple(sink_trap(field, center, j) for j, center in attractors if center is not None)
 
 
 def _trap_of(traps, p: np.ndarray) -> np.ndarray:
@@ -618,14 +602,8 @@ def integrate_orbit(
     zero set, so a converged orbit arrives labeled.
     """
     pos, t, status, _steps, samples = _integrate_batch(
-        field,
-        [p0],
-        direction=direction,
-        rtol=rtol,
-        atol=atol,
-        max_time=max_time,
-        max_steps=max_steps,
-        record=True,
+        field, [p0], direction=direction, rtol=rtol, atol=atol,
+        max_time=max_time, max_steps=max_steps, record=True,
     )
     _t, x, y = np.array(samples[0]).T
     return Trajectory(

@@ -5,6 +5,9 @@ polynomials, found exactly by eliminating y with a resultant (see
 find_equilibria), then compared against the family's reference table:
 positions, Jacobian eigenvalues (where the table has closed forms), and
 stability classes all have to agree.
+
+A rational zero's class comes from exact signs, an irrational zero's from
+float eigenvalues, and a degenerate simplex corner's from corner_class.
 """
 
 from __future__ import annotations
@@ -16,18 +19,15 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import (
-    ATTRACTOR,
-    REPELLER,
-    SADDLE,
-    FamilyDescriptor,
-    reference_equilibria,
-)
+from .catalog import ATTRACTOR, REPELLER, SADDLE, FamilyDescriptor, reference_equilibria
 from .flowgen import ProjectedField, projected_field, row_max_abs
-from .polyalg import gcd, primitive, real_roots, sign_at, squarefree, subresultant, sub, value_at, value_at_xy
+from .polyalg import (gcd, primitive, real_roots, restrict_to_line, sign_at, squarefree, subresultant, sub,
+                      taylor_shift, value_at, value_at_xy)
 
 NONHYPERBOLIC = "nonhyperbolic"
 
+# a real part below this, in the field's unscaled units, is nonhyperbolic;
+# only irrational zeros are classified in floats, rational ones by exact signs
 NONHYP_TOL = 1e-8
 # a found zero takes the label of the nearest reference equilibrium
 # closer than this
@@ -37,9 +37,6 @@ LABEL_TOL = 1e-3
 # saddle table gives its positions to five decimals only
 POSITION_TOL_EXACT = 1e-9
 POSITION_TOL_DECIMAL = 1e-4
-# the radial probe samples PROBE_DIRS directions at distance PROBE_RADIUS
-PROBE_RADIUS = 1e-4
-PROBE_DIRS = 720
 # equilibria are listed by position rounded to this many decimals, so
 # that positions which differ only by rounding sort by their y
 ORDER_DECIMALS = 9
@@ -100,20 +97,16 @@ def classify_equilibrium(eigs: tuple) -> str:
     return SADDLE
 
 
-def jacobian_eigen(field: ProjectedField, p) -> tuple:
-    """Eigenvalues of the exact field Jacobian at p, ascending real part.
-
-    Exact polynomial evaluation feeds the closed-form 2x2 eigenvalue
-    formula, so rational input points give eigenvalues that are exact up
-    to the final square root.
-    """
+def _linearization(field: ProjectedField, p) -> tuple:
+    """jacobian_eigen's eigenvalues, and the Jacobian's trace and determinant:
+    exact Fractions at a rational p, floats otherwise."""
     entries = (field.du_dx, field.du_dy, field.dv_dx, field.dv_dy)
     if all(isinstance(c, (int, Fraction)) for c in p):
         j11, j12, j21, j22 = (value_at_xy(q.in_y(), *p) for q in entries)
     else:
         j11, j12, j21, j22 = (q.eval(p) for q in entries)
-    tr = j11 + j22
-    disc = tr * tr - 4 * (j11 * j22 - j12 * j21)
+    tr, det = j11 + j22, j11 * j22 - j12 * j21
+    disc = tr * tr - 4 * det
     if disc >= 0:
         root = math.sqrt(float(disc))
         pair = (complex((float(tr) - root) / 2), complex((float(tr) + root) / 2))
@@ -121,7 +114,51 @@ def jacobian_eigen(field: ProjectedField, p) -> tuple:
         root = math.sqrt(-float(disc))
         half = float(tr) / 2
         pair = (complex(half, -root / 2), complex(half, root / 2))
-    return tuple(sorted(pair, key=lambda e: (e.real, e.imag)))
+    return tuple(sorted(pair, key=lambda e: (e.real, e.imag))), tr, det
+
+
+def _sign_class(tr, det) -> str:
+    """Stability class from the exact signs of the Jacobian's trace and determinant."""
+    if det < 0:
+        return SADDLE
+    if not det or not tr:
+        return NONHYPERBOLIC
+    return REPELLER if tr > 0 else ATTRACTOR
+
+
+def jacobian_eigen(field: ProjectedField, p) -> tuple:
+    """Eigenvalues of the exact field Jacobian at p, ascending real part;
+    exact up to the final square root at a rational p."""
+    return _linearization(field, p)[0]
+
+
+def corner_class(field: ProjectedField, p) -> Optional[str]:
+    """Class of a simplex corner p where the field and its linear part vanish, or None.
+
+    Shifted to p, f = f_2 + f_3 + ... with f_k homogeneous of degree k.
+    The lowest nonzero radial form R_k(w) = w . f_k(w) decides when it
+    has one sign on the open wedge e1 + t (e2 - e1), 0 < t < 1, between
+    the corner's edges e1 and e2 (which carry their own dynamics):
+    repeller where positive, attractor where negative.  A root inside
+    gives None, since only a blow-up would decide (Dumortier, Llibre &
+    Artes, Qualitative Theory of Planar Differential Systems, 2006, ch. 3).
+    """
+    (x0, y0), (x1, y1), (x2, y2) = sorted([(0, 0), (1, 0), (0, 1)], key=lambda v: v != tuple(p))
+    if (x0, y0) != tuple(p):
+        return None
+    su, sv = (taylor_shift(q, (x0, y0)) for q in (field.u, field.v))
+    if any(c for s in (su, sv) for (i, j), c in s.items() if i + j < 2):
+        return None
+    for k in range(2, field.degree() + 1):
+        # rows[j] holds R_k's coefficient of x^(k + 1 - j) y^j: integral, as u, v and the corner are
+        rows = [[0] * (k + 1 - j) + [(su.get((k - j, j), 0) + sv.get((k + 1 - j, j - 1), 0)).numerator]
+                for j in range(k + 2)]
+        on_wedge = restrict_to_line(rows, (x1 - x0, y1 - y0), (x2 - x1, y2 - y1))
+        if on_wedge:
+            if any(not isinstance(t, Fraction) or 0 < t < 1 for t in real_roots(squarefree(on_wedge))):
+                return None
+            return REPELLER if value_at(on_wedge, Fraction(1, 2)) > 0 else ATTRACTOR
+    return None
 
 
 def nearest(points, targets) -> tuple:
@@ -147,7 +184,8 @@ def find_equilibria(field: ProjectedField) -> EquilibriumList:
     gcd(u(x0, y), v(x0, y)); over an irrational x0 that gcd is the degree-1
     subresultant s1(x) y + s0(x), so y0 = -s0(x0) / s1(x0), and exact signs
     decide whether the zero lies in the simplex or on its edge.  Rational
-    zeros keep their exact position and Jacobian.  Raises ArithmeticError
+    zeros keep their exact position and take their class from the signs
+    of their exact Jacobian's trace and determinant.  Raises ArithmeticError
     if u and v share a factor or have a nonlinear gcd over an irrational x.
     """
     uy, vy = field.u.in_y(), field.v.in_y()
@@ -189,48 +227,21 @@ def find_equilibria(field: ProjectedField) -> EquilibriumList:
     for (pos, boundary), point, resid, i, d in zip(
         zeros, positions, residuals.tolist(), ref_idx.tolist(), ref_d.tolist()
     ):
-        eigs = jacobian_eigen(field, pos)
+        eigs, tr, det = _linearization(field, pos)
+        exact = pos if isinstance(pos[1], Fraction) else None
         accepted.append(
             FoundEquilibrium(
                 position=point,
                 residual=resid,
                 eigenvalues=eigs,
-                stability=classify_equilibrium(eigs),
+                stability=classify_equilibrium(eigs) if exact is None else _sign_class(tr, det),
                 matched_label=refs[i].label if d < LABEL_TOL else None,
                 boundary_flag=boundary,
-                exact=pos if isinstance(pos[1], Fraction) else None,
+                exact=exact,
             )
         )
     accepted.sort(key=lambda e: order_key(e.position))
     return EquilibriumList(accepted, tried, len(accepted))
-
-
-def radial_probe(field: ProjectedField, p: tuple) -> Optional[str]:
-    """Classify a degenerate-Jacobian point by the field's radial sign.
-
-    Samples directions into the open simplex (the boundary edges carry
-    their own one-dimensional dynamics and are excluded); if the field
-    points strictly outward along all of them the point is a repeller,
-    strictly inward an attractor.  Returns None when the signs mix.
-    """
-    angles = np.linspace(0.0, 2.0 * math.pi, PROBE_DIRS, endpoint=False)
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    probes = np.asarray(p, dtype=float) + PROBE_RADIUS * dirs
-    margin = PROBE_RADIUS * 1e-3
-    admissible = (
-        (probes[:, 0] > margin)
-        & (probes[:, 1] > margin)
-        & (probes[:, 0] + probes[:, 1] < 1.0 - margin)
-    )
-    if not admissible.any():
-        return None
-    vals = field.rhs(probes[admissible])
-    radial = np.einsum("ij,ij->i", vals, dirs[admissible])
-    if (radial > 0).all():
-        return REPELLER
-    if (radial < 0).all():
-        return ATTRACTOR
-    return None
 
 
 @dataclass
@@ -279,10 +290,7 @@ class VerificationReport:
 
 def _eigen_rel_error(found: tuple, ref: tuple) -> float:
     ref_sorted = sorted((complex(e) for e in ref), key=lambda e: (e.real, e.imag))
-    err = 0.0
-    for fe, re_ in zip(found, ref_sorted):
-        err = max(err, abs(fe - re_) / abs(re_))
-    return err
+    return max(abs(fe - re_) / abs(re_) for fe, re_ in zip(found, ref_sorted))
 
 
 def verify_catalog(family: FamilyDescriptor) -> VerificationReport:
@@ -290,8 +298,9 @@ def verify_catalog(family: FamilyDescriptor) -> VerificationReport:
 
     A record passes when a zero sits within its position tolerance, the
     Jacobian eigenvalues reproduce the closed forms (when present), and
-    the stability class matches.  Points where the Jacobian vanishes
-    identically are classified through the radial probe instead.
+    the stability class matches.  A found rational zero that is
+    nonhyperbolic takes corner_class's class at its exact position, when
+    that decides one.
     """
     field = projected_field(family)
     found = find_equilibria(field)
@@ -312,15 +321,10 @@ def verify_catalog(family: FamilyDescriptor) -> VerificationReport:
             if rec.eigenvalues is not None:
                 eigen_err = _eigen_rel_error(eq.eigenvalues, rec.eigenvalues)
             found_class, note = eq.stability, ""
-            if found_class == NONHYPERBOLIC and rec.expected_class in (REPELLER, ATTRACTOR):
-                probed = radial_probe(field, rp)
-                if probed is not None:
-                    found_class = probed
-                    note = "degenerate Jacobian, classified by radial probe"
-        eigen_ok = (
-            eigen_err is None
-            or (rec.eigen_rel_tol is not None and eigen_err <= rec.eigen_rel_tol)
-        )
+            corner = corner_class(field, eq.exact) if found_class == NONHYPERBOLIC and eq.exact else None
+            if corner:
+                found_class, note = corner, "degenerate Jacobian, classified by its lowest radial form"
+        eigen_ok = eigen_err is None or (rec.eigen_rel_tol is not None and eigen_err <= rec.eigen_rel_tol)
         report.checks.append(
             RecordCheck(
                 label=rec.label,

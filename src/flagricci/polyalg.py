@@ -20,7 +20,6 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Mapping, Sequence, Union
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 
 _VAR_NAMES = ("x", "y", "z")
@@ -236,9 +235,10 @@ class Poly:
         """Coefficients in y, lowest power first, each an integer list in x."""
         if self.arity != 2 or any(c.denominator != 1 for c in self.terms.values()):
             raise ValueError("in_y requires an arity-2 polynomial with integer coefficients")
-        out = [[0] * (self.degree() + 1) for _ in range(self.degree() + 1)]
+        n = self.degree() + 1
+        out = [[0] * n for _ in range(n)]
         for (i, j), c in self.terms.items():
-            out[j][i] = int(c)
+            out[j][i] = c.numerator
         return _trim(_trim(c) for c in out)
 
     # ------------------------------------------------------------------
@@ -395,6 +395,24 @@ def value_at_xy(rows: list, x: Fraction, y: Fraction) -> Fraction:
     top = max(len(r) for r in rows) - 1
     inner = [_scaled(r, a, d) * d ** (top + 1 - len(r)) for r in rows]
     return Fraction(_scaled(inner, b, e), d**top * e ** (len(rows) - 1))
+
+
+def taylor_shift(poly: Poly, center) -> dict:
+    """The Fraction coefficients of poly(center + w) for an arity-2 poly
+    and a rational center, keyed by the exponents of w: every pair at or
+    below one of poly's, zero or not.  The binomial expansion runs in
+    integers over one common denominator, divided out once per key."""
+    (a, d), (b, e) = ((Fraction(c).numerator, Fraction(c).denominator) for c in center)
+    den = math.lcm(*(c.denominator for c in poly.terms.values()))
+    top = max(poly.degree(), 0)
+    out: dict = {}
+    for (i, j), c in poly.terms.items():
+        n = c.numerator * (den // c.denominator) * d ** (top - i) * e ** (top - j)
+        for s in range(i + 1):
+            ns = n * math.comb(i, s) * a ** (i - s) * d**s
+            for t in range(j + 1):
+                out[s, t] = out.get((s, t), 0) + ns * math.comb(j, t) * b ** (j - t) * e**t
+    return {k: Fraction(v, den * (d * e) ** top) for k, v in out.items()}
 
 
 def restrict_to_line(rows: list, point, direction) -> list:

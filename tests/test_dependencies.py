@@ -2,7 +2,8 @@
 
 sympy and scipy may serve as scratch oracles, never as dependencies of
 src: this test reads every module's imports with ast, so none slips in.
-No module imports another's private (underscore-prefixed) names either.
+No module imports another's private (underscore-prefixed) names either,
+and every upper-case module-level constant is read somewhere in src.
 """
 
 import ast
@@ -62,3 +63,43 @@ def test_private_import_scan_sees_every_form():
         "from numpy import _core\n"
     )
     assert _private_imports(tree) == {"_mul", "_x", "_limits"}
+
+
+def _module_constants(tree: ast.Module) -> set:
+    """Upper-case names assigned at the module's top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name) and n.id.isupper())
+    return names
+
+
+def _names_read(tree: ast.AST) -> set:
+    """Names loaded anywhere in the tree, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_module_constant_is_read():
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))]
+    constants = set().union(*map(_module_constants, trees))
+    dead = sorted(constants - set().union(*map(_names_read, trees)))
+    assert not dead, f"constants never read in src: {dead}"
+    assert len(constants) >= 100
+
+
+def test_constant_scan_sees_every_form():
+    tree = ast.parse(
+        "A = 1\n_B, (C, d) = 2, (3, 4)\nE: int = 5\nF += 6\nif A:\n    G = 7\n"
+        "def f():\n    H = 8\n    return mod.C + _B\nx = [A]\n"
+    )
+    assert _module_constants(tree) == {"A", "_B", "C", "E", "F"}
+    assert _module_constants(tree) - _names_read(tree) == {"E", "F"}

@@ -20,7 +20,7 @@ from flagricci import (
     random_interior_points,
     separatrices,
 )
-from flagricci.polyalg import restrict_to_line, value_at_xy
+from flagricci.polyalg import restrict_to_line, taylor_shift, value_at_xy
 
 SU211 = family_from_id("su", (2, 1, 1))
 SU111 = family_from_id("su", (1, 1, 1))
@@ -675,7 +675,7 @@ def test_trap_certificate_holds_exactly_on_its_boundary_and_inside(family):
 
 def _sectors_of(field, trap):
     """The parts of dV/dt and the sector bounds that the trap's certificate uses."""
-    su, sv = (dynamics._shifted(q, trap.center) for q in (field.u, field.v))
+    su, sv = (taylor_shift(q, trap.center) for q in (field.u, field.v))
     parts = dynamics._dv_dt_parts(su, sv, trap.p)
     pxx, pxy, pyy = trap.p
     lam_min = (pxx * pyy - pxy**2) / ((pxx + pyy) / 2 + dynamics._sqrt_above(((pxx - pyy) / 2) ** 2 + pxy**2))
@@ -729,7 +729,7 @@ def _radius_bound_level(field, trap) -> Fraction:
     components, r the largest multiple of 2^-32 in (0, 1] with
     2 λmax sum_k C_k r^(k-1) < 1, and the level λmin r^2 (rational bounds).
     """
-    su, sv = (dynamics._shifted(q, trap.center) for q in (field.u, field.v))
+    su, sv = (taylor_shift(q, trap.center) for q in (field.u, field.v))
     bound: dict = {}
     for s in (su, sv):
         for (i, j), coeff in s.items():

@@ -13,6 +13,7 @@ from flagricci.catalog import (
     TYPE1_IDS,
     EquilibriumRecord,
     family_from_id,
+    list_families,
     reference_equilibria,
     so_family,
     su_family,
@@ -21,15 +22,15 @@ from flagricci.catalog import (
 from flagricci.equilibria import (
     FoundEquilibrium,
     classify_equilibrium,
+    corner_class,
     find_equilibria,
     jacobian_eigen,
     nearest,
     order_key,
-    radial_probe,
     verify_catalog,
 )
 from flagricci.flowgen import projected_field
-from flagricci.polyalg import value_at_xy, variables
+from flagricci.polyalg import Poly, taylor_shift, value_at_xy, variables
 
 TABLE_FAMILIES = [su_family(2, 1, 1), su_family(1, 1, 1), so_family(6), family_from_id("e6so8u1u1")]
 TABLE_FAMILIES += [family_from_id(fid) for fid in TYPE1_IDS]
@@ -44,6 +45,35 @@ def test_classify_equilibrium_branches():
     assert classify_equilibrium((1e-9, 1.0)) == "nonhyperbolic"
     assert classify_equilibrium((complex(-1, 2), complex(-1, -2))) == "attractor"
     assert classify_equilibrium((complex(1, 5), complex(1, -5))) == "repeller"
+
+
+def test_sign_class_branches():
+    """The exact class from (trace, determinant): a tiny exact trace still
+    decides, where a float real part below NONHYP_TOL would not."""
+    sign_class = equilibria._sign_class
+    assert sign_class(Fraction(1), Fraction(-1)) == "saddle"
+    assert sign_class(Fraction(0), Fraction(-1)) == "saddle"
+    assert sign_class(Fraction(0), Fraction(1)) == "nonhyperbolic"
+    assert sign_class(Fraction(-1), Fraction(0)) == "nonhyperbolic"
+    assert sign_class(Fraction(0), Fraction(0)) == "nonhyperbolic"
+    assert sign_class(Fraction(3), Fraction(2)) == "repeller"
+    assert sign_class(Fraction(-3), Fraction(2)) == "attractor"
+    assert sign_class(Fraction(1, 10**30), Fraction(1, 10**70)) == "repeller"
+
+
+def test_exact_classes_match_float_eigenvalue_classes():
+    """On every zero of list_families(6, 12), the class find_equilibria takes
+    from exact signs (rational zeros) or float eigenvalues (irrational ones)
+    equals the float eigenvalue class at the zero."""
+    zeros = rational = 0
+    for fam in list_families(6, 12):
+        field = projected_field(fam)
+        for eq in find_equilibria(field):
+            zeros += 1
+            rational += eq.exact is not None
+            p = eq.exact if eq.exact is not None else eq.position
+            assert eq.stability == classify_equilibrium(jacobian_eigen(field, p)), (fam.id, fam.params, eq.position)
+    assert (zeros, rational) == (716, 702)
 
 
 def test_jacobian_eigen_exact_double_root_at_K():
@@ -155,14 +185,50 @@ def test_find_equilibria_rejects_fields_without_isolated_zeros():
         find_equilibria(dataclasses.replace(field, u=(2 * x * x - 1) * (y + 1), v=4 * y * y - 1))
 
 
-def test_radial_probe_classifies_degenerate_points():
+@pytest.mark.parametrize("fid", ["g2u2", "e8su8u1"])
+def test_corner_class_repeller_at_degenerate_corners(fid):
+    """O and P have a zero linear part and a positive quadratic radial form
+    on their open wedges.  At e8su8u1's P, with x = X and y = 1 - s, that
+    cubic has mixed-sign coefficients yet is positive for 0 < X < s."""
+    field = projected_field(type1_family(fid))
+    by_label = {e.matched_label: e for e in find_equilibria(field)}
+    for label in ("O", "P"):
+        assert by_label[label].stability == "nonhyperbolic"
+        assert corner_class(field, by_label[label].exact) == "repeller"
+    if fid == "e8su8u1":
+        su, sv = taylor_shift(field.u, (0, 1)), taylor_shift(field.v, (0, 1))
+        # R_2(X, -s) by the power of X
+        cubic: dict = {}
+        for shifted, (di, dj) in ((su, (1, 0)), (sv, (0, 1))):
+            for (i, j), c in shifted.items():
+                if i + j == 2:
+                    cubic[i + di] = cubic.get(i + di, 0) + c * (-1) ** (j + dj)
+        assert cubic == {3: -2207744, 2: -1605632, 1: 5419008, 0: 2007040}
+
+
+def test_corner_class_declines_off_degenerate_corners():
+    """None at hyperbolic zeros, at points other than corners, and where the
+    lowest radial form has a root inside the wedge; a radial form that
+    vanishes identically passes the decision to the next degree."""
     g2 = projected_field(type1_family("g2u2"))
-    assert radial_probe(g2, (0.0, 0.0)) == "repeller"
-    assert radial_probe(g2, (0.5, 0.5)) == "attractor"
     su = projected_field(su_family(2, 1, 1))
-    assert radial_probe(su, (0.0, 0.5)) == "attractor"
-    # a saddle shows both signs, so the probe declines to answer
-    assert radial_probe(su, (0.25, 0.25)) is None
+    g2_classes = {e.exact: e.stability for e in find_equilibria(g2)}
+    su_classes = {e.exact: e.stability for e in find_equilibria(su)}
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    assert g2_classes[half, half] == "attractor" and corner_class(g2, (half, half)) is None
+    assert g2_classes[1, 0] == "repeller" and corner_class(g2, (1, 0)) is None
+    assert su_classes[0, half] == "attractor" and corner_class(su, (0, half)) is None
+    assert su_classes[quarter, quarter] == "saddle" and corner_class(su, (quarter, quarter)) is None
+    assert su_classes[0, 0] == "repeller" and corner_class(su, (0, 0)) is None
+    x, y = variables(2)
+    # R_2 = x^2 (x - 2y) vanishes at x = 2y, inside the wedge at O
+    assert corner_class(dataclasses.replace(g2, u=x * x - 2 * x * y, v=Poly.zero(2)), (0, 0)) is None
+    # R_2 = 0 for the rotation part; R_3 = x^4 + y^4 decides
+    spin = dataclasses.replace(g2, u=-y * (x + y) + x**3, v=x * (x + y) + y**3)
+    assert corner_class(spin, (0, 0)) == "repeller"
+    assert corner_class(dataclasses.replace(spin, u=-spin.u, v=-spin.v), (0, 0)) == "attractor"
+    # a corner at which the field does not vanish
+    assert corner_class(dataclasses.replace(g2, u=g2.u + 1), (0, 0)) is None
 
 
 @pytest.mark.parametrize("fam", [su_family(2, 1, 1), so_family(6), type1_family("g2u2"),

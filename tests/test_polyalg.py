@@ -17,6 +17,7 @@ from flagricci.polyalg import (
     sign_at,
     squarefree,
     subresultant,
+    taylor_shift,
     value_at,
     value_at_xy,
     variables,
@@ -377,3 +378,31 @@ def test_restrict_to_line_by_hand():
     assert restrict_to_line(rows, (0, 0), (0, 1)) == []
     assert restrict_to_line(rows, (0, Fraction(1, 2)), (1, 0)) == [0, Fraction(-1, 2), 1]
     assert restrict_to_line(Poly.zero(2).in_y(), (0, 0), (1, 0)) == []
+
+
+def _shift_reference(poly, center) -> dict:
+    """poly(center + w) by the binomial expansion in Fractions, term by term."""
+    x0, y0 = center
+    out: dict = {}
+    for (i, j), c in poly.terms.items():
+        for a in range(i + 1):
+            ca = c * math.comb(i, a) * x0 ** (i - a)
+            for b in range(j + 1):
+                out[a, b] = out.get((a, b), 0) + ca * math.comb(j, b) * y0 ** (j - b)
+    return out
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    p=_sparse_polys(2),
+    center=st.tuples(_line_rationals, _line_rationals),
+    w=st.tuples(_line_rationals, _line_rationals),
+)
+def test_taylor_shift_matches_the_fraction_expansion(p, center, w):
+    """The integer expansion has the Fraction expansion's keys, in its order,
+    and its values as Fractions; the shifted polynomial at w is p(center + w)."""
+    shifted = taylor_shift(p, center)
+    assert list(shifted.items()) == list(_shift_reference(p, center).items())
+    assert all(type(c) is Fraction for c in shifted.values())
+    value = sum(c * w[0] ** a * w[1] ** b for (a, b), c in shifted.items())
+    assert value == p.eval((center[0] + w[0], center[1] + w[1]))

@@ -173,12 +173,11 @@ def _cmd_basins(args) -> int:
     fam = _resolve_family(args)
     grid = basin_map(fam, args.res, margin=args.margin)
     rows = ["ix,iy,x,y,label"]
-    for iy in range(grid.resolution):
-        for ix in range(grid.resolution):
-            lab = grid.labels[iy][ix]
-            if lab is None:
-                continue
-            rows.append(f"{ix},{iy},{grid.xs[ix]!r},{grid.ys[iy]!r},{lab}")
+    # each column's "ix,x," and row's "iy,y," piece is formatted once
+    cols = [(f"{ix},", f"{x!r},") for ix, x in enumerate(grid.xs)]
+    for iy, (y, row) in enumerate(zip(grid.ys, grid.labels)):
+        at, y_text = f"{iy},", f"{y!r},"
+        rows += [ix + at + x + y_text + lab for (ix, x), lab in zip(cols, row) if lab is not None]
     # the SVG goes first and is removed if the CSV cannot be written, so
     # a path that fails leaves neither artifact behind
     if args.svg:

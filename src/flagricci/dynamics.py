@@ -22,7 +22,7 @@ of the sink trap that caught it.  A sink trap is a Lyapunov sublevel set
 around a rational attractor, certified in Fractions to be forward
 invariant and to drain to it (SinkTrap, sink_trap).  Only basin_map
 passes traps: its cells stop on entering one instead of crawling the
-exponential tail to a stall, 69-88% of the table families' accepted
+exponential tail to a stall, 80-93% of the table families' accepted
 steps.  Orbits, portraits, separatrices and the monotonicity check keep
 the stall rule and their whole paths.  Basin labels name the attractors
 among the limits, matched over all cells at once, and the revisit scan
@@ -173,10 +173,10 @@ class SinkTrap(NamedTuple):
     V(w) = wᵀPw with w = (x, y) - center, and P = ((pxx, pxy), (pxy, pyy))
     solves AᵀP + PA = -I for the exact Jacobian A at the center.  On the
     set dV/dt < 0 except at the center, proved sector by sector of
-    directions, so it is forward invariant and each orbit in it tends to
-    the center (Khalil, Nonlinear Systems, §8.2); it lies within radius
-    of the center.  The simplex edges are invariant, so its part in the
-    closed simplex is too.  index locates the attractor in equilibria_for;
+    directions by signed bounds and a Bernstein sign test, so it is
+    forward invariant and each orbit in it tends to the center (Khalil,
+    Nonlinear Systems, §8.2); it lies within radius of the center.  The
+    simplex edges are invariant, so its part in the closed simplex is too.  index locates the attractor in equilibria_for;
     floats holds (cx, cy, pxx, 2 pxy, pyy, level) for the float test, with
     the level shrunk past that test's rounding error.
     """
@@ -241,22 +241,26 @@ def _dv_dt_parts(su, sv, p) -> dict:
 
 
 def _trap_sectors(parts, p, lam_min) -> tuple:
-    """Bounds on W_g (g >= 3) and on dᵀPd over the 4n sectors of unit vectors d, n = TRAP_N.
+    """Bounds on dV/dt and on dᵀPd over the 4n sectors of unit vectors d, n = TRAP_N.
 
     The directions sign ((n^2 - k^2), 2kn) / (n^2 + k^2), k = -n..n, sign = ±1,
     lie at most 2/n rad apart; sector i runs from k = i mod 2n - n to k + 1,
-    with sign +1 for i < 2n.  Returns (bounds, m) in integers over
-    2^_TRAP_SCALE: bounds[g][i] >= max(W_g(d), 0) and m[i] <= dᵀPd on sector
-    i, from its ends and the slopes |dW_g/dθ| <= g sum|coeffs of W_g| and
-    |d(dᵀPd)/dθ| <= |pxx - pyy| + 2|pxy| over half its width; m is at least
-    lam_min, a lower bound on λmin(P), rounded down.
+    with sign +1 for i < 2n.  Returns (q, m) in integers over 2^_TRAP_SCALE:
+    q[0][i] = -1 and q[g - 2][i] >= W_g(d), signed, for g >= 3, so that
+    dV/dt <= ρ^2 q_i(ρ), q_i(ρ) = sum_e q[e][i] ρ^e, along each ray ρd of
+    sector i; m[i] <= dᵀPd there.  On an arc of width h a function of the
+    angle exceeds its larger end value by at most h^2/8 sup|f''| (linear
+    interpolation), and |W_g''| <= g^2 sum|coeffs of W_g| (Bernstein's
+    inequality for trigonometric polynomials), |(dᵀPd)''| <= 2|pxx - pyy|
+    + 4|pxy|; m is at least lam_min, a lower bound on λmin(P), rounded down.
     """
     n, one = TRAP_N, 1 << _TRAP_SCALE
     pxx, pxy, pyy = p
     polys = {2: {(2, 0): pxx, (1, 1): 2 * pxy, (0, 2): pyy}, **{g: w for g, w in parts.items() if g >= 3}}
     k = np.arange(-n, n + 1).astype(object)
     x, y, r = n * n - k * k, 2 * n * k, n * n + k * k
-    bounds = {}
+    q = np.zeros((max(polys) - 1, 4 * n), dtype=object)
+    q[0] = -one
     for g, poly in polys.items():
         den = math.lcm(*(c.denominator for c in poly.values()))
         coeffs = [(e, int(c * den)) for e, c in poly.items()]
@@ -264,28 +268,43 @@ def _trap_sectors(parts, p, lam_min) -> tuple:
         # floor and ceiling of one * poly(d) at each direction
         lo, hi = num // div, -(-num // div)
         if g == 2:
-            slope = math.ceil((abs(pxx - pyy) + 2 * abs(pxy)) * one / n)
-            m = np.maximum(np.minimum(lo[:-1], lo[1:]) - slope, math.floor(lam_min * one))
+            slack = math.ceil((abs(pxx - pyy) + 2 * abs(pxy)) * one / (n * n))
+            m = np.maximum(np.minimum(lo[:-1], lo[1:]) - slack, math.floor(lam_min * one))
             continue
-        slope = math.ceil(Fraction(g * sum(abs(c) for _, c in coeffs) * one, den * n))
+        slack = math.ceil(Fraction(g * g * sum(abs(c) for _, c in coeffs) * one, 2 * den * n * n))
         # W_g(-d) = (-1)^g W_g(d), so on the negated sectors an odd part's bound is its floor negated
         back = np.maximum(hi[:-1], hi[1:]) if g % 2 == 0 else -np.minimum(lo[:-1], lo[1:])
-        bounds[g] = np.maximum(np.concatenate([np.maximum(hi[:-1], hi[1:]), back]) + slope, 0)
-    return bounds, np.concatenate([m, m])
+        q[g - 2] = np.concatenate([np.maximum(hi[:-1], hi[1:]), back]) + slack
+    return q, np.concatenate([m, m])
+
+
+def _negative_on(q, a, b) -> np.ndarray:
+    """Whether each column's Bernstein coefficients of sum_e q[e] ρ^e on
+    [0, a/b] are all negative, which proves that polynomial negative there
+    (Farouki & Rajan, CAGD 4, 1987); exact in integers.
+
+    Times b^D D!/j!, D = len(q) - 1, the j-th coefficient is
+    sum_{e <= j} (D-e)!/(j-e)! q[e] a^e b^(D-e).  On a subinterval the
+    coefficients are convex combinations of these, so the test holds on
+    [0, ρ'] wherever it holds on [0, ρ] ⊇ [0, ρ'].
+    """
+    top = len(q) - 1
+    # (D-e)!/(j-e)!, and 0 for e > j
+    weights = np.array([[math.perm(top - e, top - j) for e in range(top + 1)] for j in range(top + 1)])
+    e = np.arange(top + 1)[:, None]
+    return (weights @ (q * a**e * b ** (top - e)) < 0).all(axis=0)
 
 
 def _certifies(sectors, level: Fraction) -> bool:
     """Whether the sector bounds prove dV/dt < 0 on {0 < V < level}, exactly.
 
-    On a ray ρd of sector i, V < level gives ρ < sqrt(level / m[i]), and
-    dV/dt <= ρ^2 (-1 + sum_g bounds[g][i] ρ^(g-2)), nondecreasing in ρ; the
-    check takes a rational ρ = a/b above that root, in integers."""
-    bounds, m = sectors
-    one, top = 1 << _TRAP_SCALE, max(bounds, default=2)
+    On a ray ρd of sector i, V < level gives ρ < sqrt(level / m[i]); the
+    check takes a rational ρ = a/b above that root and proves q_i < 0 on
+    [0, a/b] (_negative_on), in integers."""
+    q, m = sectors
     den = level.denominator * m
-    a, b = np.frompyfunc(math.isqrt, 1, 1)(level.numerator * one * den << 80) + 1, den << 40
-    total = sum(u * a ** (g - 2) * b ** (top - g) for g, u in bounds.items())
-    return bool((total < one * b ** (top - 2)).all())
+    a, b = np.frompyfunc(math.isqrt, 1, 1)(level.numerator * (1 << _TRAP_SCALE) * den << 80) + 1, den << 40
+    return bool(_negative_on(q, a, b).all())
 
 
 def sink_trap(field: ProjectedField, center, index: int) -> Optional[SinkTrap]:
@@ -294,9 +313,11 @@ def sink_trap(field: ProjectedField, center, index: int) -> Optional[SinkTrap]:
     None unless the exact Jacobian A at center has trace < 0 < det.
     Shifted to center, dV/dt = -|w|^2 plus its parts W_g of degree g >= 3
     (_dv_dt_parts).  The level is the least of the sector levels m ρ^2
-    (_trap_sectors), each ρ <= 2 found by a float search, checked exactly
-    (_certifies).  The radius is a rational upper bound on
-    sqrt(level / λmin(P)), so V < level gives |w| below it.
+    (_trap_sectors), each ρ <= 2 the largest that passes _negative_on's
+    test in a float bisection; their least is backed off by 2^-20 and
+    checked exactly (_certifies), halved until it passes.  The radius is a
+    rational upper bound on sqrt(level / λmin(P)), so V < level gives |w|
+    below it.
     """
     su, sv = taylor_shift(field.u, center), taylor_shift(field.v, center)
     if su.get((0, 0)) or sv.get((0, 0)):
@@ -311,14 +332,14 @@ def sink_trap(field: ProjectedField, center, index: int) -> Optional[SinkTrap]:
     lam_max = (pxx + pyy) / 2 + _sqrt_above(((pxx - pyy) / 2) ** 2 + pxy**2)
     # λmin λmax = det P
     lam_min = (pxx * pyy - pxy**2) / lam_max
-    sectors = bounds, m = _trap_sectors(_dv_dt_parts(su, sv, p), p, lam_min)
-    # bisection in floats for each sector's largest ρ
+    sectors = q, m = _trap_sectors(_dv_dt_parts(su, sv, p), p, lam_min)
+    # bisection in floats on the same test, for each sector's largest ρ
     one = 1 << _TRAP_SCALE
-    columns = [(g - 2, (u / one).astype(float)) for g, u in bounds.items()]
+    qf = (q / one).astype(float)
     lo, hi = np.zeros(len(m)), np.full(len(m), 2.0)
     for _ in range(40):
         mid = (lo + hi) / 2
-        below = sum(u * mid**e for e, u in columns) < 1
+        below = _negative_on(qf, mid, 1.0)
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     level = Fraction(float(((m / one).astype(float) * lo * lo).min()) * (1 - 2.0**-20))
     while not _certifies(sectors, level):

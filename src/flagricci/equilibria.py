@@ -97,14 +97,18 @@ def classify_equilibrium(eigs: tuple) -> str:
     return SADDLE
 
 
-def _linearization(field: ProjectedField, p) -> tuple:
+def _jacobian_rows(field: ProjectedField) -> list:
+    """The four Jacobian entries in y (Poly.in_y), for exact evaluation."""
+    return [q.in_y() for q in (field.du_dx, field.du_dy, field.dv_dx, field.dv_dy)]
+
+
+def _linearization(field: ProjectedField, p, rows: list) -> tuple:
     """jacobian_eigen's eigenvalues, and the Jacobian's trace and determinant:
-    exact Fractions at a rational p, floats otherwise."""
-    entries = (field.du_dx, field.du_dy, field.dv_dx, field.dv_dy)
+    exact Fractions at a rational p from rows (_jacobian_rows), floats otherwise."""
     if all(isinstance(c, (int, Fraction)) for c in p):
-        j11, j12, j21, j22 = (value_at_xy(q.in_y(), *p) for q in entries)
+        j11, j12, j21, j22 = (value_at_xy(q, *p) for q in rows)
     else:
-        j11, j12, j21, j22 = (q.eval(p) for q in entries)
+        j11, j12, j21, j22 = (q.eval(p) for q in (field.du_dx, field.du_dy, field.dv_dx, field.dv_dy))
     tr, det = j11 + j22, j11 * j22 - j12 * j21
     disc = tr * tr - 4 * det
     if disc >= 0:
@@ -129,7 +133,7 @@ def _sign_class(tr, det) -> str:
 def jacobian_eigen(field: ProjectedField, p) -> tuple:
     """Eigenvalues of the exact field Jacobian at p, ascending real part;
     exact up to the final square root at a rational p."""
-    return _linearization(field, p)[0]
+    return _linearization(field, p, _jacobian_rows(field))[0]
 
 
 def corner_class(field: ProjectedField, p) -> Optional[str]:
@@ -189,7 +193,8 @@ def find_equilibria(field: ProjectedField) -> EquilibriumList:
     if u and v share a factor or have a nonlinear gcd over an irrational x.
     """
     uy, vy = field.u.in_y(), field.v.in_y()
-    (res,), (s0, s1) = subresultant(uy, vy, 0), subresultant(uy, vy, 1)
+    (res,) = subresultant(uy, vy, 0)
+    linear = None  # (s0, s1), found at the first irrational x0
     if not res:
         raise ArithmeticError(f"u and v share a factor for {field.family.id}")
     res = squarefree(res)
@@ -209,7 +214,13 @@ def find_equilibria(field: ProjectedField) -> EquilibriumList:
                     zeros.append(((float(x0), float(sum(y0) / 2)), x0 == 0))  # y0 < 1 - x0
             continue
         tried += 1
-        lead = sign_at(s1, res, x0)
+        if linear is None:
+            # u or v itself where one has degree 1 in y, else the subresultant, which
+            # needs degrees of 2 or more; with neither, s1 = [] reads as a zero lead
+            linear = next((p for p in (uy, vy) if len(p) == 2), None)
+            linear = linear or (subresultant(uy, vy, 1) if min(len(uy), len(vy)) > 2 else [[], []])
+        s0, s1 = linear
+        lead = s1 and sign_at(s1, res, x0)
         if not lead:
             raise ArithmeticError(f"gcd(u, v) is not linear in y over an irrational x for {field.family.id}")
         # y0 = -s0 / s1 and 1 - x0 - y0 = (s0 + (1 - x0) s1) / s1
@@ -223,11 +234,11 @@ def find_equilibria(field: ProjectedField) -> EquilibriumList:
     residuals = row_max_abs(field.rhs(np.array(positions).reshape(-1, 2)) / field.scale)
     refs = reference_equilibria(field.family)
     ref_idx, ref_d = nearest(positions, [r.position_float() for r in refs])
-    accepted = []
+    accepted, rows = [], _jacobian_rows(field)
     for (pos, boundary), point, resid, i, d in zip(
         zeros, positions, residuals.tolist(), ref_idx.tolist(), ref_d.tolist()
     ):
-        eigs, tr, det = _linearization(field, pos)
+        eigs, tr, det = _linearization(field, pos, rows)
         exact = pos if isinstance(pos[1], Fraction) else None
         accepted.append(
             FoundEquilibrium(

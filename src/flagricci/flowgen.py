@@ -27,7 +27,7 @@ depend on the batch it is evaluated in.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Sequence, Tuple
 
@@ -258,18 +258,29 @@ class ProjectedField:
     four Jacobian entries.  Each group is the union of its monomials plus
     one float coefficient matrix; evaluation shares one power table of x
     and y built by multiplication and runs over fixed blocks of points.
+    The Jacobian entries, `scale` and both groups are derived from u and v
+    on construction, so dataclasses.replace(field, u=..., v=...) gives a
+    field whose numerics are those of the new u and v.
     """
 
     family: FamilyDescriptor
     u: Poly
     v: Poly
-    du_dx: Poly
-    du_dy: Poly
-    dv_dx: Poly
-    dv_dy: Poly
-    scale: float
-    _field_group: tuple
-    _jacobian_group: tuple
+    du_dx: Poly = dc_field(init=False)
+    du_dy: Poly = dc_field(init=False)
+    dv_dx: Poly = dc_field(init=False)
+    dv_dy: Poly = dc_field(init=False)
+    scale: float = dc_field(init=False)
+    _field_group: tuple = dc_field(init=False)
+    _jacobian_group: tuple = dc_field(init=False)
+
+    def __post_init__(self) -> None:
+        jac = (self.u.diff("x"), self.u.diff("y"), self.v.diff("x"), self.v.diff("y"))
+        scale = float(max((abs(c) for p in (self.u, self.v) for c in p.terms.values()), default=0))
+        derived = dict(zip(("du_dx", "du_dy", "dv_dx", "dv_dy"), jac), scale=scale,
+                       _field_group=_compile((self.u, self.v)), _jacobian_group=_compile(jac))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def eval_exact(self, x, y) -> tuple:
         return self.u.eval((x, y)), self.v.eval((x, y))
@@ -294,20 +305,4 @@ def projected_field(family: FamilyDescriptor) -> ProjectedField:
     x3, y3, _ = variables(3)
     a = fp - total * x3
     b = gp - total * y3
-    u = a.substitute_z()
-    v = b.substitute_z()
-    du_dx, du_dy = u.diff("x"), u.diff("y")
-    dv_dx, dv_dy = v.diff("x"), v.diff("y")
-    scale = float(max(abs(c) for p in (u, v) for c in p.terms.values()))
-    return ProjectedField(
-        family=family,
-        u=u,
-        v=v,
-        du_dx=du_dx,
-        du_dy=du_dy,
-        dv_dx=dv_dx,
-        dv_dy=dv_dy,
-        scale=scale,
-        _field_group=_compile((u, v)),
-        _jacobian_group=_compile((du_dx, du_dy, dv_dx, dv_dy)),
-    )
+    return ProjectedField(family=family, u=a.substitute_z(), v=b.substitute_z())

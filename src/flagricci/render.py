@@ -87,20 +87,15 @@ def basins_svg(grid: BasinGrid) -> str:
     color = {lab: BASIN_PALETTE[i % len(BASIN_PALETTE)] for i, lab in enumerate(labels)}
     color["Undetermined"] = UNDETERMINED_FILL
     res = grid.resolution
-    span = VIEW - 2 * MARGIN
-    cell = span / res
+    cell = (VIEW - 2 * MARGIN) / res
     out = _svg_header(f"basins {_family_title(grid.family)} {res}x{res}")
-    for iy in range(res):
-        for ix in range(res):
-            lab = grid.labels[iy][ix]
-            if lab is None:
-                continue
-            cx, cy = _xy(grid.xs[ix], grid.ys[iy])
-            out.append(
-                f'<rect x="{_fmt(cx - cell / 2)}" y="{_fmt(cy - cell / 2)}" '
-                f'width="{_fmt(cell)}" height="{_fmt(cell)}" '
-                f'fill="{color[lab]}"/>'
-            )
+    # a cell's x depends on its column only and its y on its row, so each
+    # piece is formatted once
+    xs = [f'<rect x="{_fmt(_xy(x, 0.0)[0] - cell / 2)}" y="' for x in grid.xs]
+    tail = {lab: f'" width="{_fmt(cell)}" height="{_fmt(cell)}" fill="{fill}"/>' for lab, fill in color.items()}
+    for y, row in zip(grid.ys, grid.labels):
+        y_text = _fmt(_xy(0.0, y)[1] - cell / 2)
+        out += [xs[ix] + y_text + tail[lab] for ix, lab in enumerate(row) if lab is not None]
     out.append(_simplex_outline())
     # legend in the top-right corner
     lx, ly = VIEW - MARGIN - 150, MARGIN

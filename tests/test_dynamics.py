@@ -684,27 +684,44 @@ def _sectors_of(field, trap):
 
 @pytest.mark.parametrize("family", TABLE_FAMILIES, ids=lambda f: f.id + str(f.params))
 def test_sector_bounds_hold_inside_each_sector(family):
-    """Each sector's bound on W_g = the degree-g part of dV/dt, and on dᵀPd,
-    holds exactly at rational unit directions strictly inside the sector."""
+    """Each sector's signed bound on W_g = the degree-g part of dV/dt, and
+    its bound on dᵀPd, hold exactly at rational unit directions strictly
+    inside the sector."""
     field = dynamics.field_for(family)
     n, one = dynamics.TRAP_N, 1 << dynamics._TRAP_SCALE
     rng = random.Random(f"{family.id}{family.params}")
     for trap in dynamics.traps_for(family):
-        parts, (bounds, m) = _sectors_of(field, trap)
+        parts, (q, m) = _sectors_of(field, trap)
         # AᵀP + PA = -I makes the quadratic part of dV/dt exactly -|w|^2
         assert {e: c for e, c in parts[2].items() if c} == {(2, 0): -1, (0, 2): -1}
-        assert sorted(bounds) == [g for g in sorted(parts) if g >= 3] and len(m) == 4 * n
+        assert len(q) == max(parts) - 1 and (q[0] == -one).all() and len(m) == 4 * n
+        # the bounds are not clipped at 0: some sector bounds an odd part below 0
+        assert (q[1] < 0).any()
         for sector in range(4 * n):
             sign, k = 1 if sector < 2 * n else -1, sector % (2 * n) - n
             for s in (Fraction(2 * k + 1, 2 * n), Fraction(k, n) + Fraction(rng.randrange(1, 1 << 16), n << 16)):
                 # d = (x, y) / r, a unit vector in the sector
                 a, b = s.numerator, s.denominator
                 x, y, r = sign * (b * b - a * a), sign * 2 * a * b, a * a + b * b
-                for g, bound in bounds.items():
-                    w_g = sum(c * x**i * y**j for (i, j), c in parts[g].items())
-                    assert w_g * one <= bound[sector] * r**g, (family.id, trap.index, sector, g)
+                for g in range(3, len(q) + 1):
+                    w_g = sum(c * x**i * y**j for (i, j), c in parts.get(g, {}).items())
+                    assert w_g * one <= q[g - 2][sector] * r**g, (family.id, trap.index, sector, g)
                 assert _v(trap, (x, y)) * one >= m[sector] * r * r, (family.id, trap.index, sector)
-        assert dynamics._certifies((bounds, m), trap.level)
+        assert dynamics._certifies((q, m), trap.level)
+
+
+def test_bernstein_check_rejects_a_bump_between_negative_ends():
+    """q(ρ) = -1 + 6ρ - 6ρ^2 is -1 at 0 and at 1 but 1/2 at ρ = 1/2: the check
+    rejects [0, 1] and the level 1 that needs it, and accepts [0, 1/10]."""
+    one = 1 << dynamics._TRAP_SCALE
+    q = np.array([[-1], [6], [-6]], dtype=object)
+    assert not dynamics._negative_on(q, 1, 1)[0] and dynamics._negative_on(q, 1, 10)[0]
+    # one sector with dᵀPd >= 1, so V < level gives ρ < sqrt(level)
+    sectors = q * one, np.array([one], dtype=object)
+    assert not dynamics._certifies(sectors, Fraction(1))
+    assert dynamics._certifies(sectors, Fraction(1, 100))
+    # in floats, as the level search runs it
+    assert dynamics._negative_on(q.astype(float), np.array([0.1, 0.3, 1.0]), 1.0).tolist() == [True, False, False]
 
 
 def test_level_check_rejects_a_level_where_dv_dt_is_not_negative():
@@ -750,6 +767,51 @@ def test_sector_levels_are_at_least_four_times_the_radius_bound(family):
     field = dynamics.field_for(family)
     for trap in dynamics.traps_for(family):
         assert trap.level >= 4 * _radius_bound_level(field, trap), (family.id, trap.index)
+
+
+def _clipped_sector_level(field, trap) -> float:
+    """The level of the first sector certificate, the reference the signed one replaced.
+
+    On each of the 4n sectors, n = 64, W_g is bounded by its larger end
+    value plus g sum|coeffs of W_g| / n, clipped at 0, and dᵀPd below by
+    its smaller end value minus (|pxx - pyy| + 2|pxy|) / n, but not below
+    λmin.  With bounds U_g >= 0, -1 + sum_g U_g ρ^(g-2) is nondecreasing;
+    its root ρ (at most 2) gives the sector level m ρ^2, and the level is
+    the least, backed off by 2^-20.  Floats throughout.
+    """
+    n = 64
+    su, sv = (taylor_shift(q, trap.center) for q in (field.u, field.v))
+    parts = dynamics._dv_dt_parts(su, sv, trap.p)
+    pxx, pxy, pyy = (float(c) for c in trap.p)
+    s = np.arange(-n, n + 1) / n
+    x, y = (1 - s * s) / (1 + s * s), 2 * s / (1 + s * s)
+    pd = pxx * x * x + 2 * pxy * x * y + pyy * y * y
+    lam_min = (pxx + pyy) / 2 - math.hypot((pxx - pyy) / 2, pxy)
+    m = np.maximum(np.minimum(pd[:-1], pd[1:]) - (abs(pxx - pyy) + 2 * abs(pxy)) / n, lam_min)
+    columns = []
+    for g, part in parts.items():
+        if g >= 3:
+            w = sum(float(c) * x**i * y**j for (i, j), c in part.items())
+            back = np.maximum(w[:-1], w[1:]) if g % 2 == 0 else -np.minimum(w[:-1], w[1:])
+            slope = g * sum(abs(float(c)) for c in part.values()) / n
+            columns.append((g - 2, np.maximum(np.concatenate([np.maximum(w[:-1], w[1:]), back]) + slope, 0)))
+    lo, hi = np.zeros(4 * n), np.full(4 * n, 2.0)
+    for _ in range(40):
+        mid = (lo + hi) / 2
+        below = sum(u * mid**e for e, u in columns) < 1
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return float((np.concatenate([m, m]) * lo * lo).min()) * (1 - 2.0**-20)
+
+
+@pytest.mark.parametrize("family", TABLE_FAMILIES, ids=lambda f: f.id + str(f.params))
+def test_signed_sector_levels_are_at_least_the_clipped_ones(family):
+    """Every trap's level is at least that of the clipped first-order
+    certificate, and g2u2's L, where the clip bound most, is 4 times it."""
+    field = dynamics.field_for(family)
+    eqs = dynamics.equilibria_for(family)
+    for trap in dynamics.traps_for(family):
+        factor = 4 if family == G2 and eqs[trap.index].name == "L" else 1
+        assert trap.level >= factor * _clipped_sector_level(field, trap), (family.id, eqs[trap.index].name)
 
 
 @pytest.mark.parametrize("family", [SU211, SO6, G2, family_from_id("e8su8u1"), family_from_id("e8e6su2u1")],
@@ -842,6 +904,24 @@ def test_basin_map_with_traps_equals_free_integration(family, resolution, monkey
     names = [eq.name if eq.stability == "attractor" else "Undetermined" for eq in eqs] + ["Undetermined"]
     free = [names[j] for j in dynamics._limits(family, pos, status)[0]]
     assert [lab for row in grid.labels for lab in row if lab is not None] == free
+
+
+def test_g2u2_basin_cells_at_res_64_take_at_most_71000_steps(monkeypatch):
+    """A deterministic work guard: the basin cells of g2u2 at res 64 take
+    67,582 accepted row-steps with the signed sector traps (102,455 with
+    the clipped ones), so a change that shrinks the traps fails here."""
+    results = []
+    integrate = dynamics._integrate_batch
+
+    def keeping(*args, **kwargs):
+        results.append(integrate(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(dynamics, "_integrate_batch", keeping)
+    basin_map(G2, 64)
+    monkeypatch.undo()
+    ((_pos, _t, status, steps, _),) = results
+    assert (status == dynamics.TRAPPED).all() and steps.sum() <= 71000
 
 
 # ----------------------------------------------------------------------

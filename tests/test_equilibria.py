@@ -185,6 +185,25 @@ def test_find_equilibria_rejects_fields_without_isolated_zeros():
         find_equilibria(dataclasses.replace(field, u=(2 * x * x - 1) * (y + 1), v=4 * y * y - 1))
 
 
+def test_find_equilibria_when_u_and_v_have_degree_one_in_y():
+    """No degree-1 subresultant exists then; over an irrational x the linear
+    gcd is u or v itself, and rational zeros never need it."""
+    field = projected_field(type1_family("g2u2"))
+    x, y = variables(2)
+    found = find_equilibria(dataclasses.replace(field, u=x * (x - y), v=y * (2 * x - 1)))
+    assert [(eq.exact, eq.stability) for eq in found] == [
+        ((0, 0), "nonhyperbolic"), ((Fraction(1, 2), Fraction(1, 2)), "repeller")
+    ]
+    # y = x / 2 and 4x^2 + 2x - 1 = 0: x = (sqrt 5 - 1) / 4, where det J = -4 - 16x < 0
+    (eq,) = find_equilibria(dataclasses.replace(field, u=2 * y - x, v=4 * y + 4 * x * x - 1))
+    root = (math.sqrt(5) - 1) / 4
+    assert eq.exact is None and eq.stability == "saddle"
+    assert eq.position == pytest.approx((root, root / 2), abs=1e-12) and eq.residual < 1e-15
+    # v of degree 0 in y: the zeros over x = 1/sqrt 2 are those of u there
+    (eq,) = find_equilibria(dataclasses.replace(field, u=4 * y - 1 + x, v=2 * x * x - 1))
+    assert eq.position == pytest.approx((math.sqrt(0.5), (1 - math.sqrt(0.5)) / 4), abs=1e-12)
+
+
 @pytest.mark.parametrize("fid", ["g2u2", "e8su8u1"])
 def test_corner_class_repeller_at_degenerate_corners(fid):
     """O and P have a zero linear part and a positive quadratic radial form

@@ -7,6 +7,7 @@ components and clears denominators independently, agreement is a real
 cross-check, not a tautology.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -440,6 +441,24 @@ def test_compiled_rhs_and_jacobian_match_exact(fam):
         max(abs(c) for c in f.u.terms.values()),
         max(abs(c) for c in f.v.terms.values()),
     )
+
+
+def test_replaced_field_derives_its_numerics_from_u_and_v():
+    """dataclasses.replace(field, u=..., v=...) derives the Jacobian entries,
+    the scale and the compiled kernels from the new u and v."""
+    f = dataclasses.replace(projected_field(type1_family("g2u2")), u=X * (X - Y), v=Y * (2 * X - ONE))
+    pts = np.array([[0.3, 0.2], [0.1, 0.7], [0.45, 0.45]])
+    x, y = pts[:, 0], pts[:, 1]
+    assert f.rhs(pts) == pytest.approx(np.stack([x * (x - y), y * (2 * x - 1)], axis=1), abs=1e-15)
+    assert np.array([f.eval_exact(*p) for p in pts], dtype=float) == pytest.approx(f.rhs(pts), abs=1e-15)
+    # du/dx = 2x - y, du/dy = -x, dv/dx = 2y, dv/dy = 2x - 1
+    jac = np.stack([2 * x - y, -x, 2 * y, 2 * x - 1], axis=1).reshape(-1, 2, 2)
+    assert f.jacobian(pts) == pytest.approx(jac, abs=1e-15)
+    exact = [[q.eval(p) for q in (f.du_dx, f.du_dy, f.dv_dx, f.dv_dy)] for p in pts]
+    assert np.array(exact, dtype=float).reshape(-1, 2, 2) == pytest.approx(jac, abs=1e-15)
+    assert f.scale == 2.0
+    with pytest.raises(ValueError):
+        dataclasses.replace(f, scale=1.0)
 
 
 @pytest.mark.parametrize("fam", [su_family(2, 1, 1), so_family(6), type1_family("g2u2"),

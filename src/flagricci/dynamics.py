@@ -176,9 +176,10 @@ class SinkTrap(NamedTuple):
     directions by signed bounds and a Bernstein sign test, so it is
     forward invariant and each orbit in it tends to the center (Khalil,
     Nonlinear Systems, §8.2); it lies within radius of the center.  The
-    simplex edges are invariant, so its part in the closed simplex is too.  index locates the attractor in equilibria_for;
-    floats holds (cx, cy, pxx, 2 pxy, pyy, level) for the float test, with
-    the level shrunk past that test's rounding error.
+    simplex edges are invariant, so its part in the closed simplex is too.
+    index locates the attractor in equilibria_for; floats holds (cx, cy,
+    pxx, 2 pxy, pyy, level) for the float test, with the level shrunk past
+    that test's rounding error.
     """
 
     index: int

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from flagricci import render
 from flagricci.cli import main
 from flagricci.polyalg import Poly
-from flagricci import family_from_id, projected_field
+from flagricci import basin_map, family_from_id, projected_field
 
 
 def run(capsys, *argv):
@@ -216,6 +216,18 @@ def test_basins_csv_and_svg(tmp_path, capsys):
     assert len(rows) == 120
     svg = svg_path.read_text()
     assert svg.startswith("<svg") and "</svg>" in svg
+    # every row and cell as formatted one at a time, the reference for the cached pieces
+    grid = basin_map(family_from_id("su", (1, 1, 1)), 16)
+    cells = [(ix, iy, lab) for iy, row in enumerate(grid.labels) for ix, lab in enumerate(row) if lab is not None]
+    assert lines[1:] == [f"{ix},{iy},{grid.xs[ix]!r},{grid.ys[iy]!r},{lab}" for ix, iy, lab in cells]
+    fill = dict(zip(sorted(grid.attractor_labels), render.BASIN_PALETTE))
+    cell = (render.VIEW - 2 * render.MARGIN) / 16
+    rects = []
+    for ix, iy, lab in cells:
+        cx, cy = render._xy(grid.xs[ix], grid.ys[iy])
+        rects.append(f'<rect x="{render._fmt(cx - cell / 2)}" y="{render._fmt(cy - cell / 2)}" '
+                     f'width="{render._fmt(cell)}" height="{render._fmt(cell)}" fill="{fill[lab]}"/>')
+    assert svg.splitlines()[3:123] == rects
 
 
 def test_basins_rejects_bad_resolution(capsys):

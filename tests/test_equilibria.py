@@ -183,6 +183,9 @@ def test_find_equilibria_rejects_fields_without_isolated_zeros():
     # zeros (1/sqrt(2), 1/2) and (1/sqrt(2), -1/2)
     with pytest.raises(ArithmeticError, match="not linear"):
         find_equilibria(dataclasses.replace(field, u=(2 * x * x - 1) * (y + 1), v=4 * y * y - 1))
+    # u of degree 0 in y vanishes on x = 1/sqrt(2), where v is quadratic in y
+    with pytest.raises(ArithmeticError, match="not linear"):
+        find_equilibria(dataclasses.replace(field, u=2 * x * x - 1, v=4 * y * y + x - 1))
 
 
 def test_find_equilibria_when_u_and_v_have_degree_one_in_y():

@@ -176,8 +176,9 @@ def _cmd_basins(args) -> int:
     # each column's "ix,x," and row's "iy,y," piece is formatted once
     cols = [(f"{ix},", f"{x!r},") for ix, x in enumerate(grid.xs)]
     for iy, (y, row) in enumerate(zip(grid.ys, grid.labels)):
-        at, y_text = f"{iy},", f"{y!r},"
-        rows += [ix + at + x + y_text + lab for (ix, x), lab in zip(cols, row) if lab is not None]
+        iy_text, y_text = f"{iy},", f"{y!r},"
+        rows += [ix_text + iy_text + x_text + y_text + lab
+                 for (ix_text, x_text), lab in zip(cols, row) if lab is not None]
     # the SVG goes first and is removed if the CSV cannot be written, so
     # a path that fails leaves neither artifact behind
     if args.svg:

@@ -186,11 +186,12 @@ def find_equilibria(field: ProjectedField) -> EquilibriumList:
     Res_y(u, v) eliminates y; its real roots x0 in [0, 1] are isolated
     exactly.  Over a rational x0 the zeros are the roots in [0, 1 - x0] of
     gcd(u(x0, y), v(x0, y)); over an irrational x0 that gcd is the degree-1
-    subresultant s1(x) y + s0(x), so y0 = -s0(x0) / s1(x0), and exact signs
-    decide whether the zero lies in the simplex or on its edge.  Rational
-    zeros keep their exact position and take their class from the signs
-    of their exact Jacobian's trace and determinant.  Raises ArithmeticError
-    if u and v share a factor or have a nonlinear gcd over an irrational x.
+    subresultant s1(x) y + s0(x), or u or v itself if one has degree 1 in
+    y, so y0 = -s0(x0) / s1(x0), and exact signs decide whether the zero
+    lies in the simplex or on its edge.  Rational zeros keep their exact
+    position and take their class from the signs of their exact Jacobian's
+    trace and determinant.  Raises ArithmeticError if u and v share a
+    factor or have a nonlinear gcd over an irrational x.
     """
     uy, vy = field.u.in_y(), field.v.in_y()
     (res,) = subresultant(uy, vy, 0)
@@ -215,8 +216,8 @@ def find_equilibria(field: ProjectedField) -> EquilibriumList:
             continue
         tried += 1
         if linear is None:
-            # u or v itself where one has degree 1 in y, else the subresultant, which
-            # needs degrees of 2 or more; with neither, s1 = [] reads as a zero lead
+            # the subresultant needs both degrees 2 or more; with neither it
+            # nor a factor of degree 1, s1 = [] reads as a zero lead
             linear = next((p for p in (uy, vy) if len(p) == 2), None)
             linear = linear or (subresultant(uy, vy, 1) if min(len(uy), len(vy)) > 2 else [[], []])
         s0, s1 = linear

@@ -19,6 +19,7 @@ from .catalog import (
     so_family,
     su_family,
     subalgebra_closure,
+    symmetric_pair_check,
     type1_family,
 )
 from .polyalg import Poly
@@ -60,7 +61,6 @@ from .ghlimit import (
     NotDegenerate,
     classify_limit,
     kernel_summands,
-    symmetric_pair_check,
 )
 
 __version__ = "0.1.0"

@@ -1,10 +1,10 @@
 """Static data for every flag family with three isotropy summands.
 
 For each family this module records the summand dimensions, the Lie
-bracket relations between summands and their closure, the known
-equilibria of the projected flow (with closed-form eigenvalues where
-available), and the collapsed-limit target spaces keyed by which
-summands degenerate.
+bracket relations between summands (with their closure and the
+symmetric-pair test), the known equilibria of the projected flow (with
+closed-form eigenvalues where available), and the collapsed-limit
+target spaces keyed by which summands degenerate.
 
 Two families are parametric (the SU and SO series); the rest are eight
 fixed spaces: one exceptional Type II flag and the seven Type I flags.
@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import ClassVar, Optional
 
 F = Fraction
 
@@ -24,6 +24,8 @@ KIND_SU = "TypeII_SU"
 KIND_SO = "TypeII_SO"
 KIND_E6 = "TypeII_E6"
 KIND_TYPE1 = "TypeI"
+# the ids that name a Type II kind; every other id is a Type I flag
+_TYPE2_KINDS = {"su": KIND_SU, "so": KIND_SO, "e6so8u1u1": KIND_E6}
 
 DEGENERATE = "degenerate"
 KAHLER_EINSTEIN = "KahlerEinstein"
@@ -40,11 +42,14 @@ SADDLE = "saddle"
 @dataclass(frozen=True)
 class FamilyDescriptor:
     id: str
-    kind: str
     params: tuple
     dims: tuple
     group_name: str
     isotropy_name: str
+
+    @property
+    def kind(self) -> str:
+        return _TYPE2_KINDS.get(self.id, KIND_TYPE1)
 
     @property
     def total_dim(self) -> int:
@@ -71,7 +76,6 @@ def su_family(m: int, n: int, p: int) -> FamilyDescriptor:
     s = m + n + p
     return FamilyDescriptor(
         id="su",
-        kind=KIND_SU,
         params=(m, n, p),
         dims=(2 * m * n, 2 * m * p, 2 * n * p),
         group_name=f"SU({s})",
@@ -85,7 +89,6 @@ def so_family(ell: int) -> FamilyDescriptor:
         raise ValueError(f"SO family requires l >= 4, got {ell}")
     return FamilyDescriptor(
         id="so",
-        kind=KIND_SO,
         params=(ell,),
         dims=(2 * (ell - 1), 2 * (ell - 1), (ell - 1) * (ell - 2)),
         group_name=f"SO({2 * ell})",
@@ -97,7 +100,6 @@ def e6_family() -> FamilyDescriptor:
     """The exceptional Type II flag with three 16-dimensional summands."""
     return FamilyDescriptor(
         id="e6so8u1u1",
-        kind=KIND_E6,
         params=(),
         dims=(16, 16, 16),
         group_name="E6",
@@ -125,7 +127,6 @@ def type1_family(fid: str) -> FamilyDescriptor:
     dims, group, isotropy = _TYPE1_ROWS[fid]
     return FamilyDescriptor(
         id=fid,
-        kind=KIND_TYPE1,
         params=(),
         dims=dims,
         group_name=group,
@@ -233,8 +234,33 @@ def subalgebra_closure(table: BracketTable, kernel) -> frozenset:
         present = grown
 
 
+def symmetric_pair_check(table: BracketTable, h_summands) -> bool:
+    """Whether k plus the given summands forms a symmetric pair with its
+    complement.
+
+    With h the given summand set and m its complement, the test asks at
+    summand granularity that [h, h] lands in h and k, [h, m] lands in m,
+    and [m, m] lands back in h and k.  The input must be bracket-closed;
+    a set that brackets outside itself is rejected with ValueError.
+    """
+    h = frozenset(h_summands)
+    if not h <= ALL_SUMMANDS:
+        raise ValueError(f"h_summands must be a subset of {{1, 2, 3}}, got {sorted(h)}")
+    leaving = next(((i, j) for i in h for j in h if not table.entry(i, j) <= h), None)
+    if leaving:
+        raise ValueError("h_summands is not bracket-closed: [m{}, m{}] leaves it".format(*leaving))
+    m = ALL_SUMMANDS - h
+    return all(table.entry(i, j) <= m for i in h for j in m) and all(
+        table.entry(i, j) <= h for i in m for j in m
+    )
+
+
 # ----------------------------------------------------------------------
 # reference equilibria
+
+# relative tolerance on a record's closed-form eigenvalues
+EIGEN_REL_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class EquilibriumRecord:
@@ -243,8 +269,16 @@ class EquilibriumRecord:
     metric_kind: str
     expected_class: str
     eigenvalues: Optional[tuple] = None
-    position_exact: bool = True
-    eigen_rel_tol: Optional[float] = 1e-7
+
+    @property
+    def position_exact(self) -> bool:
+        """Whether both coordinates are Fractions; the Type I saddles' are five-decimal floats."""
+        return all(isinstance(c, Fraction) for c in self.position)
+
+    @property
+    def eigen_rel_tol(self) -> Optional[float]:
+        """Tolerance on the closed-form eigenvalues; None where there are none."""
+        return None if self.eigenvalues is None else EIGEN_REL_TOL
 
     def position_float(self) -> tuple:
         return (float(self.position[0]), float(self.position[1]))
@@ -372,14 +406,14 @@ def _type1_records(fid: str) -> list:
     rec = EquilibriumRecord
     saddle_r, saddle_s = _TYPE1_SADDLES[fid]
     return [
-        rec("O", (F(0), F(0)), DEGENERATE, REPELLER, None, eigen_rel_tol=None),
-        rec("P", (F(0), F(1)), DEGENERATE, REPELLER, None, eigen_rel_tol=None),
-        rec("Q", (F(1), F(0)), DEGENERATE, REPELLER, None, eigen_rel_tol=None),
-        rec("L", (F(1, 2), F(1, 2)), DEGENERATE, ATTRACTOR, None, eigen_rel_tol=None),
-        rec("M", (F(1, 2), F(0)), DEGENERATE, ATTRACTOR, None, eigen_rel_tol=None),
-        rec("N", (F(1, 6), F(1, 3)), KAHLER_EINSTEIN, ATTRACTOR, None, eigen_rel_tol=None),
-        rec("R", saddle_r, EINSTEIN_NON_KAHLER, SADDLE, None, False, None),
-        rec("S", saddle_s, EINSTEIN_NON_KAHLER, SADDLE, None, False, None),
+        rec("O", (F(0), F(0)), DEGENERATE, REPELLER),
+        rec("P", (F(0), F(1)), DEGENERATE, REPELLER),
+        rec("Q", (F(1), F(0)), DEGENERATE, REPELLER),
+        rec("L", (F(1, 2), F(1, 2)), DEGENERATE, ATTRACTOR),
+        rec("M", (F(1, 2), F(0)), DEGENERATE, ATTRACTOR),
+        rec("N", (F(1, 6), F(1, 3)), KAHLER_EINSTEIN, ATTRACTOR),
+        rec("R", saddle_r, EINSTEIN_NON_KAHLER, SADDLE),
+        rec("S", saddle_s, EINSTEIN_NON_KAHLER, SADDLE),
     ]
 
 
@@ -408,14 +442,17 @@ POINT = "Point"
 
 @dataclass(frozen=True)
 class GHLimitLabel:
-    kind: str  # "Point" or "NamedSpace"
     name: str
     space_class: str
     dim: int
-    metric: str = "normal"
+    metric: ClassVar[str] = "normal"
+
+    @property
+    def kind(self) -> str:
+        return "Point" if self.space_class == POINT else "NamedSpace"
 
 
-_POINT_LABEL = GHLimitLabel(kind="Point", name="point", space_class=POINT, dim=0)
+_POINT_LABEL = GHLimitLabel(name="point", space_class=POINT, dim=0)
 
 
 # Collapsing m2 of a Type I flag leaves a symmetric space; collapsing m3
@@ -434,7 +471,7 @@ _TYPE1_GH = {
 def _su_gh(m: int, n: int, p: int) -> dict:
     s = m + n + p
     def gr(a: int, dim: int) -> GHLimitLabel:
-        return GHLimitLabel("NamedSpace", f"Gr_{a}(C^{s})", GRASSMANNIAN, dim)
+        return GHLimitLabel(f"Gr_{a}(C^{s})", GRASSMANNIAN, dim)
     # collapsing summand i removes its dimension from the total
     return {
         frozenset({1}): gr(m + n, 2 * p * (m + n)),
@@ -444,29 +481,17 @@ def _su_gh(m: int, n: int, p: int) -> dict:
 
 
 def _so_gh(ell: int) -> dict:
-    cx = GHLimitLabel(
-        "NamedSpace", f"SO({2 * ell})/U({ell})", COMPLEX_STRUCTURES, ell * (ell - 1)
-    )
-    gr2 = GHLimitLabel(
-        "NamedSpace",
-        f"SO({2 * ell})/(SO({2 * ell - 2})xSO(2))",
-        ORIENTED_GRASSMANNIAN,
-        4 * (ell - 1),
-    )
+    cx = GHLimitLabel(f"SO({2 * ell})/U({ell})", COMPLEX_STRUCTURES, ell * (ell - 1))
+    gr2 = GHLimitLabel(f"SO({2 * ell})/(SO({2 * ell - 2})xSO(2))", ORIENTED_GRASSMANNIAN, 4 * (ell - 1))
     return {frozenset({1}): cx, frozenset({2}): cx, frozenset({3}): gr2}
 
 
-def _e6_gh() -> dict:
-    label = GHLimitLabel("NamedSpace", "E6/(SO(10)xU(1))", SYMMETRIC_PAIR, 32)
-    return {frozenset({1}): label, frozenset({2}): label, frozenset({3}): label}
-
-
-def _type1_gh(fid: str) -> dict:
-    (sym_name, sym_dim), (bds_name, bds_dim) = _TYPE1_GH[fid]
-    return {
-        frozenset({2}): GHLimitLabel("NamedSpace", sym_name, SYMMETRIC_PAIR, sym_dim),
-        frozenset({3}): GHLimitLabel("NamedSpace", bds_name, BOREL_DE_SIEBENTHAL, bds_dim),
-    }
+def _named_spaces(family: FamilyDescriptor) -> dict:
+    """(name, dim) of the limit of each single-summand kernel of the E6 or a Type I flag."""
+    if family.kind == KIND_E6:
+        return {frozenset({i}): ("E6/(SO(10)xU(1))", 32) for i in (1, 2, 3)}
+    symmetric, maximal_rank = _TYPE1_GH[family.id]
+    return {frozenset({2}): symmetric, frozenset({3}): maximal_rank}
 
 
 def gh_catalog(family: FamilyDescriptor) -> dict:
@@ -474,17 +499,20 @@ def gh_catalog(family: FamilyDescriptor) -> dict:
 
     A pattern whose bracket closure reaches every summand collapses to a
     point; each other pattern is a single summand and takes the named
-    space stored for it.
+    space stored for it.  The SU and SO series store their spaces'
+    classes; the E6 and Type I limits are SymmetricPair or
+    BorelDeSiebenthal by symmetric_pair_check on the pattern's closure.
     """
+    table = bracket_table(family)
     if family.kind == KIND_SU:
         named = _su_gh(*family.params)
     elif family.kind == KIND_SO:
         named = _so_gh(family.params[0])
-    elif family.kind == KIND_E6:
-        named = _e6_gh()
     else:
-        named = _type1_gh(family.id)
-    table = bracket_table(family)
+        named = {}
+        for pattern, (name, dim) in _named_spaces(family).items():
+            symmetric = symmetric_pair_check(table, subalgebra_closure(table, pattern))
+            named[pattern] = GHLimitLabel(name, SYMMETRIC_PAIR if symmetric else BOREL_DE_SIEBENTHAL, dim)
     out = {}
     for r in (1, 2, 3):
         for pattern in map(frozenset, itertools.combinations(sorted(ALL_SUMMANDS), r)):

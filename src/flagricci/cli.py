@@ -27,7 +27,7 @@ from .dynamics import (
 )
 from .equilibria import find_equilibria, verify_catalog
 from .flowgen import projected_field
-from .ghlimit import classify_limit, kernel_summands
+from .ghlimit import kernel_summands
 from .render import PORTRAIT_ORBITS, basins_svg, portrait_svg
 
 
@@ -71,8 +71,6 @@ def _eig_pairs(eigs) -> Optional[list]:
 
 
 def _family_json(fam) -> dict:
-    recs = reference_equilibria(fam)
-    gh = gh_catalog(fam)
     return {
         "id": fam.id,
         "kind": fam.display_kind(),
@@ -90,7 +88,7 @@ def _family_json(fam) -> dict:
                 "class": r.expected_class,
                 "eigenvalues": _eig_pairs(r.eigenvalues),
             }
-            for r in recs
+            for r in reference_equilibria(fam)
         ],
         "gh": [
             {
@@ -101,9 +99,7 @@ def _family_json(fam) -> dict:
                 "dim": label.dim,
                 "metric": label.metric,
             }
-            for pattern, label in sorted(
-                gh.items(), key=lambda kv: (len(kv[0]), tuple(sorted(kv[0])))
-            )
+            for pattern, label in gh_catalog(fam).items()
         ],
     }
 
@@ -207,7 +203,7 @@ def _cmd_gh_limit(args) -> int:
     fam = _resolve_family(args)
     # an interior (NotDegenerate) or invalid point raises ValueError
     kernel = kernel_summands((args.x, args.y))
-    label = classify_limit(fam, (args.x, args.y))
+    label = gh_catalog(fam)[kernel]
     closure = subalgebra_closure(bracket_table(fam), kernel)
     doc = {
         "schema": 1,

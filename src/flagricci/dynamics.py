@@ -51,6 +51,8 @@ BOUNDARY_EXIT_TOL = 1e-9
 MATCH_TOL = 1e-6
 # basin cells lie more than this inside every edge
 BASIN_MARGIN = 1e-3
+# random sample orbits start at least this far inside every edge
+INTERIOR_MARGIN = 1e-2
 # an orbit's default tolerances and time budget
 ORBIT_RTOL, ORBIT_ATOL, ORBIT_MAX_TIME = 1e-10, 1e-12, 1e4
 # step budgets: an orbit or separatrix, a basin cell, a portrait's sample orbit
@@ -801,13 +803,13 @@ def edge_invariance_check(family: FamilyDescriptor) -> EdgeInvarianceReport:
     return EdgeInvarianceReport(family=family, identities=identities)
 
 
-def random_interior_points(n: int, rng, margin: float = 1e-2) -> list:
-    """n points uniform on the open simplex, margin away from the edges."""
+def random_interior_points(n: int, rng) -> list:
+    """n points uniform on the open simplex, INTERIOR_MARGIN away from the edges."""
     pts = []
     while len(pts) < n:
-        x = rng.uniform(margin, 1.0 - margin)
-        y = rng.uniform(margin, 1.0 - margin)
-        if x + y < 1.0 - margin:
+        x = rng.uniform(INTERIOR_MARGIN, 1.0 - INTERIOR_MARGIN)
+        y = rng.uniform(INTERIOR_MARGIN, 1.0 - INTERIOR_MARGIN)
+        if x + y < 1.0 - INTERIOR_MARGIN:
             pts.append((x, y))
     return pts
 

@@ -2,7 +2,9 @@
 
 Equilibria of the planar field are the common zeros of its two integer
 polynomials, found exactly by eliminating y with a resultant (see
-find_equilibria), then compared against the family's reference table:
+find_equilibria).  Elimination yields them in ascending (x, y) order, the
+order every caller lists them in.  They are then compared against the
+family's reference table:
 positions, Jacobian eigenvalues (where the table has closed forms), and
 stability classes all have to agree.
 
@@ -37,9 +39,6 @@ LABEL_TOL = 1e-3
 # saddle table gives its positions to five decimals only
 POSITION_TOL_EXACT = 1e-9
 POSITION_TOL_DECIMAL = 1e-4
-# equilibria are listed by position rounded to this many decimals, so
-# that positions which differ only by rounding sort by their y
-ORDER_DECIMALS = 9
 
 
 @dataclass
@@ -78,11 +77,6 @@ class EquilibriumList(list):
         super().__init__(items)
         self.seeds_tried = seeds_tried
         self.seeds_converged = seeds_converged
-
-
-def order_key(position) -> tuple:
-    """Sort key of an equilibrium position, insensitive to rounding noise."""
-    return tuple(round(float(c), ORDER_DECIMALS) for c in position)
 
 
 def classify_equilibrium(eigs: tuple) -> str:
@@ -181,18 +175,25 @@ def nearest(points, targets) -> tuple:
 
 
 def find_equilibria(field: ProjectedField) -> EquilibriumList:
-    """All zeros of the field on the closed simplex, found exactly.
+    """All zeros of the field on the closed simplex, found exactly, in
+    ascending (x, y) order.
 
     Res_y(u, v) eliminates y; its real roots x0 in [0, 1] are isolated
-    exactly.  Over a rational x0 the zeros are the roots in [0, 1 - x0] of
-    gcd(u(x0, y), v(x0, y)); over an irrational x0 that gcd is the degree-1
-    subresultant s1(x) y + s0(x), or u or v itself if one has degree 1 in
-    y, so y0 = -s0(x0) / s1(x0), and exact signs decide whether the zero
-    lies in the simplex or on its edge.  Rational zeros keep their exact
-    position and take their class from the signs of their exact Jacobian's
-    trace and determinant.  Raises ArithmeticError if u and v share a
-    factor or have a nonlinear gcd over an irrational x.
+    exactly and come in ascending order.  Over a rational x0 the zeros are
+    the roots in [0, 1 - x0] of gcd(u(x0, y), v(x0, y)), ascending; over an
+    irrational x0 that gcd is the degree-1 subresultant s1(x) y + s0(x), or
+    u or v itself if one has degree 1 in y, so y0 = -s0(x0) / s1(x0), and
+    exact signs decide whether the zero lies in the simplex or on its edge.
+    Rational zeros keep their exact position and take their class from the
+    signs of their exact Jacobian's trace and determinant.  A field with a
+    nonzero constant u or v has no zeros.  Raises ArithmeticError if u or v
+    is zero, if u and v share a factor, or if they have a nonlinear gcd
+    over an irrational x.
     """
+    if field.u.degree() == 0 or field.v.degree() == 0:
+        return EquilibriumList([], 0, 0)
+    if not (field.u and field.v):
+        raise ArithmeticError(f"u or v is zero for {field.family.id}")
     uy, vy = field.u.in_y(), field.v.in_y()
     (res,) = subresultant(uy, vy, 0)
     linear = None  # (s0, s1), found at the first irrational x0
@@ -252,7 +253,6 @@ def find_equilibria(field: ProjectedField) -> EquilibriumList:
                 exact=exact,
             )
         )
-    accepted.sort(key=lambda e: order_key(e.position))
     return EquilibriumList(accepted, tried, len(accepted))
 
 
@@ -336,7 +336,7 @@ def verify_catalog(family: FamilyDescriptor) -> VerificationReport:
             corner = corner_class(field, eq.exact) if found_class == NONHYPERBOLIC and eq.exact else None
             if corner:
                 found_class, note = corner, "degenerate Jacobian, classified by its lowest radial form"
-        eigen_ok = eigen_err is None or (rec.eigen_rel_tol is not None and eigen_err <= rec.eigen_rel_tol)
+        eigen_ok = eigen_err is None or eigen_err <= rec.eigen_rel_tol
         report.checks.append(
             RecordCheck(
                 label=rec.label,

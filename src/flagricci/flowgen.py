@@ -192,11 +192,12 @@ def _compile(polys: Sequence[Poly]) -> tuple:
     Returns (exps, coeffs, deg): exps[k] is the (i, j) exponent pair of
     the k-th monomial x^i y^j, coeffs[k, n] its coefficient in polys[n]
     and deg the highest power of x or y the power table needs (at least 1).
+    Zero polys have no monomials, and their group evaluates to zeros.
     """
     monos = sorted(set().union(*(p.terms for p in polys)))
-    exps = np.array(monos, dtype=np.intp)
-    coeffs = np.array([[float(p.terms.get(m, 0)) for p in polys] for m in monos])
-    return exps, coeffs, max(1, int(exps.max()))
+    exps = np.array(monos, dtype=np.intp).reshape(-1, 2)
+    coeffs = np.array([[float(p.terms.get(m, 0)) for p in polys] for m in monos]).reshape(-1, len(polys))
+    return exps, coeffs, max(1, int(exps.max(initial=0)))
 
 
 def _eval_group(compiled: tuple, points) -> np.ndarray:
@@ -281,9 +282,6 @@ class ProjectedField:
                        _field_group=_compile((self.u, self.v)), _jacobian_group=_compile(jac))
         for name, value in derived.items():
             object.__setattr__(self, name, value)
-
-    def eval_exact(self, x, y) -> tuple:
-        return self.u.eval((x, y)), self.v.eval((x, y))
 
     def degree(self) -> int:
         return max(self.u.degree(), self.v.degree())

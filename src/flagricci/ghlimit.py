@@ -6,24 +6,16 @@ isotropy summands.  What survives depends only on which summands vanish
 and on the bracket table of the family: the vanished summands generate,
 together with the isotropy algebra k, a subalgebra h, and the limit is
 a single point when h is everything, or else the named homogeneous
-space the catalog attaches to the kernel pattern.
+space the catalog attaches to the kernel pattern.  This module finds the
+kernel of a boundary point; classify_limit is a lookup of that kernel in
+catalog.gh_catalog, which holds the closures and the space classes.
 """
 
 from __future__ import annotations
 
 import math
 
-from .catalog import (
-    ALL_SUMMANDS,
-    BOREL_DE_SIEBENTHAL,
-    SYMMETRIC_PAIR,
-    BracketTable,
-    FamilyDescriptor,
-    GHLimitLabel,
-    bracket_table,
-    gh_catalog,
-    subalgebra_closure,
-)
+from .catalog import FamilyDescriptor, GHLimitLabel, gh_catalog
 
 KERNEL_EPS = 1e-6
 
@@ -56,58 +48,9 @@ def kernel_summands(limit_point, eps: float = KERNEL_EPS) -> frozenset:
     return vanished
 
 
-def symmetric_pair_check(table: BracketTable, h_summands) -> bool:
-    """Whether k plus the given summands forms a symmetric pair with its
-    complement.
-
-    With h the given summand set and m its complement, the test asks at
-    summand granularity that [h, h] lands in h and k, [h, m] lands in m,
-    and [m, m] lands back in h and k.  The input must be bracket-closed;
-    a set that brackets outside itself is rejected with ValueError.
-    """
-    h = frozenset(h_summands)
-    if not h <= ALL_SUMMANDS:
-        raise ValueError(f"h_summands must be a subset of {{1, 2, 3}}, got {sorted(h)}")
-    m = ALL_SUMMANDS - h
-    for i in h:
-        for j in h:
-            if not table.entry(i, j) <= h:
-                raise ValueError(
-                    f"h_summands is not bracket-closed: [m{i}, m{j}] leaves it"
-                )
-    for i in h:
-        for j in m:
-            if not table.entry(i, j) <= m:
-                return False
-    for i in m:
-        for j in m:
-            if not table.entry(i, j) <= h:
-                return False
-    return True
-
-
 def classify_limit(
     family: FamilyDescriptor, limit_point, eps: float = KERNEL_EPS
 ) -> GHLimitLabel:
-    """Collapsed-limit label for a degenerate boundary limit point.
-
-    Looks the kernel pattern up in the catalog, which labels Point every
-    pattern whose bracket closure exhausts the summands.  For the
-    families whose labels record it, the symmetric-pair test on the
-    closure is checked against the stored class.
-    """
-    kernel = kernel_summands(limit_point, eps)
-    label = gh_catalog(family)[kernel]
-    if label.space_class in (SYMMETRIC_PAIR, BOREL_DE_SIEBENTHAL):
-        table = bracket_table(family)
-        derived = (
-            SYMMETRIC_PAIR
-            if symmetric_pair_check(table, subalgebra_closure(table, kernel))
-            else BOREL_DE_SIEBENTHAL
-        )
-        if label.space_class != derived:
-            raise RuntimeError(
-                f"catalog class {label.space_class!r} disagrees with the bracket "
-                f"check for kernel {sorted(kernel)} of {family.id}"
-            )
-    return label
+    """Collapsed-limit label for a degenerate boundary limit point: the
+    catalog's label of its kernel pattern."""
+    return gh_catalog(family)[kernel_summands(limit_point, eps)]

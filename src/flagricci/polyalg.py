@@ -218,18 +218,22 @@ class Poly:
         return self.eval(point)
 
     def substitute_z(self) -> "Poly":
-        """Replace z by (1 - x - y), dropping to arity 2."""
+        """Replace z by (1 - x - y), dropping to arity 2.
+
+        Each term c x^a y^b z^e expands by the trinomial coefficients of
+        (1 - x - y)^e, (-1)^(i + j) e! / (i! j! (e - i - j)!) on x^i y^j,
+        into one dict of terms.
+        """
         if self.arity != 3:
             raise ValueError("substitute_z requires an arity-3 polynomial")
-        one_minus = Poly({(0, 0): 1, (1, 0): -1, (0, 1): -1}, 2)
-        powers = [Poly.constant(1, 2)]
-        max_z = max((e[2] for e in self.terms), default=0)
-        for _ in range(max_z):
-            powers.append(powers[-1] * one_minus)
-        out = Poly.zero(2)
+        terms: dict = {}
         for (ex, ey, ez), c in self.terms.items():
-            out = out + Poly({(ex, ey): c}, 2) * powers[ez]
-        return out
+            for i in range(ez + 1):
+                ci = c * ((-1) ** i * math.comb(ez, i))
+                for j in range(ez - i + 1):
+                    key = (ex + i, ey + j)
+                    terms[key] = terms.get(key, 0) + ci * ((-1) ** j * math.comb(ez - i, j))
+        return Poly(terms, 2)
 
     def in_y(self) -> list:
         """Coefficients in y, lowest power first, each an integer list in x."""
@@ -504,13 +508,18 @@ def subresultant(f: list, g: list, j: int) -> list:
     and y^k g (k < m - j) on the columns of y^(m+n-j-1) ... y^(j+1) and
     y^i; j = 0 gives Res_y(f, g).  Where gcd(f(x0, y), g(x0, y)) has
     degree j and s_j(x0) != 0, it is s_j(x0) y^j + ... + s_0(x0).
+    Raises ValueError for a zero f or g, a j above either degree, or a
+    j > 0 equal to both, which leaves no rows.
     """
     m, n = len(f) - 1, len(g) - 1
+    if min(m, n) < 0 or j > min(m, n) or 0 < j == max(m, n):
+        raise ValueError(f"no subresultant s_{j} of polynomials of degrees {m} and {n} in y")
     width = m + n - j
     rows = [[[]] * k + f[::-1] + [[]] * (width - m - 1 - k) for k in range(n - j)]
     rows += [[[]] * k + g[::-1] + [[]] * (width - n - 1 - k) for k in range(m - j)]
-    # the columns of y^j ... y^0 come last, so one elimination gives every s_i
-    return _minors(rows)[::-1]
+    # the columns of y^j ... y^0 come last, so one elimination gives every
+    # s_i; two constants leave no rows, and the empty determinant is 1
+    return _minors(rows)[::-1] if rows else [[1]]
 
 
 def _dyadic(p: list, c: int, k: int) -> int:

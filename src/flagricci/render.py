@@ -33,6 +33,8 @@ UNDETERMINED_FILL = "#bbbbbb"
 # orbit holds ~44 KB while the portrait is built)
 PORTRAIT_ORBITS = 12
 PORTRAIT_MAX_ORBITS = 1000
+# a portrait polyline keeps at most this many evenly spaced samples
+POLYLINE_MAX_POINTS = 400
 
 # basin fill colors, assigned to attractor labels in sorted order
 BASIN_PALETTE = (
@@ -153,10 +155,10 @@ def _polyline(points, stroke: str, width: float, dashed: bool = False) -> str:
     )
 
 
-def _thin(points, limit: int = 400):
-    if len(points) <= limit:
+def _thin(points):
+    if len(points) <= POLYLINE_MAX_POINTS:
         return points
-    idx = np.linspace(0, len(points) - 1, limit).astype(int)
+    idx = np.linspace(0, len(points) - 1, POLYLINE_MAX_POINTS).astype(int)
     return [points[i] for i in idx]
 
 

@@ -3,7 +3,8 @@
 sympy and scipy may serve as scratch oracles, never as dependencies of
 src: this test reads every module's imports with ast, so none slips in.
 No module imports another's private (underscore-prefixed) names either,
-and every upper-case module-level constant is read somewhere in src.
+every upper-case module-level constant is read somewhere in src, and the
+package exports exactly the names its __init__ imports.
 """
 
 import ast
@@ -103,3 +104,32 @@ def test_constant_scan_sees_every_form():
     )
     assert _module_constants(tree) == {"A", "_B", "C", "E", "F"}
     assert _module_constants(tree) - _names_read(tree) == {"E", "F"}
+
+
+def _public_names(tree: ast.Module) -> tuple:
+    """Names imported at the module's top level, and the names its __all__ lists."""
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    listed = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            listed = {elt.value for elt in node.value.elts}
+    return imported, listed
+
+
+def test_package_exports_exactly_what_it_imports():
+    imported, listed = _public_names(ast.parse((SRC / "__init__.py").read_text()))
+    assert imported == listed
+    assert len(listed) >= 40
+
+
+def test_public_name_scan_sees_every_form():
+    tree = ast.parse(
+        "from __future__ import annotations\nfrom .a import B, c as d\n__version__ = '1'\n"
+        "__all__ = ['B', 'd', 'e']\ndef f():\n    from .g import h\n"
+    )
+    assert _public_names(tree) == ({"B", "d"}, {"B", "d", "e"})

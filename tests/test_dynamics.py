@@ -520,12 +520,12 @@ def test_revisit_scan_finds_periodic_orbit(block, monkeypatch):
 
 
 def test_random_interior_points_margin_and_determinism():
-    pts = random_interior_points(50, np.random.default_rng(7), margin=1e-2)
+    pts = random_interior_points(50, np.random.default_rng(7))
     assert len(pts) == 50
     for x, y in pts:
         assert x >= 1e-2 and y >= 1e-2
         assert x + y < 1 - 1e-2
-    again = random_interior_points(50, np.random.default_rng(7), margin=1e-2)
+    again = random_interior_points(50, np.random.default_rng(7))
     assert pts == again
 
 

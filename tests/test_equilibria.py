@@ -26,7 +26,6 @@ from flagricci.equilibria import (
     find_equilibria,
     jacobian_eigen,
     nearest,
-    order_key,
     verify_catalog,
 )
 from flagricci.flowgen import projected_field
@@ -137,22 +136,19 @@ def test_residuals_are_relative_to_the_field_scale():
         assert e.residual < 1e-15
 
 
-@pytest.mark.parametrize("fam", [su_family(1, 1, 1), type1_family("g2u2")],
-                         ids=lambda f: f"{f.id}{f.params}")
-def test_equilibrium_order_ignores_rounding_noise(fam):
-    """Equilibria sharing a coordinate (R and T at x = 1/4, L, M and S at
-    x = 1/2, O, K and P at x = 0) keep their order under 1e-15 noise."""
-    found = find_equilibria(projected_field(fam))
-    xs = sorted(e.position[0] for e in found)
-    assert any(b - a < 1e-12 for a, b in zip(xs, xs[1:])), "no shared coordinate to test"
-    labels = [e.matched_label for e in found]
-    rng = random.Random(0)
-    for _trial in range(50):
-        noisy = [
-            (tuple(c + rng.choice((-1e-15, 1e-15)) for c in e.position), e.matched_label)
-            for e in found
-        ]
-        assert [lab for _p, lab in sorted(noisy, key=lambda t: order_key(t[0]))] == labels
+def test_equilibria_ascend_in_x_then_y():
+    """Elimination yields the zeros in ascending (x, y) order, also where
+    they share a coordinate (R and T at x = 1/4, L, M and S at x = 1/2,
+    O, K and P at x = 0)."""
+    for fam in list_families(6, 12):
+        positions = [e.position for e in find_equilibria(projected_field(fam))]
+        assert all(a < b for a, b in zip(positions, positions[1:])), f"{fam.id}{fam.params}"
+
+
+@pytest.mark.parametrize("fam, labels", [(su_family(1, 1, 1), "OKPRTNMSLQ"), (type1_family("g2u2"), "OPNRSMLQ")],
+                         ids=["su(1, 1, 1)", "g2u2()"])
+def test_equilibrium_label_order(fam, labels):
+    assert "".join(e.matched_label for e in find_equilibria(projected_field(fam))) == labels
 
 
 def test_find_equilibria_type1_corners_exact():
@@ -186,6 +182,19 @@ def test_find_equilibria_rejects_fields_without_isolated_zeros():
     # u of degree 0 in y vanishes on x = 1/sqrt(2), where v is quadratic in y
     with pytest.raises(ArithmeticError, match="not linear"):
         find_equilibria(dataclasses.replace(field, u=2 * x * x - 1, v=4 * y * y + x - 1))
+
+
+def test_find_equilibria_with_a_constant_or_zero_component():
+    """A nonzero constant u or v has no zeros, so no equilibria; a zero u
+    or v vanishes wherever the other does and is rejected."""
+    field = projected_field(type1_family("g2u2"))
+    one, three = Poly.constant(1, 2), Poly.constant(3, 2)
+    for u, v in [(one, Poly.zero(2)), (one, three), (field.u, three), (Poly.zero(2), -three)]:
+        found = find_equilibria(dataclasses.replace(field, u=u, v=v))
+        assert (list(found), found.seeds_tried, found.seeds_converged) == ([], 0, 0)
+    for u, v in [(Poly.zero(2), field.v), (field.u, Poly.zero(2)), (Poly.zero(2), Poly.zero(2))]:
+        with pytest.raises(ArithmeticError, match="u or v is zero"):
+            find_equilibria(dataclasses.replace(field, u=u, v=v))
 
 
 def test_find_equilibria_when_u_and_v_have_degree_one_in_y():

@@ -258,7 +258,7 @@ def test_field_vanishes_exactly_at_exact_reference_equilibria(fam):
     for rec in reference_equilibria(fam):
         if not rec.position_exact:
             continue
-        u0, v0 = f.eval_exact(*rec.position)
+        u0, v0 = f.u.eval(rec.position), f.v.eval(rec.position)
         assert u0 == 0, f"{rec.label}: u != 0"
         assert v0 == 0, f"{rec.label}: v != 0"
 
@@ -450,7 +450,7 @@ def test_replaced_field_derives_its_numerics_from_u_and_v():
     pts = np.array([[0.3, 0.2], [0.1, 0.7], [0.45, 0.45]])
     x, y = pts[:, 0], pts[:, 1]
     assert f.rhs(pts) == pytest.approx(np.stack([x * (x - y), y * (2 * x - 1)], axis=1), abs=1e-15)
-    assert np.array([f.eval_exact(*p) for p in pts], dtype=float) == pytest.approx(f.rhs(pts), abs=1e-15)
+    assert np.array([(f.u.eval(p), f.v.eval(p)) for p in pts], dtype=float) == pytest.approx(f.rhs(pts), abs=1e-15)
     # du/dx = 2x - y, du/dy = -x, dv/dx = 2y, dv/dy = 2x - 1
     jac = np.stack([2 * x - y, -x, 2 * y, 2 * x - 1], axis=1).reshape(-1, 2, 2)
     assert f.jacobian(pts) == pytest.approx(jac, abs=1e-15)
@@ -459,6 +459,18 @@ def test_replaced_field_derives_its_numerics_from_u_and_v():
     assert f.scale == 2.0
     with pytest.raises(ValueError):
         dataclasses.replace(f, scale=1.0)
+
+
+@pytest.mark.parametrize("v", [Poly.zero(2), Poly.constant(3, 2)], ids=["zero", "three"])
+def test_constant_field_has_a_zero_jacobian(v):
+    """A constant u and v leave the Jacobian group without monomials: rhs
+    is the constant and jacobian zero, for a batch and a lone point."""
+    f = dataclasses.replace(projected_field(type1_family("g2u2")), u=ONE, v=v)
+    pts = np.array([[0.3, 0.2], [0.1, 0.7], [0.45, 0.45]])
+    value = [1.0, float(v.eval((0, 0)))]
+    assert f.rhs(pts).tolist() == [value] * 3 and f.rhs(pts[0]).tolist() == value
+    assert f.jacobian(pts).tolist() == [[[0.0, 0.0], [0.0, 0.0]]] * 3
+    assert f.jacobian(pts[0]).tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 @pytest.mark.parametrize("fam", [su_family(2, 1, 1), so_family(6), type1_family("g2u2"),

@@ -184,6 +184,18 @@ def test_parse_round_trip_hypothesis(p):
     assert Poly.parse(p.to_text(), p.arity) == p
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=_sparse_polys(3))
+def test_substitute_z_matches_the_product_expansion(p):
+    """The trinomial expansion gives the terms, in the same order, of the
+    sum over p's terms of c x^a y^b times (1 - x - y)^e built by products."""
+    one_minus = Poly({(0, 0): 1, (1, 0): -1, (0, 1): -1}, 2)
+    expected = Poly.zero(2)
+    for (a, b, e), c in p.terms.items():
+        expected = expected + Poly({(a, b): c}, 2) * one_minus**e
+    assert list(p.substitute_z().terms.items()) == list(expected.terms.items())
+
+
 # ----------------------------------------------------------------------
 # univariate algebra and elimination
 
@@ -211,6 +223,18 @@ def test_resultant_by_hand():
     # the degree-1 subresultant is y - x itself: its zero y = x is the
     # common root over every x where x^2 = x
     assert subresultant(f, g, 1) == [[0, -1], [1]]
+
+
+def test_subresultant_of_constants_and_rejected_inputs():
+    # a constant f against g of degree n in y gives f^n; two constants
+    # leave an empty Sylvester matrix, whose determinant is 1
+    assert subresultant([[2]], [[1], [0, 1], [3]], 0) == [[4]]
+    assert subresultant([[1]], [[3]], 0) == [[1]]
+    # a zero polynomial, an index above a degree, or one equal to both
+    for f, g, j in [([[1]], [], 0), ([], [[0, 1], [1]], 0), ([[0, 1], [1]], [[1]], 1),
+                    ([[0, 1], [1]], [[1], [1]], 1)]:
+        with pytest.raises(ValueError, match="no subresultant"):
+            subresultant(f, g, j)
 
 
 def _sylvester_det(f, g, x):

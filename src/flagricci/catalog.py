@@ -151,17 +151,23 @@ def family_from_id(fid: str, params: Optional[tuple] = None) -> FamilyDescriptor
     return type1_family(fid)
 
 
+# list_families' largest bounds: 2600 SU and 997 SO families, ~15 and ~6 MB of JSON
+MNP_BOUND_MAX, ELL_BOUND_MAX = 24, 1000
+
+
 def list_families(mnp_bound: Optional[int] = None, ell_bound: Optional[int] = None) -> list:
     """All constant families, plus parametric ones enumerated within bounds.
 
     mnp_bound enumerates SU families with m >= n >= p and all of m, n, p
     at most the bound; ell_bound enumerates SO families with 4 <= l <=
     ell_bound.  The seven Type I families and the exceptional Type II
-    family are always present.
+    family are always present.  A bound above its *_BOUND_MAX is rejected.
     """
-    for bound in (mnp_bound, ell_bound):
+    for name, bound, top in (("mnp_bound", mnp_bound, MNP_BOUND_MAX), ("ell_bound", ell_bound, ELL_BOUND_MAX)):
         if bound is not None and bound < 1:
             raise ValueError(f"bounds must be positive, got {bound}")
+        if bound is not None and bound > top:
+            raise ValueError(f"{name} must be at most {top}, got {bound}")
     out = []
     if mnp_bound is not None:
         for m in range(1, mnp_bound + 1):

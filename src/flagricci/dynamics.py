@@ -15,10 +15,13 @@ is row-wise and the field kernel is row-invariant, so a point's orbit
 does not depend on the batch it runs in.  A batch takes each row's
 direction and step budget, the direction as the sign of its step: a
 phase portrait's sample orbits and its forward and backward separatrices
-run as one batch, and each equals its orbit integrated alone.
+run as one batch, and each equals its orbit integrated alone.  The
+edges are invariant, so a trial step that leaves the closed simplex is
+rejected like one whose error is too large (Shampine, Thompson,
+Kierzenka & Byrne, Appl. Math. Comput. 170, 2005).
 Orbit limits and basin labels come from one rule (_limits): a stalled
-or clamped end within MATCH_TOL of a found equilibrium, or the attractor
-of the sink trap that caught it.  A sink trap is a Lyapunov sublevel set
+end within MATCH_TOL of a found equilibrium, or the attractor of the
+sink trap that caught it.  A sink trap is a Lyapunov sublevel set
 around a rational attractor, certified in Fractions to be forward
 invariant and to drain to it (SinkTrap, sink_trap).  Only basin_map
 passes traps: its cells stop on entering one instead of crawling the
@@ -55,6 +58,9 @@ BASIN_MARGIN = 1e-3
 INTERIOR_MARGIN = 1e-2
 # an orbit's default tolerances and time budget
 ORBIT_RTOL, ORBIT_ATOL, ORBIT_MAX_TIME = 1e-10, 1e-12, 1e4
+# the largest rtol or atol accepted; at 1e-6 a third or more of the table
+# families' random orbits end Undetermined
+TOL_MAX = 1e-7
 # step budgets: an orbit or separatrix, a basin cell, a portrait's sample orbit
 ORBIT_MAX_STEPS = 200000
 BASIN_MAX_STEPS = 10000
@@ -91,10 +97,9 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 )
 
 # termination codes
-RUNNING, STALLED, BOUNDARY, UNDERFLOW, MAX_TIME, MAX_STEPS, TRAPPED = 0, 1, 2, 3, 4, 5, 6
+RUNNING, STALLED, UNDERFLOW, MAX_TIME, MAX_STEPS, TRAPPED = 0, 1, 2, 3, 4, 5
 _REASONS = {
     STALLED: "stalled",
-    BOUNDARY: "boundary",
     UNDERFLOW: "underflow",
     MAX_TIME: "max_time",
     MAX_STEPS: "max_steps",
@@ -391,18 +396,6 @@ def _outside_simplex(p: np.ndarray) -> np.ndarray:
     return (p[:, 0] < -tol) | (p[:, 1] < -tol) | (p[:, 0] + p[:, 1] > 1.0 + tol)
 
 
-def _clamp_to_simplex(p: np.ndarray) -> np.ndarray:
-    q = np.maximum(p, 0.0)
-    s = q[..., 0] + q[..., 1]
-    over = s > 1.0
-    if np.any(over):
-        shift = (s[over] - 1.0) / 2.0
-        q[over, 0] -= shift
-        q[over, 1] -= shift
-        np.maximum(q, 0.0, out=q)
-    return q
-
-
 def _dp_step(field: ProjectedField, p, k1, hs, rtol, atol):
     """One trial Dormand-Prince step for a batch of points.
 
@@ -412,9 +405,10 @@ def _dp_step(field: ProjectedField, p, k1, hs, rtol, atol):
     the reversed field with an unsigned step size.  Returns the
     fifth-order result, the scaled error norm and the field at that
     result (k7), which is the next step's k1 when the step is accepted
-    (first same as last).  Trial stages that overflow far outside the
-    simplex read as infinite error, so the step is rejected and the step
-    size shrinks.
+    (first same as last).  Overflowing stages, and a step the error test
+    would accept that lands outside the closed simplex (slack
+    BOUNDARY_EXIT_TOL), read as infinite error: the step is rejected and
+    the step size shrinks by the controller's least factor.
     """
     # step sizes at full (n, 2) shape: numpy broadcasts a column over a
     # length-2 axis several times slower than it multiplies equal shapes
@@ -430,15 +424,15 @@ def _dp_step(field: ProjectedField, p, k1, hs, rtol, atol):
         err = hc * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
         scale = atol + rtol * np.maximum(np.abs(p), np.abs(y5))
         errnorm = row_max_abs(err / scale)
+        errnorm[(errnorm <= 1.0) & _outside_simplex(y5)] = np.inf
     errnorm = np.where(np.isfinite(errnorm), errnorm, np.inf)
-    y5 = np.where(np.isfinite(y5), y5, 0.0)
     return y5, errnorm, k7
 
 
 def _check_integration_input(pos, direction, rtol, atol, max_time, max_steps) -> None:
-    """Reject starts outside the closed simplex, unknown directions and
-    non-positive budgets; direction and max_steps are one value or one
-    per start."""
+    """Reject starts outside the closed simplex, unknown directions,
+    tolerances outside (0, TOL_MAX] and non-positive budgets; direction
+    and max_steps are one value or one per start."""
     if not np.isfinite(pos).all():
         raise ValueError("start points must be finite")
     outside = _outside_simplex(pos)
@@ -451,8 +445,8 @@ def _check_integration_input(pos, direction, rtol, atol, max_time, max_steps) ->
     if not isinstance(direction, str) and len(direction) != len(pos):
         raise ValueError(f"direction has {len(direction)} entries for {len(pos)} start points")
     for name, value in (("rtol", rtol), ("atol", atol)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not 0 < value <= TOL_MAX:
+            raise ValueError(f"{name} must lie in (0, {TOL_MAX!r}], got {value!r}")
     if not max_time > 0:
         raise ValueError(f"max_time must be positive, got {max_time!r}")
     budget = np.asarray(max_steps)
@@ -475,20 +469,20 @@ def _integrate_batch(
     record: bool = False,
     traps=None,
 ):
-    """Advance every point until stall, boundary exit, or budget.
+    """Advance every point until stall, trap, or budget.
 
     direction ("forward" or "backward") and max_steps are one value for
     all points or one per point.  A point stops with status MAX_STEPS
     after max_steps accepted steps, or after 4 * max_steps trial steps
     of its own.  With traps (SinkTraps), a point that starts in a trap,
-    or lands in one after an accepted step it did not end by a boundary
-    exit, stops there with status TRAPPED; its path up to then is the
-    one it takes without traps.  Returns (positions, times, status
-    codes, step counts, samples) with samples a per-point list of
-    (t, x, y) when record is set, else None.  Raises ValueError for a
-    start outside the closed simplex (slack BOUNDARY_EXIT_TOL), a
-    non-finite start, an unknown direction, a non-positive tolerance or
-    budget, or a per-point list of the wrong length.
+    or lands in one after an accepted step, stops there with status
+    TRAPPED; its path up to then is the one it takes without traps.
+    Returns (positions, times, status codes, step counts, samples) with
+    samples a per-point list of (t, x, y) when record is set, else None.
+    Raises ValueError for a start outside the closed simplex (slack
+    BOUNDARY_EXIT_TOL), a non-finite start, an unknown direction, a
+    tolerance outside (0, TOL_MAX], a non-positive budget, or a
+    per-point list of the wrong length.
     """
     pos = np.array(pts, dtype=float).reshape(-1, 2).copy()
     _check_integration_input(pos, direction, rtol, atol, max_time, max_steps)
@@ -527,14 +521,11 @@ def _integrate_batch(
         y5, errnorm, k7 = _dp_step(field, p, k1, h * sign.take(ids), rtol, atol)
 
         accept = errnorm <= 1.0
-        disp = row_max_abs(y5 - p)
-        exited = accept & _outside_simplex(y5)
-        if exited.any():
-            y5[exited] = _clamp_to_simplex(y5[exited])
         # a rejected step keeps its point and its first stage
         rejected = np.flatnonzero(~accept)
         y5[rejected] = p[rejected]
         k7[rejected] = k1[rejected]
+        disp = row_max_abs(y5 - p)
         p, k1 = y5, k7
         tp[accept] += h[accept]
         sp += accept
@@ -546,12 +537,11 @@ def _integrate_batch(
         # not read as a stall: a short step counts only where the field is
         # so slow that a step of STALL_STEP would have stalled as well
         short = (h < STALL_STEP) & (row_max_abs(k1) * STALL_STEP >= STALL_TOL)
-        stalled = accept & ~exited & (disp < STALL_TOL) & ~short
+        stalled = accept & (disp < STALL_TOL) & ~short
         code = np.full(ids.size, RUNNING, dtype=np.int8)
-        code[exited] = BOUNDARY
         code[stalled] = STALLED
         if traps:
-            code[~exited & (_trap_of(traps, p) >= 0)] = TRAPPED
+            code[_trap_of(traps, p) >= 0] = TRAPPED
 
         # step-size update, guarding the zero-error case
         factor = np.clip(0.9 * np.maximum(errnorm, 1e-300) ** -0.2, 0.2, 5.0)
@@ -577,14 +567,14 @@ def _limits(family, pos, status, traps=None) -> tuple:
 
     Returns its index into equilibria_for(family), -1 for none, and its
     distance to the nearest found equilibrium.  A TRAPPED point has the
-    attractor of the trap (among traps) that holds it.  A stalled or
-    boundary-clamped endpoint within MATCH_TOL of a found equilibrium
-    has that limit; anything else has none, including a stall with no
-    equilibrium nearby (which would mean the search missed a zero, and
-    deserves suspicion rather than a made-up label).
+    attractor of the trap (among traps) that holds it.  A stalled
+    endpoint within MATCH_TOL of a found equilibrium has that limit;
+    anything else has none, including a stall with no equilibrium nearby
+    (which would mean the search missed a zero, and deserves suspicion
+    rather than a made-up label).
     """
     idx, dist = nearest(pos, [eq.position for eq in equilibria_for(family)])
-    hit = np.isin(status, (STALLED, BOUNDARY)) & (dist <= MATCH_TOL)
+    hit = (status == STALLED) & (dist <= MATCH_TOL)
     lim = np.where(hit, idx, -1)
     if traps:
         held = _trap_of(traps, pos)
@@ -597,7 +587,7 @@ def _terminal_outcome(family, pos, t, code) -> LimitOutcome:
     """The terminal point's limit: an Equilibrium outcome carrying its
     label, or Undetermined (see _limits)."""
     p = (float(pos[0]), float(pos[1]))
-    lim, dist = _limits(family, [p], [code])
+    lim, dist = _limits(family, [p], np.array([code]))
     j = int(lim[0])
     return LimitOutcome(
         kind="Equilibrium" if j >= 0 else "Undetermined",
@@ -605,7 +595,7 @@ def _terminal_outcome(family, pos, t, code) -> LimitOutcome:
         position=p,
         distance=float(dist[0]),
         time_elapsed=float(t),
-        reason=_REASONS.get(int(code), "unknown"),
+        reason=_REASONS[int(code)],
     )
 
 
@@ -621,7 +611,8 @@ def integrate_orbit(
     """Single orbit of the cleared field with dense samples.
 
     Terminates on equilibrium proximity (accepted-step displacement
-    below 1e-9), boundary exit beyond 1e-9, or an exhausted budget.
+    below 1e-9) or an exhausted budget; every sample lies in the closed
+    simplex, with slack 1e-9.
     The terminal outcome is matched against the family's computed
     zero set, so a converged orbit arrives labeled.
     """

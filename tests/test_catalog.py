@@ -83,6 +83,10 @@ def test_list_families_bounds():
     assert [f.params for f in more if f.id == "so"] == [(4,), (5,)]
     with pytest.raises(ValueError):
         list_families(mnp_bound=0)
+    assert len(list_families(mnp_bound=24, ell_bound=1000)) == 2600 + 997 + 8
+    for bounds in ({"mnp_bound": 25}, {"ell_bound": 1001}, {"mnp_bound": 10**9}):
+        with pytest.raises(ValueError, match=f"{next(iter(bounds))} must be at most"):
+            list_families(**bounds)
 
 
 # ----------------------------------------------------------------------

@@ -383,14 +383,24 @@ def test_families_rejects_zero_bound(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [["--mnp-bound", "25"], ["--ell-bound", "1001"]], ids=["mnp-25", "ell-1001"])
+def test_families_rejects_bound_above_its_limit(capsys, flags):
+    code, out, err = run(capsys, "families", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"flagricci families: error: {flags[0][2:].replace('-', '_')} must be at most")
+
+
 @pytest.mark.parametrize(
     "flags",
     [
         ["--x0", "nan", "--y0", "0.3"],
         ["--x0", "2", "--y0", "2"],
         ["--x0", "0.3", "--y0", "0.3", "--rtol", "-1"],
+        ["--x0", "0.3", "--y0", "0.3", "--atol", "1e300"],
+        ["--x0", "0.3", "--y0", "0.3", "--rtol", "1e-6"],
     ],
-    ids=["nan-start", "start-outside-simplex", "negative-rtol"],
+    ids=["nan-start", "start-outside-simplex", "negative-rtol", "huge-atol", "rtol-above-ceiling"],
 )
 def test_orbit_rejects_bad_input(capsys, flags):
     code, out, err = run(capsys, "orbit", "--family", "su", "--params", "2,1,1", *flags)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagricci import (
     basin_map,
@@ -75,6 +76,8 @@ TWO_STARTS = [(0.3, 0.3), (0.2, 0.25)]
         ([(0.3, 0.3)], {"rtol": -1.0}, "rtol"),
         ([(0.3, 0.3)], {"rtol": float("nan")}, "rtol"),
         ([(0.3, 0.3)], {"atol": 0.0}, "atol"),
+        ([(0.3, 0.3)], {"atol": 1e300}, "atol"),
+        ([(0.3, 0.3)], {"rtol": 2 * dynamics.TOL_MAX}, "rtol"),
         ([(0.3, 0.3)], {"max_time": 0.0}, "max_time"),
         ([(0.3, 0.3)], {"max_steps": 0}, "max_steps"),
         ([(0.3, 0.3)], {"max_steps": 2.5}, "max_steps"),
@@ -93,6 +96,8 @@ TWO_STARTS = [(0.3, 0.3), (0.2, 0.25)]
         "negative-rtol",
         "nan-rtol",
         "zero-atol",
+        "huge-atol",
+        "rtol-above-ceiling",
         "zero-max-time",
         "zero-max-steps",
         "float-max-steps",
@@ -294,6 +299,27 @@ def test_forward_samples_stay_in_simplex_and_descend(family, start):
     finite = lv[np.isfinite(lv)]
     assert np.all(np.diff(finite) <= 1e-10)
     assert finite[-1] < finite[0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    family=st.sampled_from([SU211, SO6, G2, family_from_id("e7su5su3u1")]),
+    x=st.floats(0.0, 1.0),
+    share=st.floats(0.0, 1.0),
+    rtol=st.floats(1e-12, dynamics.TOL_MAX),
+    atol=st.floats(1e-14, dynamics.TOL_MAX),
+    direction=st.sampled_from(["forward", "backward"]),
+)
+def test_samples_stay_in_the_closed_simplex_at_any_allowed_tolerance(family, x, share, rtol, atol, direction):
+    # y = share (1 - x) puts every start, edges and corners included, in
+    # the simplex; the stepper's own samples, without Lyapunov values
+    pos, t, status, _steps, samples = dynamics._integrate_batch(
+        dynamics.field_for(family), [(x, share * (1.0 - x))], direction=direction, rtol=rtol, atol=atol,
+        max_steps=400, record=True,
+    )
+    reason = dynamics._terminal_outcome(family, pos[0], t[0], status[0]).reason
+    assert reason != "boundary" and reason in dynamics._REASONS.values()
+    assert not dynamics._outside_simplex(np.array(samples[0])[:, 1:3]).any()
 
 
 def test_backward_samples_ascend():
@@ -955,6 +981,19 @@ def test_separatrices_g2():
             assert s.limit.label in {"L", "M", "N"}
         else:
             assert s.limit.label in {"O", "P", "Q"}
+
+
+def test_separatrix_into_a_nonhyperbolic_corner_stalls_inside_the_simplex():
+    # S's stable separatrix toward P = (0, 1) has trial steps that the
+    # error test accepts but that land beyond an edge; they are rejected,
+    # and it stalls at P
+    (sep,) = [
+        s for s in separatrices(family_from_id("e7su5su3u1"))
+        if (s.saddle_label, s.manifold, s.sign) == ("S", "stable", -1)
+    ]
+    assert (sep.limit.kind, sep.limit.label, sep.limit.reason) == ("Equilibrium", "P", "stalled")
+    assert len(sep.points) == 465
+    assert not dynamics._outside_simplex(np.array(sep.points)).any()
 
 
 def _separatrix_direction(s) -> str:

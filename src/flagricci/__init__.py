@@ -38,7 +38,6 @@ from .equilibria import (
     classify_equilibrium,
     corner_class,
     find_equilibria,
-    jacobian_eigen,
     verify_catalog,
 )
 from .dynamics import (
@@ -93,7 +92,6 @@ __all__ = [
     "find_equilibria",
     "gh_catalog",
     "integrate_orbit",
-    "jacobian_eigen",
     "kernel_summands",
     "limit_of_orbit",
     "list_families",

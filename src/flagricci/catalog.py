@@ -107,15 +107,28 @@ def e6_family() -> FamilyDescriptor:
     )
 
 
-# (d1, d2, d3), group, isotropy for the seven Type I flags
+# The seven Type I flags: (d1, d2, d3), group, isotropy, the off-center
+# saddles (R, S) to five decimals, and the (name, dim) of the limits of
+# collapsing m2 (a symmetric space) and m3 (a maximal-rank non-symmetric
+# space).  The (60, 30, 10) family shares its saddles with the (24, 12, 4)
+# family: the projected field is homogeneous of degree 3 in the summand
+# dimensions, so proportional dimension vectors give the identical system
+# and identical equilibria.
 _TYPE1_ROWS = {
-    "e8e6su2u1": ((108, 54, 4), "E8", "E6xSU(2)xU(1)"),
-    "e8su8u1": ((112, 56, 16), "E8", "SU(8)xU(1)"),
-    "e7su5su3u1": ((60, 30, 10), "E7", "SU(5)xSU(3)xU(1)"),
-    "e7su6su2u1": ((60, 30, 4), "E7", "SU(6)xSU(2)xU(1)"),
-    "e6su3su3su2u1": ((36, 18, 4), "E6", "SU(3)xSU(3)xSU(2)xU(1)"),
-    "f4su3su2u1": ((24, 12, 4), "F4", "SU(3)xSU(2)xU(1)"),
-    "g2u2": ((4, 2, 4), "G2", "U(2)"),
+    "e8e6su2u1": ((108, 54, 4), "E8", "E6xSU(2)xU(1)", ((0.46847, 0.47077), (0.28932, 0.26453)),
+                  (("E8/(E7xSU(2))", 112), ("E8/(E6xSU(3))", 162))),
+    "e8su8u1": ((112, 56, 16), "E8", "SU(8)xU(1)", ((0.33648, 0.24145), (0.39343, 0.42039)),
+                (("E8/Spin(16)", 128), ("E8/SU(9)", 168))),
+    "e7su5su3u1": ((60, 30, 10), "E7", "SU(5)xSU(3)xU(1)", ((0.34725, 0.23562), (0.37927, 0.41362)),
+                   (("E7/SU(8)", 70), ("E7/(SU(6)xSU(3))", 90))),
+    "e7su6su2u1": ((60, 30, 4), "E7", "SU(6)xSU(2)xU(1)", ((0.44544, 0.45244), (0.30245, 0.25819)),
+                   (("E7/(SO(12)xSU(2))", 64), ("E7/(SU(6)xSU(3))", 90))),
+    "e6su3su3su2u1": ((36, 18, 4), "E6", "SU(3)xSU(3)xSU(2)xU(1)", ((0.32220, 0.24866), (0.41388, 0.43154)),
+                      (("E6/(SU(6)xSU(2))", 40), ("E6/(SU(3)xSU(3)xSU(3))", 54))),
+    "f4su3su2u1": ((24, 12, 4), "F4", "SU(3)xSU(2)xU(1)", ((0.34725, 0.23562), (0.37927, 0.41362)),
+                   (("F4/(Sp(3)xSU(2))", 28), ("F4/(SU(3)xSU(3))", 36))),
+    "g2u2": ((4, 2, 4), "G2", "U(2)", ((0.21154, 0.35427), (0.46117, 0.08619)),
+             (("G2/SO(4)", 8), ("G2/SU(3)", 6))),
 }
 
 TYPE1_IDS = tuple(_TYPE1_ROWS)
@@ -124,7 +137,7 @@ TYPE1_IDS = tuple(_TYPE1_ROWS)
 def type1_family(fid: str) -> FamilyDescriptor:
     if fid not in _TYPE1_ROWS:
         raise ValueError(f"unknown Type I family {fid!r}")
-    dims, group, isotropy = _TYPE1_ROWS[fid]
+    dims, group, isotropy = _TYPE1_ROWS[fid][:3]
     return FamilyDescriptor(
         id=fid,
         params=(),
@@ -266,6 +279,11 @@ def symmetric_pair_check(table: BracketTable, h_summands) -> bool:
 
 # relative tolerance on a record's closed-form eigenvalues
 EIGEN_REL_TOL = 1e-7
+# distance within which a found zero is the record: the exact closed-form
+# positions are met up to rounding, while the Type I saddle table gives
+# its positions to five decimals only
+POSITION_TOL_EXACT = 1e-9
+POSITION_TOL_DECIMAL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -280,6 +298,11 @@ class EquilibriumRecord:
     def position_exact(self) -> bool:
         """Whether both coordinates are Fractions; the Type I saddles' are five-decimal floats."""
         return all(isinstance(c, Fraction) for c in self.position)
+
+    @property
+    def position_tol(self) -> float:
+        """Distance within which a found zero is this record."""
+        return POSITION_TOL_EXACT if self.position_exact else POSITION_TOL_DECIMAL
 
     @property
     def eigen_rel_tol(self) -> Optional[float]:
@@ -392,25 +415,9 @@ def _so_records(ell: int) -> list:
     ]
 
 
-# Off-center saddle positions (R, S) for the Type I families, five
-# decimals.  The (60, 30, 10) family shares these with the (24, 12, 4)
-# family: the projected field is homogeneous of degree 3 in the summand
-# dimensions, so proportional dimension vectors give the identical
-# system and identical equilibria.
-_TYPE1_SADDLES = {
-    "e8e6su2u1": ((0.46847, 0.47077), (0.28932, 0.26453)),
-    "e8su8u1": ((0.33648, 0.24145), (0.39343, 0.42039)),
-    "e7su5su3u1": ((0.34725, 0.23562), (0.37927, 0.41362)),
-    "e7su6su2u1": ((0.44544, 0.45244), (0.30245, 0.25819)),
-    "e6su3su3su2u1": ((0.32220, 0.24866), (0.41388, 0.43154)),
-    "f4su3su2u1": ((0.34725, 0.23562), (0.37927, 0.41362)),
-    "g2u2": ((0.21154, 0.35427), (0.46117, 0.08619)),
-}
-
-
 def _type1_records(fid: str) -> list:
     rec = EquilibriumRecord
-    saddle_r, saddle_s = _TYPE1_SADDLES[fid]
+    saddle_r, saddle_s = _TYPE1_ROWS[fid][3]
     return [
         rec("O", (F(0), F(0)), DEGENERATE, REPELLER),
         rec("P", (F(0), F(1)), DEGENERATE, REPELLER),
@@ -461,19 +468,6 @@ class GHLimitLabel:
 _POINT_LABEL = GHLimitLabel(name="point", space_class=POINT, dim=0)
 
 
-# Collapsing m2 of a Type I flag leaves a symmetric space; collapsing m3
-# leaves a maximal-rank non-symmetric space.  Names and dimensions:
-_TYPE1_GH = {
-    "e8e6su2u1": (("E8/(E7xSU(2))", 112), ("E8/(E6xSU(3))", 162)),
-    "e8su8u1": (("E8/Spin(16)", 128), ("E8/SU(9)", 168)),
-    "e7su5su3u1": (("E7/SU(8)", 70), ("E7/(SU(6)xSU(3))", 90)),
-    "e7su6su2u1": (("E7/(SO(12)xSU(2))", 64), ("E7/(SU(6)xSU(3))", 90)),
-    "e6su3su3su2u1": (("E6/(SU(6)xSU(2))", 40), ("E6/(SU(3)xSU(3)xSU(3))", 54)),
-    "f4su3su2u1": (("F4/(Sp(3)xSU(2))", 28), ("F4/(SU(3)xSU(3))", 36)),
-    "g2u2": (("G2/SO(4)", 8), ("G2/SU(3)", 6)),
-}
-
-
 def _su_gh(m: int, n: int, p: int) -> dict:
     s = m + n + p
     def gr(a: int, dim: int) -> GHLimitLabel:
@@ -496,7 +490,7 @@ def _named_spaces(family: FamilyDescriptor) -> dict:
     """(name, dim) of the limit of each single-summand kernel of the E6 or a Type I flag."""
     if family.kind == KIND_E6:
         return {frozenset({i}): ("E6/(SO(10)xU(1))", 32) for i in (1, 2, 3)}
-    symmetric, maximal_rank = _TYPE1_GH[family.id]
+    symmetric, maximal_rank = _TYPE1_ROWS[family.id][4]
     return {frozenset({2}): symmetric, frozenset({3}): maximal_rank}
 
 

@@ -31,14 +31,6 @@ from .ghlimit import kernel_summands
 from .render import PORTRAIT_ORBITS, basins_svg, portrait_svg
 
 
-class UsageError(ValueError):
-    """Bad flag combination or value; reported with the usage block.
-
-    main reports every ValueError this way, as the library raises it for
-    the input it rejects.
-    """
-
-
 # ----------------------------------------------------------------------
 # plumbing
 
@@ -60,7 +52,7 @@ def _resolve_family(args):
         try:
             params = tuple(int(tok) for tok in args.params.split(","))
         except ValueError:
-            raise UsageError(f"--params must be comma-separated integers, got {args.params!r}")
+            raise ValueError(f"--params must be comma-separated integers, got {args.params!r}")
     return family_from_id(args.family, params)
 
 
@@ -192,7 +184,7 @@ def _cmd_basins(args) -> int:
 def _cmd_portrait(args) -> int:
     fam = _resolve_family(args)
     if not args.out:
-        raise UsageError("portrait emits SVG and requires --out <path>")
+        raise ValueError("portrait emits SVG and requires --out <path>")
     svg = portrait_svg(fam, seed=args.seed, n_orbits=args.orbits)
     with open(args.out, "w") as fh:
         fh.write(svg)

@@ -119,21 +119,10 @@ class LimitOutcome:
     time_elapsed: float
     reason: str
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "label": self.label,
-            "position": list(self.position),
-            "distance": self.distance,
-            "time_elapsed": self.time_elapsed,
-            "reason": self.reason,
-        }
-
 
 @dataclass
 class Trajectory:
     samples: list  # (t, x, y, L)
-    direction: str
     terminal: LimitOutcome
 
 
@@ -166,7 +155,6 @@ class BasinGrid:
 @dataclass
 class Separatrix:
     saddle_label: str
-    saddle_position: tuple
     manifold: str  # "stable" or "unstable"
     sign: int
     eigenvalue: float
@@ -623,7 +611,6 @@ def integrate_orbit(
     _t, x, y = np.array(samples[0]).T
     return Trajectory(
         samples=[s + (lv,) for s, lv in zip(samples[0], lyapunov_planar(field.family, x, y).tolist())],
-        direction=direction,
         terminal=_terminal_outcome(field.family, pos[0], t[0], status[0]),
     )
 
@@ -684,26 +671,22 @@ def basin_map(family: FamilyDescriptor, resolution: int, margin: float = BASIN_M
 
 
 def _eigenvectors_2x2(field: ProjectedField, p) -> list:
-    """Real eigenpairs (eigenvalue, unit vector) of the Jacobian at p."""
+    """The two real eigenpairs (eigenvalue, unit vector) of the Jacobian at a
+    saddle p, where det < 0 makes the discriminant positive."""
     jac = field.jacobian(np.array([p]))[0] / field.scale
     a, b, c, d = jac[0, 0], jac[0, 1], jac[1, 0], jac[1, 1]
     tr, det = a + d, a * d - b * c
-    disc = tr * tr / 4 - det
-    if disc < 0:
-        return []
-    root = math.sqrt(disc)
+    root = math.sqrt(tr * tr / 4 - det)
     pairs = []
     for lam in (tr / 2 - root, tr / 2 + root):
+        # each choice has a component above 1e-14, so its norm is too
         if abs(b) > 1e-14:
             vec = np.array([b, lam - a])
         elif abs(c) > 1e-14:
             vec = np.array([lam - d, c])
         else:
             vec = np.array([1.0, 0.0]) if abs(a - lam) < abs(d - lam) else np.array([0.0, 1.0])
-        norm = math.hypot(vec[0], vec[1])
-        if norm < 1e-300:
-            continue
-        pairs.append((lam, vec / norm))
+        pairs.append((lam, vec / math.hypot(vec[0], vec[1])))
     return pairs
 
 
@@ -735,10 +718,7 @@ def phase_portrait(family: FamilyDescriptor, starts) -> tuple:
     for eq in equilibria_for(family):
         if eq.stability != SADDLE:
             continue
-        pairs = _eigenvectors_2x2(field, eq.position)
-        if len(pairs) != 2:
-            continue
-        for lam, vec in pairs:
+        for lam, vec in _eigenvectors_2x2(field, eq.position):
             manifold = "unstable" if lam > 0 else "stable"
             for sgn in (1, -1):
                 start = (
@@ -747,7 +727,7 @@ def phase_portrait(family: FamilyDescriptor, starts) -> tuple:
                 )
                 if _outside_simplex(np.array([start]))[0]:
                     continue
-                heads.append((eq.name, eq.position, manifold, sgn, float(lam)))
+                heads.append((eq.name, manifold, sgn, float(lam)))
                 directions.append("forward" if lam > 0 else "backward")
                 budgets.append(ORBIT_MAX_STEPS)
                 launches.append(start)

@@ -31,14 +31,6 @@ NONHYPERBOLIC = "nonhyperbolic"
 # a real part below this, in the field's unscaled units, is nonhyperbolic;
 # only irrational zeros are classified in floats, rational ones by exact signs
 NONHYP_TOL = 1e-8
-# a found zero takes the label of the nearest reference equilibrium
-# closer than this
-LABEL_TOL = 1e-3
-# a reference equilibrium needs a found zero within this distance: the
-# exact closed-form positions are met up to rounding, while the Type I
-# saddle table gives its positions to five decimals only
-POSITION_TOL_EXACT = 1e-9
-POSITION_TOL_DECIMAL = 1e-4
 
 
 @dataclass
@@ -97,8 +89,9 @@ def _jacobian_rows(field: ProjectedField) -> list:
 
 
 def _linearization(field: ProjectedField, p, rows: list) -> tuple:
-    """jacobian_eigen's eigenvalues, and the Jacobian's trace and determinant:
-    exact Fractions at a rational p from rows (_jacobian_rows), floats otherwise."""
+    """The Jacobian's eigenvalues at p, ascending real part, and its trace and
+    determinant: exact Fractions at a rational p from rows (_jacobian_rows),
+    floats otherwise, so the eigenvalues are exact up to the final square root."""
     if all(isinstance(c, (int, Fraction)) for c in p):
         j11, j12, j21, j22 = (value_at_xy(q, *p) for q in rows)
     else:
@@ -122,12 +115,6 @@ def _sign_class(tr, det) -> str:
     if not det or not tr:
         return NONHYPERBOLIC
     return REPELLER if tr > 0 else ATTRACTOR
-
-
-def jacobian_eigen(field: ProjectedField, p) -> tuple:
-    """Eigenvalues of the exact field Jacobian at p, ascending real part;
-    exact up to the final square root at a rational p."""
-    return _linearization(field, p, _jacobian_rows(field))[0]
 
 
 def corner_class(field: ProjectedField, p) -> Optional[str]:
@@ -185,10 +172,11 @@ def find_equilibria(field: ProjectedField) -> EquilibriumList:
     u or v itself if one has degree 1 in y, so y0 = -s0(x0) / s1(x0), and
     exact signs decide whether the zero lies in the simplex or on its edge.
     Rational zeros keep their exact position and take their class from the
-    signs of their exact Jacobian's trace and determinant.  A field with a
-    nonzero constant u or v has no zeros.  Raises ArithmeticError if u or v
-    is zero, if u and v share a factor, or if they have a nonlinear gcd
-    over an irrational x.
+    signs of their exact Jacobian's trace and determinant.  A zero takes
+    its nearest reference record's label within that record's position_tol.
+    A field with a nonzero constant u or v has no zeros.  Raises
+    ArithmeticError if u or v is zero, if u and v share a factor, or if
+    they have a nonlinear gcd over an irrational x.
     """
     if field.u.degree() == 0 or field.v.degree() == 0:
         return EquilibriumList([], 0, 0)
@@ -248,7 +236,7 @@ def find_equilibria(field: ProjectedField) -> EquilibriumList:
                 residual=resid,
                 eigenvalues=eigs,
                 stability=classify_equilibrium(eigs) if exact is None else _sign_class(tr, det),
-                matched_label=refs[i].label if d < LABEL_TOL else None,
+                matched_label=refs[i].label if d <= refs[i].position_tol else None,
                 boundary_flag=boundary,
                 exact=exact,
             )
@@ -276,7 +264,6 @@ class VerificationReport:
     family: FamilyDescriptor
     checks: list = dc_field(default_factory=list)
     extras: list = dc_field(default_factory=list)
-    field_degree: int = 0
 
     @property
     def passed(self) -> bool:
@@ -316,13 +303,13 @@ def verify_catalog(family: FamilyDescriptor) -> VerificationReport:
     """
     field = projected_field(family)
     found = find_equilibria(field)
-    report = VerificationReport(family=family, field_degree=field.degree())
+    report = VerificationReport(family=family)
     used = set()
     refs = reference_equilibria(family)
     nearest_idx, nearest_d = nearest([rec.position_float() for rec in refs], [eq.position for eq in found])
     for rec, best_i, best_d in zip(refs, nearest_idx.tolist(), nearest_d.tolist()):
         rp = rec.position_float()
-        tol = POSITION_TOL_EXACT if rec.position_exact else POSITION_TOL_DECIMAL
+        tol = rec.position_tol
         eq = found[best_i] if best_i >= 0 else None
         eigen_err = found_class = None
         note = "no zero within position tolerance"

@@ -127,13 +127,29 @@ def lyapunov_value(family: FamilyDescriptor, m: Sequence):
     The value is -S(m) (x^d1 y^d2 z^d3)^(1/d) with d the total
     dimension.  It is invariant under m -> lambda m, finite on the open
     cone, and constant exactly at equilibria of the projected flow.
-    Components may be same-shape arrays; S is exact for int or Fraction.
+    Components may be same-shape arrays; S is exact for int or Fraction,
+    and at a float point with a subnormal coordinate.
     """
-    s = scalar_curvature(family, m)
-    d1, d2, d3 = family.dims
     x, y, z = (np.asarray(v, dtype=float) for v in m)
+    if all(isinstance(v, (int, Fraction)) for v in m):
+        s, k = np.asarray(scalar_curvature(family, m), dtype=float), 0
+    else:
+        # Ric is homogeneous of degree -1, so S(m) = 2^k S(2^k m), exactly in
+        # floats: k > 0 lifts a least coordinate below 2^-256, whose negative
+        # powers can overflow, to 2^-256.  A subnormal coordinate's ratio to
+        # another overflows at any scale, so there S is exact, as s 2^k
+        least = np.fmin(np.fmin(x, y), z)
+        k = np.array(np.maximum(0, -256 - np.frexp(least)[1]))
+        s, sub = np.empty(x.shape), least < 2.0**-1022
+        s[~sub] = scalar_curvature(family, tuple(np.ldexp(c[~sub], k[~sub]) for c in (x, y, z)))
+        for i in np.flatnonzero(sub):
+            exact = scalar_curvature(family, tuple(F(c.flat[i]) for c in (x, y, z)))
+            e = exact.numerator.bit_length() - exact.denominator.bit_length()
+            s.flat[i], k.flat[i] = exact / F(2) ** e, e
+    d1, d2, d3 = family.dims
     vol_pow = np.exp((d1 * np.log(x) + d2 * np.log(y) + d3 * np.log(z)) / family.total_dim)
-    return -np.asarray(s, dtype=float) * vol_pow
+    with np.errstate(over="ignore"):  # a value beyond the float range rounds to -inf or inf
+        return np.ldexp(-s * vol_pow, k)
 
 
 def lyapunov_planar(family: FamilyDescriptor, x, y):

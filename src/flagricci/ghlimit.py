@@ -24,12 +24,12 @@ class NotDegenerate(ValueError):
     """The limit point is interior, so no summand collapses."""
 
 
-def kernel_summands(limit_point, eps: float = KERNEL_EPS) -> frozenset:
+def kernel_summands(limit_point) -> frozenset:
     """Indices of the summands that collapse at a boundary limit point.
 
     The planar point (x, y) lifts to simplex coordinates (x, y, 1-x-y);
     summand i belongs to the kernel when its lifted coordinate falls
-    below eps.  An interior point has no vanishing coordinate and is
+    below KERNEL_EPS.  An interior point has no vanishing coordinate and is
     rejected with NotDegenerate; a non-finite point, or one with a
     lifted coordinate below -KERNEL_EPS (outside the closed simplex), is
     rejected with ValueError.
@@ -40,17 +40,13 @@ def kernel_summands(limit_point, eps: float = KERNEL_EPS) -> frozenset:
         raise ValueError(f"point ({x}, {y}) is not finite")
     if min(lifted) < -KERNEL_EPS:
         raise ValueError(f"point ({x}, {y}) lies outside the closed simplex")
-    vanished = frozenset(i + 1 for i, c in enumerate(lifted) if c < eps)
+    vanished = frozenset(i + 1 for i, c in enumerate(lifted) if c < KERNEL_EPS)
     if not vanished:
-        raise NotDegenerate(
-            f"point ({x}, {y}) is interior: no lifted coordinate below {eps}"
-        )
+        raise NotDegenerate(f"point ({x}, {y}) is interior: no lifted coordinate below {KERNEL_EPS}")
     return vanished
 
 
-def classify_limit(
-    family: FamilyDescriptor, limit_point, eps: float = KERNEL_EPS
-) -> GHLimitLabel:
+def classify_limit(family: FamilyDescriptor, limit_point) -> GHLimitLabel:
     """Collapsed-limit label for a degenerate boundary limit point: the
     catalog's label of its kernel pattern."""
-    return gh_catalog(family)[kernel_summands(limit_point, eps)]
+    return gh_catalog(family)[kernel_summands(limit_point)]

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -189,6 +190,19 @@ def test_orbit_backward_flag(capsys):
     assert code == 0
     last = out.strip().splitlines()[-1].split(",")
     assert abs(float(last[1])) < 1e-6 and abs(float(last[2])) < 1e-6
+
+
+def test_orbit_next_to_an_edge_has_finite_lyapunov_values(capsys):
+    """y starts at the least normal float and turns subnormal; -S vol stays
+    finite there (about -2.5e184 at the start), though S alone overflows."""
+    code, out, err = run(
+        capsys, "orbit", "--family", "su", "--params", "2,1,1", "--x0", "0.25", "--y0", "2.2250738585072014e-308",
+        "--max-steps", "400", "--rtol", "5.960464477539063e-08", "--atol", "6.432049958169953e-08",
+    )
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) > 70 and min(float(r[2]) for r in rows) < 2.2250738585072014e-308
+    assert all(math.isfinite(float(r[3])) for r in rows)
 
 
 def test_basins_csv_and_svg(tmp_path, capsys):

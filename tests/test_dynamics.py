@@ -14,8 +14,8 @@ from flagricci import (
     edge_invariance_check,
     family_from_id,
     integrate_orbit,
-    jacobian_eigen,
     limit_of_orbit,
+    list_families,
     monotonicity_check,
     projected_field,
     random_interior_points,
@@ -272,10 +272,9 @@ def test_limit_of_orbit_skips_lyapunov_and_equals_the_orbit_terminal(monkeypatch
 def test_terminal_outcome_shape():
     field = projected_field(SU211)
     out = limit_of_orbit(field, (0.49, 0.49))
-    d = out.as_dict()
-    assert set(d) == {"kind", "label", "position", "distance", "time_elapsed", "reason"}
-    assert d["reason"] == "stalled"
-    assert d["time_elapsed"] > 0
+    assert (out.kind, out.label, out.reason) == ("Equilibrium", "L", "stalled")
+    assert len(out.position) == 2 and out.distance <= dynamics.MATCH_TOL
+    assert out.time_elapsed > 0
 
 
 @pytest.mark.parametrize(
@@ -1046,9 +1045,29 @@ def test_separatrix_eigenvalue_is_the_saddle_eigenvalue_over_the_field_scale(fam
     assert {s.saddle_label for s in seps} == set(saddles)
     for s in seps:
         eq = saddles[s.saddle_label]
-        eigs = [e.real for e in jacobian_eigen(field, eq.exact or eq.position)]
+        eigs = [e.real for e in eq.eigenvalues]
         assert min(abs(s.eigenvalue * field.scale - e) / abs(e) for e in eigs) < 1e-9
         assert (s.eigenvalue > 0) == (s.manifold == "unstable")
+
+
+def test_scaled_jacobian_has_a_negative_determinant_at_every_saddle():
+    """_eigenvectors_2x2 takes the square root of tr^2/4 - det of the scaled
+    float Jacobian, which det < 0 keeps positive: every saddle of
+    list_families(6, 12) (the 11 table families among them) gets two real
+    eigenpairs, one per sign, with unit vectors."""
+    saddles = 0
+    for family in list_families(6, 12):
+        field = dynamics.field_for(family)
+        for eq in dynamics.equilibria_for(family):
+            if eq.stability != "saddle":
+                continue
+            saddles += 1
+            (a, b), (c, d) = field.jacobian(np.array([eq.position]))[0] / field.scale
+            assert a * d - b * c < 0, (family.id, family.params, eq.name)
+            pairs = dynamics._eigenvectors_2x2(field, eq.position)
+            assert [lam > 0 for lam, _v in pairs] == [False, True]
+            assert all(abs(math.hypot(*vec) - 1) < 1e-15 for _lam, vec in pairs)
+    assert saddles == 212  # 3 per Type II family (56 su, 9 so, e6), 2 per Type I
 
 
 def test_separatrix_tangent_to_invariant_segment():

@@ -24,7 +24,6 @@ from flagricci.equilibria import (
     classify_equilibrium,
     corner_class,
     find_equilibria,
-    jacobian_eigen,
     nearest,
     verify_catalog,
 )
@@ -70,9 +69,12 @@ def test_exact_classes_match_float_eigenvalue_classes():
         for eq in find_equilibria(field):
             zeros += 1
             rational += eq.exact is not None
-            p = eq.exact if eq.exact is not None else eq.position
-            assert eq.stability == classify_equilibrium(jacobian_eigen(field, p)), (fam.id, fam.params, eq.position)
+            assert eq.stability == classify_equilibrium(eq.eigenvalues), (fam.id, fam.params, eq.position)
     assert (zeros, rational) == (716, 702)
+
+
+def _zero_at(family, exact):
+    return next(eq for eq in find_equilibria(projected_field(family)) if eq.exact == exact)
 
 
 def test_jacobian_eigen_exact_double_root_at_K():
@@ -82,15 +84,12 @@ def test_jacobian_eigen_exact_double_root_at_K():
     exactly zero; any float perturbation would split the pair by the
     square root of the error and ruin relative comparisons.
     """
-    field = projected_field(su_family(2, 1, 1))
-    eigs = jacobian_eigen(field, (Fraction(0), Fraction(1, 2)))
+    eigs = _zero_at(su_family(2, 1, 1), (Fraction(0), Fraction(1, 2))).eigenvalues
     assert eigs == (Fraction(-3, 2), Fraction(-3, 2))
 
 
 def test_jacobian_eigen_at_so_vertex():
-    field = projected_field(so_family(6))
-    eigs = jacobian_eigen(field, (Fraction(0), Fraction(1)))
-    assert eigs == (6, 8)
+    assert _zero_at(so_family(6), (Fraction(0), Fraction(1))).eigenvalues == (6, 8)
 
 
 @pytest.mark.parametrize("family", TABLE_FAMILIES, ids=lambda f: f"{f.id}{f.params}")
@@ -287,6 +286,25 @@ def test_so_saddle_reference_eigenvalues_are_exact(ell):
         assert isinstance(lo, Fraction) and isinstance(hi, Fraction) and rec.eigen_rel_tol == 1e-7
         a, b, c, d = (q.eval(rec.position) for q in (field.du_dx, field.du_dy, field.dv_dx, field.dv_dy))
         assert (a + d, a * d - b * c) == (lo + hi, lo * hi)
+
+
+def test_a_zero_is_a_record_exactly_within_its_position_tol():
+    """On list_families(6, 12), the 11 table families among them, a found
+    zero takes its nearest record's label exactly when it lies within that
+    record's position_tol, and equilibria and verify name the same zeros."""
+    labelled = 0
+    for fam in list_families(6, 12):
+        refs = reference_equilibria(fam)
+        found = find_equilibria(projected_field(fam))
+        idx, dist = nearest([eq.position for eq in found], [r.position_float() for r in refs])
+        for eq, i, d in zip(found, idx.tolist(), dist.tolist()):
+            assert eq.matched_label == (refs[i].label if d <= refs[i].position_tol else None), (fam, eq.position)
+            labelled += eq.matched_label is not None
+        report = verify_catalog(fam)
+        named = {c.found_position: c.label for c in report.checks if c.position_error <= c.position_tol}
+        assert named == {eq.position: eq.matched_label for eq in found if eq.matched_label}, fam
+        assert not [eq for eq in report.extras if eq.matched_label], fam
+    assert labelled == 716
 
 
 def test_verify_catalog_reports_a_record_with_no_zero(monkeypatch):

@@ -87,7 +87,6 @@ def test_kernel_threshold():
     assert set(kernel_summands((1e-7, 0.5))) == {1}
     with pytest.raises(NotDegenerate):
         kernel_summands((1e-5, 0.5))
-    assert set(kernel_summands((1e-5, 0.5), eps=1e-4)) == {1}
 
 
 def test_interior_point_raises():
@@ -225,11 +224,6 @@ def test_classify_interior_raises():
         classify_limit(SU211, (0.3, 0.3))
 
 
-def test_classify_eps_passthrough():
-    lab = classify_limit(SU211, (1e-5, 0.5), eps=1e-4)
-    assert lab.name == "Gr_3(C^4)"
-
-
 @pytest.mark.parametrize("family", catalog_families(), ids=lambda f: f.id + str(f.params))
 def test_classify_agrees_with_catalog_for_every_pattern(family):
     catalog = gh_catalog(family)
@@ -258,10 +252,10 @@ def test_orbit_limits_classify_consistently(family):
             if out.kind != "Equilibrium":
                 continue
             try:
-                pattern = kernel_summands(out.position, eps=1e-5)
+                pattern = kernel_summands(out.position)
             except NotDegenerate:
                 continue
-            assert classify_limit(family, out.position, eps=1e-5) == catalog[
+            assert classify_limit(family, out.position) == catalog[
                 frozenset(pattern)
             ]
             checked += 1

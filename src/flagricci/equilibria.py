@@ -23,7 +23,7 @@ import numpy as np
 
 from .catalog import ATTRACTOR, REPELLER, SADDLE, FamilyDescriptor, reference_equilibria
 from .flowgen import ProjectedField, projected_field, row_max_abs
-from .polyalg import (gcd, primitive, real_roots, restrict_to_line, sign_at, squarefree, subresultant, sub,
+from .polyalg import (at_x, gcd, primitive, real_roots, restrict_to_line, sign_at, squarefree, sub, subresultants,
                       taylor_shift, value_at, value_at_xy)
 
 NONHYPERBOLIC = "nonhyperbolic"
@@ -83,15 +83,11 @@ def classify_equilibrium(eigs: tuple) -> str:
     return SADDLE
 
 
-def _jacobian_rows(field: ProjectedField) -> list:
-    """The four Jacobian entries in y (Poly.in_y), for exact evaluation."""
-    return [q.in_y() for q in (field.du_dx, field.du_dy, field.dv_dx, field.dv_dy)]
-
-
 def _linearization(field: ProjectedField, p, rows: list) -> tuple:
     """The Jacobian's eigenvalues at p, ascending real part, and its trace and
-    determinant: exact Fractions at a rational p from rows (_jacobian_rows),
-    floats otherwise, so the eigenvalues are exact up to the final square root."""
+    determinant: exact Fractions at a rational p from rows, the four entries
+    in Poly.in_y's form, floats otherwise, so the eigenvalues are exact up to
+    the final square root."""
     if all(isinstance(c, (int, Fraction)) for c in p):
         j11, j12, j21, j22 = (value_at_xy(q, *p) for q in rows)
     else:
@@ -165,12 +161,14 @@ def find_equilibria(field: ProjectedField) -> EquilibriumList:
     """All zeros of the field on the closed simplex, found exactly, in
     ascending (x, y) order.
 
-    Res_y(u, v) eliminates y; its real roots x0 in [0, 1] are isolated
-    exactly and come in ascending order.  Over a rational x0 the zeros are
-    the roots in [0, 1 - x0] of gcd(u(x0, y), v(x0, y)), ascending; over an
-    irrational x0 that gcd is the degree-1 subresultant s1(x) y + s0(x), or
-    u or v itself if one has degree 1 in y, so y0 = -s0(x0) / s1(x0), and
-    exact signs decide whether the zero lies in the simplex or on its edge.
+    One subresultant PRS of u and v in y gives Res_y(u, v) and the degree-1
+    subresultant s1(x) y + s0(x).  The resultant's real roots x0 in [0, 1]
+    are isolated exactly and come in ascending order.  Over a rational x0
+    the zeros are the roots in [0, 1 - x0] of gcd(u(x0, y), v(x0, y)),
+    taken in integers, ascending; over an irrational x0 that gcd is
+    s1(x0) y + s0(x0), or u or v itself if one has degree 1 in y, so
+    y0 = -s0(x0) / s1(x0), and exact signs at x0 (sign_at) decide whether
+    the zero lies in the simplex or on its edge.
     Rational zeros keep their exact position and take their class from the
     signs of their exact Jacobian's trace and determinant.  A zero takes
     its nearest reference record's label within that record's position_tol.
@@ -183,8 +181,11 @@ def find_equilibria(field: ProjectedField) -> EquilibriumList:
     if not (field.u and field.v):
         raise ArithmeticError(f"u or v is zero for {field.family.id}")
     uy, vy = field.u.in_y(), field.v.in_y()
-    (res,) = subresultant(uy, vy, 0)
-    linear = None  # (s0, s1), found at the first irrational x0
+    chain = subresultants(uy, vy)
+    (res,) = chain[0]
+    # u or v itself where one has degree 1 in y; with neither that nor a
+    # degree-1 subresultant (a degree 0 in y), s1 = [] reads as a zero lead
+    s0, s1 = next((p for p in (uy, vy) if len(p) == 2), None) or (chain[1] if len(chain) > 1 else [[], []])
     if not res:
         raise ArithmeticError(f"u and v share a factor for {field.family.id}")
     res = squarefree(res)
@@ -192,7 +193,7 @@ def find_equilibria(field: ProjectedField) -> EquilibriumList:
     tried = 0
     for x0 in real_roots(res):
         if isinstance(x0, Fraction):
-            g = gcd([value_at(c, x0) for c in uy], [value_at(c, x0) for c in vy])
+            g = gcd(at_x(uy, x0), at_x(vy, x0))
             if not g:
                 raise ArithmeticError(f"u and v vanish on the line x = {x0} for {field.family.id}")
             g = squarefree(g)
@@ -204,12 +205,6 @@ def find_equilibria(field: ProjectedField) -> EquilibriumList:
                     zeros.append(((float(x0), float(sum(y0) / 2)), x0 == 0))  # y0 < 1 - x0
             continue
         tried += 1
-        if linear is None:
-            # the subresultant needs both degrees 2 or more; with neither it
-            # nor a factor of degree 1, s1 = [] reads as a zero lead
-            linear = next((p for p in (uy, vy) if len(p) == 2), None)
-            linear = linear or (subresultant(uy, vy, 1) if min(len(uy), len(vy)) > 2 else [[], []])
-        s0, s1 = linear
         lead = s1 and sign_at(s1, res, x0)
         if not lead:
             raise ArithmeticError(f"gcd(u, v) is not linear in y over an irrational x for {field.family.id}")
@@ -224,7 +219,7 @@ def find_equilibria(field: ProjectedField) -> EquilibriumList:
     residuals = row_max_abs(field.rhs(np.array(positions).reshape(-1, 2)) / field.scale)
     refs = reference_equilibria(field.family)
     ref_idx, ref_d = nearest(positions, [r.position_float() for r in refs])
-    accepted, rows = [], _jacobian_rows(field)
+    accepted, rows = [], [q.in_y() for q in (field.du_dx, field.du_dy, field.dv_dx, field.dv_dy)]
     for (pos, boundary), point, resid, i, d in zip(
         zeros, positions, residuals.tolist(), ref_idx.tolist(), ref_d.tolist()
     ):

@@ -27,6 +27,7 @@ depend on the batch it is evaluated in.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Sequence, Tuple
@@ -34,7 +35,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .catalog import KIND_SO, KIND_SU, KIND_TYPE1, FamilyDescriptor
-from .polyalg import Poly, variables
+from .polyalg import Poly, expand_z
 
 F = Fraction
 
@@ -73,14 +74,8 @@ def ricci_terms(family: FamilyDescriptor) -> tuple:
         c3 = F(d1 + d2, 2 * delta)
         return 4 * delta * d1 * d2, (
             ((F(e, 2 * d1 * delta), _Y_XX), (c1, _X_YZ), (-c1, _Z_XY), (-c1, _Y_XZ), (_HALF, _INV_X)),
-            (
-                (F(-e, 4 * d2 * delta), _Y_XX),
-                (F(e, 2 * d2 * delta), _INV_Y),
-                (-c2, _X_YZ),
-                (-c2, _Z_XY),
-                (c2, _Y_XZ),
-                (_HALF, _INV_Y),
-            ),
+            ((F(-e, 4 * d2 * delta), _Y_XX), (F(e, 2 * d2 * delta), _INV_Y), (-c2, _X_YZ), (-c2, _Z_XY),
+             (c2, _Y_XZ), (_HALF, _INV_Y)),
             ((-c3, _X_YZ), (c3, _Z_XY), (-c3, _Y_XZ), (_HALF, _INV_Z)),
         )
     if family.kind == KIND_SO:
@@ -121,19 +116,50 @@ def scalar_curvature(family: FamilyDescriptor, m: Sequence):
     return d1 * rx + d2 * ry + d3 * rz
 
 
+def _exact_curvature(family: FamilyDescriptor, points) -> list:
+    """S = s 2^e at each point of exact (int, Fraction or float) coordinates,
+    as (s, e) with s the exact value's correctly rounded float near 1.
+
+    Over a common denominator D the coordinates are integers X, Y, Z, and
+    S = D S(X, Y, Z), Ric having degree -1; the table's terms, cleared by
+    X^2 Y^2 Z^2 and their common denominator, sum to an integer there."""
+    _k, table = ricci_terms(family)
+    merged: dict = {}
+    for d, r in zip(family.dims, table):
+        for c, (a, b, e) in r:
+            merged[a + 2, b + 2, e + 2] = merged.get((a + 2, b + 2, e + 2), 0) + d * c
+    den = math.lcm(*(c.denominator for c in merged.values()))
+    terms = [(c.numerator * (den // c.denominator), exps) for exps, c in merged.items()]
+    out = []
+    for m in points:
+        ratios = [v.as_integer_ratio() for v in m]
+        d = math.lcm(*(q for _p, q in ratios))
+        # the powers 0..3 of each, the cleared exponents being 0..3
+        x, y, z = ([1, v, v * v, v**3] for v in (p * (d // q) for p, q in ratios))
+        num, below = d * sum(c * x[a] * y[b] * z[e] for c, (a, b, e) in terms), den * x[2] * y[2] * z[2]
+        e = num.bit_length() - below.bit_length()
+        out.append(((num << max(0, -e)) / (below << max(0, e)), e))
+    return out
+
+
 def lyapunov_value(family: FamilyDescriptor, m: Sequence):
     """Scale-invariant quantity that strictly decreases along the flow.
 
     The value is -S(m) (x^d1 y^d2 z^d3)^(1/d) with d the total
     dimension.  It is invariant under m -> lambda m, finite on the open
     cone, and constant exactly at equilibria of the projected flow.
-    Components may be same-shape arrays; S is exact for int or Fraction,
-    and at a float point with a subnormal coordinate.
+    Components may be same-shape arrays; S is exact for int or Fraction
+    (and the volume factor then taken from their exact logarithms), and
+    at a float point with a subnormal coordinate.
     """
-    x, y, z = (np.asarray(v, dtype=float) for v in m)
+    d1, d2, d3 = family.dims
     if all(isinstance(v, (int, Fraction)) for v in m):
-        s, k = np.asarray(scalar_curvature(family, m), dtype=float), 0
+        _check_positive(m)
+        ((s, k),) = _exact_curvature(family, [m])
+        logs = (math.log(F(v).numerator) - math.log(F(v).denominator) for v in m)
+        vol_pow = math.exp(sum(d * lg for d, lg in zip(family.dims, logs)) / family.total_dim)
     else:
+        x, y, z = (np.asarray(v, dtype=float) for v in m)
         # Ric is homogeneous of degree -1, so S(m) = 2^k S(2^k m), exactly in
         # floats: k > 0 lifts a least coordinate below 2^-256, whose negative
         # powers can overflow, to 2^-256.  A subnormal coordinate's ratio to
@@ -142,12 +168,10 @@ def lyapunov_value(family: FamilyDescriptor, m: Sequence):
         k = np.array(np.maximum(0, -256 - np.frexp(least)[1]))
         s, sub = np.empty(x.shape), least < 2.0**-1022
         s[~sub] = scalar_curvature(family, tuple(np.ldexp(c[~sub], k[~sub]) for c in (x, y, z)))
-        for i in np.flatnonzero(sub):
-            exact = scalar_curvature(family, tuple(F(c.flat[i]) for c in (x, y, z)))
-            e = exact.numerator.bit_length() - exact.denominator.bit_length()
-            s.flat[i], k.flat[i] = exact / F(2) ** e, e
-    d1, d2, d3 = family.dims
-    vol_pow = np.exp((d1 * np.log(x) + d2 * np.log(y) + d3 * np.log(z)) / family.total_dim)
+        idx = np.flatnonzero(sub)
+        for i, (si, ei) in zip(idx, _exact_curvature(family, zip(x.flat[idx], y.flat[idx], z.flat[idx]))):
+            s.flat[i], k.flat[i] = si, ei
+        vol_pow = np.exp((d1 * np.log(x) + d2 * np.log(y) + d3 * np.log(z)) / family.total_dim)
     with np.errstate(over="ignore"):  # a value beyond the float range rounds to -inf or inf
         return np.ldexp(-s * vol_pow, k)
 
@@ -313,10 +337,16 @@ class ProjectedField:
 
 
 def projected_field(family: FamilyDescriptor) -> ProjectedField:
-    """Derive the planar projected field (u, v) for the family."""
-    fp, gp, hp = cleared_field(family)
-    total = fp + gp + hp
-    x3, y3, _ = variables(3)
-    a = fp - total * x3
-    b = gp - total * y3
-    return ProjectedField(family=family, u=a.substitute_z(), v=b.substitute_z())
+    """Derive the planar projected field (u, v) for the family.
+
+    (A, B) = (F, G) - (F + G + H) (x, y) and z = 1 - x - y, on the
+    integer terms of the cleared field.
+    """
+    cleared = [{e: c.numerator for e, c in p.terms.items()} for p in cleared_field(family)]
+    uv = []
+    for i in (0, 1):
+        terms = dict(cleared[i])
+        for (a, b, e), c in (t for p in cleared for t in p.items()):
+            terms[a + 1 - i, b + i, e] = terms.get((a + 1 - i, b + i, e), 0) - c
+        uv.append(Poly(expand_z(terms), 2))
+    return ProjectedField(family, *uv)

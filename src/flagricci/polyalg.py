@@ -9,13 +9,18 @@ point.
 The univariate part eliminates a variable exactly.  A univariate
 polynomial is a list of integer (or, where noted, Fraction)
 coefficients, lowest degree first, without trailing zeros.  It has
-pseudo-division, gcd, square-free parts, subresultants over Z[x], and
-real-root isolation by Sturm sequences, all in integer arithmetic.
+pseudo-division, gcd, square-free parts, the subresultants of two
+polynomials in y over Z[x] from one subresultant PRS, real-root
+isolation by Sturm sequences, and the sign of a polynomial at an
+isolated root, certified by a bound on its derivative or else by a
+Sturm-Tarski sequence, all in integer arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Mapping, Sequence, Union
@@ -57,8 +62,8 @@ class Poly:
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
             c = _as_fraction(coeff)
-            if c != 0:
-                clean[exps] = clean.get(exps, Fraction(0)) + c
+            if c:
+                clean[exps] = clean[exps] + c if exps in clean else c
         object.__setattr__(self, "terms", {e: clean[e] for e in sorted(clean) if clean[e] != 0})
         object.__setattr__(self, "arity", arity)
 
@@ -87,22 +92,17 @@ class Poly:
     # ------------------------------------------------------------------
     # ring operations
 
-    def _check_same_arity(self, other: "Poly") -> None:
-        if self.arity != other.arity:
-            raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
-
     def _coerce(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            return other
         if isinstance(other, (int, Fraction)):
             return Poly.constant(other, self.arity)
-        return NotImplemented
+        if isinstance(other, Poly) and other.arity != self.arity:
+            raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
+        return other if isinstance(other, Poly) else NotImplemented
 
     def __add__(self, other) -> "Poly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        self._check_same_arity(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
             terms[exps] = terms.get(exps, Fraction(0)) + c
@@ -124,11 +124,10 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return Poly({e: k * c for e, k in self.terms.items()}, self.arity)
-        if not isinstance(other, Poly):
+            return Poly({e: k * other for e, k in self.terms.items()}, self.arity)
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        self._check_same_arity(other)
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -141,10 +140,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = Poly.constant(1, self.arity)
-        for _ in range(n):
-            out = out * self
-        return out
+        return functools.reduce(Poly.__mul__, [self] * n, Poly.constant(1, self.arity))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -171,24 +167,14 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def diff(self, var: Union[str, int]) -> "Poly":
-        if isinstance(var, str):
-            names = _VAR_NAMES[: self.arity]
-            if var not in names:
-                raise ValueError(f"unknown variable {var!r} for arity {self.arity}")
-            idx = names.index(var)
-        else:
-            idx = var
-            if not 0 <= idx < self.arity:
-                raise ValueError(f"variable index {idx} out of range for arity {self.arity}")
-        terms: dict = {}
-        for exps, c in self.terms.items():
-            k = exps[idx]
-            if k == 0:
-                continue
-            e = exps[:idx] + (k - 1,) + exps[idx + 1 :]
-            terms[e] = terms.get(e, Fraction(0)) + c * k
-        return Poly(terms, self.arity)
+    def diff(self, var: str) -> "Poly":
+        names = _VAR_NAMES[: self.arity]
+        if var not in names:
+            raise ValueError(f"unknown variable {var!r} for arity {self.arity}")
+        idx = names.index(var)
+        # distinct terms have distinct derivatives
+        return Poly({e[:idx] + (e[idx] - 1,) + e[idx + 1 :]: c * e[idx] for e, c in self.terms.items() if e[idx]},
+                    self.arity)
 
     def eval(self, point: Sequence) -> Union[Fraction, float, complex]:
         """Evaluate at a point.
@@ -199,11 +185,9 @@ class Poly:
         if len(point) != self.arity:
             raise ValueError(f"point length {len(point)} does not match arity {self.arity}")
         exact = all(isinstance(v, (int, Fraction)) for v in point)
-        if exact:
-            total = Fraction(0)
-        else:
+        if not exact:
             point = [float(v) if isinstance(v, (int, Fraction)) else v for v in point]
-            total = 0.0
+        total = Fraction(0) if exact else 0.0
         for exps, c in self.terms.items():
             term = c if exact else float(c)
             for v, e in zip(point, exps):
@@ -212,28 +196,11 @@ class Poly:
             total = total + term
         return total
 
-    def __call__(self, *point):
-        if len(point) == 1 and isinstance(point[0], (tuple, list)):
-            point = point[0]
-        return self.eval(point)
-
     def substitute_z(self) -> "Poly":
-        """Replace z by (1 - x - y), dropping to arity 2.
-
-        Each term c x^a y^b z^e expands by the trinomial coefficients of
-        (1 - x - y)^e, (-1)^(i + j) e! / (i! j! (e - i - j)!) on x^i y^j,
-        into one dict of terms.
-        """
+        """Replace z by (1 - x - y), dropping to arity 2 (see expand_z)."""
         if self.arity != 3:
             raise ValueError("substitute_z requires an arity-3 polynomial")
-        terms: dict = {}
-        for (ex, ey, ez), c in self.terms.items():
-            for i in range(ez + 1):
-                ci = c * ((-1) ** i * math.comb(ez, i))
-                for j in range(ez - i + 1):
-                    key = (ex + i, ey + j)
-                    terms[key] = terms.get(key, 0) + ci * ((-1) ** j * math.comb(ez - i, j))
-        return Poly(terms, 2)
+        return Poly(expand_z(self.terms), 2)
 
     def in_y(self) -> list:
         """Coefficients in y, lowest power first, each an integer list in x."""
@@ -248,35 +215,16 @@ class Poly:
     # ------------------------------------------------------------------
     # textual form
 
-    def sorted_terms(self) -> list:
-        """Terms in descending graded lexicographic order."""
-        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
-
     def to_text(self) -> str:
-        """Render as a monomial sum, e.g. ``-32*x^3*y + 6*x^3 - x + 1/3``."""
-        if not self.terms:
-            return "0"
-        names = _VAR_NAMES[: self.arity]
+        """Render as a monomial sum, e.g. ``-32*x^3*y + 6*x^3 - x + 1/3``,
+        in descending graded lexicographic order."""
         pieces = []
-        for i, (exps, coeff) in enumerate(self.sorted_terms()):
-            mono = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    mono.append(name)
-                elif e > 1:
-                    mono.append(f"{name}^{e}")
+        for exps, coeff in sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True):
+            mono = [name if e == 1 else f"{name}^{e}" for name, e in zip(_VAR_NAMES, exps) if e]
             mag = abs(coeff)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(mono)
-            else:
-                body = str(mag) + "*" + "*".join(mono)
-            if i == 0:
-                pieces.append(body if coeff > 0 else "-" + body)
-            else:
-                pieces.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(pieces)
+            pieces.append(("+ " if coeff > 0 else "- ") + "*".join(mono if mono and mag == 1 else [str(mag)] + mono))
+        text = " ".join(pieces)
+        return (text[2:] if text[0] == "+" else "-" + text[2:]) if text else "0"
 
     @classmethod
     def parse(cls, text: str, arity: int) -> "Poly":
@@ -285,47 +233,42 @@ class Poly:
         stripped = text.replace(" ", "")
         if stripped in ("", "0"):
             return cls.zero(arity)
-        # split into signed chunks
-        chunks: list = []
-        current = ""
-        for ch in stripped:
-            if ch in "+-" and current and current[-1] not in "+-*/^":
-                chunks.append(current)
-                current = ch
-            else:
-                current += ch
-        chunks.append(current)
         terms: dict = {}
-        for chunk in chunks:
-            sign = 1
-            while chunk and chunk[0] in "+-":
-                if chunk[0] == "-":
-                    sign = -sign
-                chunk = chunk[1:]
-            coeff = Fraction(sign)
-            exps = [0] * arity
-            for factor in chunk.split("*"):
+        # a sign after anything but a sign or an operator starts a term
+        for chunk in re.split(r"(?<=[^-+*/^])(?=[-+])", stripped):
+            body = chunk.lstrip("+-")
+            coeff, exps = Fraction((-1) ** chunk[: len(chunk) - len(body)].count("-")), [0] * arity
+            for factor in body.split("*"):
                 if not factor:
                     raise ValueError(f"cannot parse term in {text!r}")
                 if factor[0].isdigit():
                     coeff *= Fraction(factor)
-                else:
-                    if "^" in factor:
-                        name, _, power = factor.partition("^")
-                        e = int(power)
-                    else:
-                        name, e = factor, 1
-                    if name not in names:
-                        raise ValueError(f"unknown variable {name!r} in {text!r}")
-                    exps[names.index(name)] += e
-            key = tuple(exps)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
+                    continue
+                name, _, power = factor.partition("^")
+                if name not in names:
+                    raise ValueError(f"unknown variable {name!r} in {text!r}")
+                exps[names.index(name)] += int(power) if "^" in factor else 1
+            terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + coeff
         return cls(terms, arity)
 
 
 def variables(arity: int) -> Iterable[Poly]:
     """Convenience tuple of variable polynomials, (x, y) or (x, y, z)."""
     return tuple(Poly.variable(name, arity) for name in _VAR_NAMES[:arity])
+
+
+def expand_z(terms: Mapping[tuple, Scalar]) -> dict:
+    """The terms in (x, y) of terms in (x, y, z) under z = 1 - x - y: each
+    c x^a y^b z^e expands by the trinomial coefficients of (1 - x - y)^e,
+    (-1)^(i + j) e! / (i! j! (e - i - j)!) on x^i y^j; ints stay ints."""
+    out: dict = {}
+    for (ex, ey, ez), c in terms.items():
+        for i in range(ez + 1):
+            ci = c * ((-1) ** i * math.comb(ez, i))
+            for j in range(ez - i + 1):
+                key = (ex + i, ey + j)
+                out[key] = out.get(key, 0) + ci * ((-1) ** j * math.comb(ez - i, j))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -345,7 +288,7 @@ def sub(p: list, q: list) -> list:
 
 
 def _mul(p: list, q: list) -> list:
-    out = [0] * max(0, len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1) if p and q else []
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] += a * b
@@ -384,21 +327,22 @@ def _scaled(p: list, c: int, d: int) -> int:
     return out
 
 
-def value_at_xy(rows: list, x: Fraction, y: Fraction) -> Fraction:
-    """p(x, y) exactly, for p in Poly.in_y's form (rows[j] the integer
-    coefficients in x of y^j) at rational x = a / d and y = b / e.
+def at_x(rows: list, x) -> list:
+    """d^I p(a / d, y) in integers, as coefficients in y, lowest power
+    first, for p in Poly.in_y's form (rows[j] the integer coefficients in
+    x of y^j) at a rational x = a / d, with I the highest power of x."""
+    a, d = Fraction(x).as_integer_ratio()
+    top = max(map(len, rows), default=1) - 1
+    return [_scaled(r, a, d) * d ** (top + 1 - len(r)) for r in rows]
 
-    Horner's rule on the cleared numerators: d^I p_j(a / d), with I the
-    highest power of x, then the same rule in y over those integers, so
-    one division by d^I e^J remains.
-    """
-    if not rows:
-        return Fraction(0)
-    x, y = Fraction(x), Fraction(y)
-    a, d, b, e = x.numerator, x.denominator, y.numerator, y.denominator
-    top = max(len(r) for r in rows) - 1
-    inner = [_scaled(r, a, d) * d ** (top + 1 - len(r)) for r in rows]
-    return Fraction(_scaled(inner, b, e), d**top * e ** (len(rows) - 1))
+
+def value_at_xy(rows: list, x: Fraction, y: Fraction) -> Fraction:
+    """p(x, y) exactly, for p in Poly.in_y's form at rational x = a / d
+    and y = b / e: Horner's rule in y over at_x's integers, so one
+    division by d^I e^J remains."""
+    d, (b, e) = Fraction(x).denominator, Fraction(y).as_integer_ratio()
+    top = max(map(len, rows), default=1) - 1
+    return Fraction(_scaled(at_x(rows, x), b, e), d**top * e ** max(len(rows) - 1, 0))
 
 
 def taylor_shift(poly: Poly, center) -> dict:
@@ -482,44 +426,63 @@ def squarefree(p: list) -> list:
     return primitive(_exact_div(p, gcd(p, [i * a for i, a in enumerate(p)][1:])))
 
 
-def _minors(rows: list) -> list:
-    """Determinants over Z[x] of the first n - 1 columns of the n rows
-    plus each further column, by Bareiss's fraction-free elimination, in
-    which every division is exact."""
-    m, n, sign, prev = [list(r) for r in rows], len(rows), 1, [1]
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            return [[] for _ in m[-1][n - 1 :]]
-        if piv != k:
-            m[k], m[piv], sign = m[piv], m[k], -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, len(m[i])):
-                m[i][j] = _exact_div(sub(_mul(m[i][j], m[k][k]), _mul(m[i][k], m[k][j])), prev)
-        prev = m[k][k]
-    return [[sign * a for a in d] for d in m[-1][n - 1 :]]
+def _pow(p: list, e: int) -> list:
+    return functools.reduce(_mul, [p] * e, [1])
 
 
-def subresultant(f: list, g: list, j: int) -> list:
-    """Coefficients s_0, ..., s_j in Z[x] of the j-th subresultant of f and g in y.
+def _prem_y(p: list, q: list) -> list:
+    """pseudo_rem for polynomials in y over Z[x], as Poly.in_y gives them."""
+    r, lead = list(p), q[-1]
+    for k in range(len(p) - len(q), -1, -1):
+        c = r.pop()
+        r = [_mul(a, lead) for a in r]
+        for j, b in enumerate(q[:-1]):
+            r[k + j] = sub(r[k + j], _mul(c, b))
+    return _trim(r)
+
+
+def subresultants(f: list, g: list) -> list:
+    """Entry j holds the coefficients s_0, ..., s_j in Z[x] of the j-th
+    subresultant in y of f and g, for every j up to min(m, n) but a j > 0
+    equal to both; entry 0 is Res_y(f, g).
 
     f and g are polynomials in y over Z[x], as Poly.in_y gives them, of
-    degrees m and n.  s_i is the determinant of the rows y^k f (k < n - j)
-    and y^k g (k < m - j) on the columns of y^(m+n-j-1) ... y^(j+1) and
-    y^i; j = 0 gives Res_y(f, g).  Where gcd(f(x0, y), g(x0, y)) has
-    degree j and s_j(x0) != 0, it is s_j(x0) y^j + ... + s_0(x0).
-    Raises ValueError for a zero f or g, a j above either degree, or a
-    j > 0 equal to both, which leaves no rows.
+    degrees m and n.  s_i is the determinant of the rows y^(n-j-1) f, ...,
+    f, y^(m-j-1) g, ..., g on the columns of y^(m+n-j-1) ... y^(j+1) and
+    y^i, and 1 for two constants, which leave no rows.  Where
+    gcd(f(x0, y), g(x0, y)) has degree j and s_j(x0) != 0, it is
+    s_j(x0) y^j + ... + s_0(x0).  Raises ValueError for a zero f or g.
+
+    One subresultant PRS gives them all (Collins, J. ACM 14, 1967).
+    Each member after f and g is the pseudo-remainder of the two before
+    it, A by B with d = deg A - deg B, divided exactly by
+    (-1)^(d+1) lc(A) h_A^d (by (-1)^(d+1) alone for f by g), and is the
+    entry of index deg B - 1.  A member B after f, d degrees below the one
+    before, gives h_B = lc(B)^d / h_A^(d-1) (h_f = 1), the lead of the
+    entry of index deg B, (lc(B) / h_A)^(d-1) B; the entries between and
+    those below the last member are zero.
     """
     m, n = len(f) - 1, len(g) - 1
-    if min(m, n) < 0 or j > min(m, n) or 0 < j == max(m, n):
-        raise ValueError(f"no subresultant s_{j} of polynomials of degrees {m} and {n} in y")
-    width = m + n - j
-    rows = [[[]] * k + f[::-1] + [[]] * (width - m - 1 - k) for k in range(n - j)]
-    rows += [[[]] * k + g[::-1] + [[]] * (width - n - 1 - k) for k in range(m - j)]
-    # the columns of y^j ... y^0 come last, so one elimination gives every
-    # s_i; two constants leave no rows, and the empty determinant is 1
-    return _minors(rows)[::-1] if rows else [[1]]
+    if min(m, n) < 0:
+        raise ValueError(f"no subresultants of polynomials of degrees {m} and {n} in y")
+    if m < n:
+        # swapping the two blocks of rows moves (m - j)(n - j) rows past each other
+        return [[sub([], s) for s in sj] if (m - j) * (n - j) % 2 else sj for j, sj in enumerate(subresultants(g, f))]
+    chain = [[[] for _ in range(j + 1)] for j in range(max(n + (m > n), 1))]
+    chain[0][0] = [1] if m == 0 else []
+    prev, cur, h, first = f, g, [1], True
+    while cur:
+        d, lc = len(prev) - len(cur), cur[-1]
+        if not first:
+            chain[len(prev) - 2] = cur + [[]] * (len(prev) - 1 - len(cur))
+        if d > 1 or first and d:
+            up, down = _pow(lc, d - 1), _pow(h, d - 1)
+            chain[len(cur) - 1] = [_exact_div(_mul(c, up), down) for c in cur]
+        beta = [1] if first else _mul(prev[-1], _pow(h, d))
+        rem = [_exact_div(c, beta) for c in _prem_y(prev, cur)]
+        prev, cur, first = cur, rem if d % 2 else [sub([], c) for c in rem], False
+        h = _exact_div(_pow(lc, d), _pow(h, d - 1))
+    return chain
 
 
 def _dyadic(p: list, c: int, k: int) -> int:
@@ -575,16 +538,27 @@ def real_roots(p: list) -> list:
     return sorted(found, key=lambda r: r if isinstance(r, Fraction) else r[0])
 
 
+def _tarski_sign(h: list, p: list, c: int, k: int) -> int:
+    """Sign of h at the one root of p in (c / 2^k, (c + 1) / 2^k], by
+    Sturm's theorem in Tarski's form: the drop in sign changes across
+    the interval of the signed remainder sequence of p and p' h."""
+    seq = _remainders(p, _mul([i * a for i, a in enumerate(p)][1:], h))
+    return _variations(seq, c, k) - _variations(seq, c + 1, k)
+
+
 def sign_at(h: list, p: list, root: tuple) -> int:
     """Sign (-1, 0 or 1) of h at an irrational root of the square-free p.
 
-    root is the interval real_roots(p) gave for it.  By Sturm's theorem
-    in Tarski's form, the drop in sign changes of the signed remainder
-    sequence of p and p' h across the interval is the sign of h at the
-    one root of p inside.
+    root is the interval (lo, up) in [0, 1] that real_roots(p) gave for
+    it.  Where |h(lo)| > (up - lo) sum i |h_i|, a bound on |h'| over
+    [0, 1] times the width, h has no zero in the interval and takes the
+    sign of h(lo); elsewhere _tarski_sign decides.
     """
     lo, up = root
     k = (up - lo).denominator.bit_length() - 1
     c = int(lo * (1 << k))
-    seq = _remainders(p, _mul([i * a for i, a in enumerate(p)][1:], h))
-    return _variations(seq, c, k) - _variations(seq, c + 1, k)
+    val = _dyadic(h, c, k)
+    # both sides of the bound times 2^(k deg h)
+    if not h or abs(val) > sum(i * abs(a) for i, a in enumerate(h)) << (k * max(len(h) - 2, 0)):
+        return (val > 0) - (val < 0)
+    return _tarski_sign(h, p, c, k)

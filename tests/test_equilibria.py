@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flagricci import equilibria
+from flagricci import equilibria, polyalg
 from flagricci.catalog import (
     TYPE1_IDS,
     EquilibriumRecord,
@@ -194,6 +194,23 @@ def test_find_equilibria_with_a_constant_or_zero_component():
     for u, v in [(Poly.zero(2), field.v), (field.u, Poly.zero(2)), (Poly.zero(2), Poly.zero(2))]:
         with pytest.raises(ArithmeticError, match="u or v is zero"):
             find_equilibria(dataclasses.replace(field, u=u, v=v))
+
+
+def test_every_sign_is_certified_and_one_elimination_runs_per_call(monkeypatch):
+    """Over the table families and list_families(6, 12), sign_at's bound
+    decides every sign, without a Sturm-Tarski sequence, and
+    find_equilibria computes the subresultants of u and v once."""
+    def fallback(*args):
+        raise AssertionError("a sign reached the Sturm-Tarski fallback")
+
+    monkeypatch.setattr(polyalg, "_tarski_sign", fallback)
+    eliminations = []
+    monkeypatch.setattr(equilibria, "subresultants", lambda *a: eliminations.append(a) or polyalg.subresultants(*a))
+    families = list_families(6, 12)
+    assert all(f in families for f in TABLE_FAMILIES)
+    for i, fam in enumerate(families):
+        find_equilibria(projected_field(fam))
+        assert len(eliminations) == i + 1, fam
 
 
 def test_find_equilibria_when_u_and_v_have_degree_one_in_y():

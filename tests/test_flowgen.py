@@ -302,6 +302,24 @@ def test_lyapunov_scale_invariant(fam):
         assert scaled == pytest.approx(base, rel=1e-12)
 
 
+def test_lyapunov_value_exact_beyond_the_float_range_of_its_parts():
+    """A coordinate of 10^-400 underflows as a float and S there overflows
+    one, yet -S vol is finite: it matches the value taken in logarithms.
+    Where -S vol itself is beyond the float range, it is infinite."""
+    tiny, half, third = Fraction(1, 10**400), Fraction(1, 2), Fraction(1, 3)
+    su, g2 = su_family(2, 1, 1), type1_family("g2u2")
+    for fam, m in [(su, (tiny, half, half - tiny)), (su, (third, tiny, 2 * third - tiny)),
+                   (g2, (third, 2 * third - tiny, tiny))]:
+        got = lyapunov_value(fam, m)
+        s = scalar_curvature(fam, m)
+        logs = [math.log(v.numerator) - math.log(v.denominator) for v in m]
+        log_vol = sum(d * lg for d, lg in zip(fam.dims, logs)) / fam.total_dim
+        want = math.exp(math.log(abs(s.numerator)) - math.log(s.denominator) + log_vol) * (-1 if s > 0 else 1)
+        assert math.isfinite(got) and abs(got - want) <= 1e-12 * abs(want), (m, got, want)
+    # about 10^639
+    assert math.isinf(lyapunov_value(g2, (tiny, half, half - tiny)))
+
+
 def test_lyapunov_planar_degenerate_conventions():
     fam = su_family(2, 1, 1)
     assert math.isfinite(lyapunov_planar(fam, 0.3, 0.3))

@@ -16,7 +16,7 @@ from flagricci.polyalg import (
     restrict_to_line,
     sign_at,
     squarefree,
-    subresultant,
+    subresultants,
     taylor_shift,
     value_at,
     value_at_xy,
@@ -218,43 +218,49 @@ def test_squarefree_part():
 def test_resultant_by_hand():
     x, y = variables(2)
     f, g = (y * y - x).in_y(), (y - x).in_y()
-    # Res_y(y^2 - x, y - x) = f(y = x) = x^2 - x
-    assert subresultant(f, g, 0) == [[0, -1, 1]]
-    # the degree-1 subresultant is y - x itself: its zero y = x is the
-    # common root over every x where x^2 = x
-    assert subresultant(f, g, 1) == [[0, -1], [1]]
+    # Res_y(y^2 - x, y - x) = f(y = x) = x^2 - x, and the degree-1
+    # subresultant is y - x itself: its zero y = x is the common root over
+    # every x where x^2 = x
+    assert subresultants(f, g) == [[[0, -1, 1]], [[0, -1], [1]]]
+    # with the rows of g first, (m - j)(n - j) = 2 and 0 row swaps
+    assert subresultants(g, f) == [[[0, -1, 1]], [[0, -1], [1]]]
 
 
 def test_subresultant_of_constants_and_rejected_inputs():
     # a constant f against g of degree n in y gives f^n; two constants
     # leave an empty Sylvester matrix, whose determinant is 1
-    assert subresultant([[2]], [[1], [0, 1], [3]], 0) == [[4]]
-    assert subresultant([[1]], [[3]], 0) == [[1]]
-    # a zero polynomial, an index above a degree, or one equal to both
-    for f, g, j in [([[1]], [], 0), ([], [[0, 1], [1]], 0), ([[0, 1], [1]], [[1]], 1),
-                    ([[0, 1], [1]], [[1], [1]], 1)]:
-        with pytest.raises(ValueError, match="no subresultant"):
-            subresultant(f, g, j)
+    assert subresultants([[2]], [[1], [0, 1], [3]]) == [[[4]]]
+    assert subresultants([[1]], [[3]]) == [[[1]]]
+    # j runs up to min(m, n), but not to a j > 0 equal to both
+    assert len(subresultants([[0, 1], [1]], [[1]])) == 1
+    assert len(subresultants([[0, 1], [1]], [[1], [1]])) == 1
+    assert len(subresultants([[0, 1], [1], [1]], [[1], [1]])) == 2
+    for f, g in [([[1]], []), ([], [[0, 1], [1]]), ([], [])]:
+        with pytest.raises(ValueError, match="no subresultants"):
+            subresultants(f, g)
 
 
-def _sylvester_det(f, g, x):
-    """Res_y(f, g) at the rational x by Gaussian elimination in Fraction."""
-    fd = [value_at(c, x) for c in reversed(f)]
-    gd = [value_at(c, x) for c in reversed(g)]
+def _sylvester_minor(f, g, x, j=0, i=0):
+    """s_i of the j-th subresultant of f and g in y at the rational x: the
+    determinant of the rows y^(n-j-1) f, ..., f, y^(m-j-1) g, ..., g on the
+    columns of y^(m+n-j-1) ... y^(j+1) and y^i, by Gaussian elimination in
+    Fraction."""
+    fd, gd = [value_at(c, x) for c in f], [value_at(c, x) for c in g]
     m, n = len(f) - 1, len(g) - 1
-    rows = [[0] * k + fd + [0] * (n - 1 - k) for k in range(n)]
-    rows += [[0] * k + gd + [0] * (m - 1 - k) for k in range(m)]
+    powers = list(range(m + n - j - 1, j, -1)) + [i]
+    shifted = [(fd, k) for k in range(n - j - 1, -1, -1)] + [(gd, k) for k in range(m - j - 1, -1, -1)]
+    rows = [[c[p - k] if 0 <= p - k < len(c) else Fraction(0) for p in powers] for c, k in shifted]
     det = Fraction(1)
-    for k in range(m + n):
-        piv = next((i for i in range(k, m + n) if rows[i][k]), None)
+    for k in range(len(rows)):
+        piv = next((r for r in range(k, len(rows)) if rows[r][k]), None)
         if piv is None:
             return Fraction(0)
         if piv != k:
             rows[k], rows[piv], det = rows[piv], rows[k], -det
         det *= rows[k][k]
-        for i in range(k + 1, m + n):
-            r = rows[i][k] / rows[k][k]
-            rows[i] = [a - r * b for a, b in zip(rows[i], rows[k])]
+        for r in range(k + 1, len(rows)):
+            ratio = rows[r][k] / rows[k][k]
+            rows[r] = [a - ratio * b for a, b in zip(rows[r], rows[k])]
     return det
 
 
@@ -269,9 +275,47 @@ def _bivariate(max_x, max_y):
 def test_resultant_equals_fraction_sylvester_determinant(f, g):
     """Res_y has degree at most 12 in x here, so 13 points pin it down."""
     fy, gy = f.in_y(), g.in_y()
-    res = subresultant(fy, gy, 0)[0]
+    res = subresultants(fy, gy)[0][0]
     for x in [Fraction(k, 3) for k in range(-6, 7)]:
-        assert value_at(res, x) == _sylvester_det(fy, gy, x)
+        assert value_at(res, x) == _sylvester_minor(fy, gy, x)
+
+
+@st.composite
+def _elimination_pairs(draw):
+    """f and g of degree 0 to 3 in y, plain, with a leading coefficient
+    in y that vanishes at x = 1, with a common factor, or with a defective
+    chain: f = g q + r, r at least two degrees below g, so that the
+    subresultant PRS skips a degree."""
+    x, y = variables(2)
+    nonzero = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 3)), st.integers(-4, 4), min_size=1,
+                              max_size=5).map(lambda t: Poly(t, 2)).filter(bool)
+    f, g = draw(nonzero), draw(nonzero)
+    shape = draw(st.sampled_from(["plain", "vanishing lead", "common factor", "defective"]))
+    if shape == "vanishing lead":
+        f = f + (x - 1) * y ** (len(f.in_y()))
+    elif shape == "common factor":
+        h = draw(nonzero.filter(lambda p: len(p.in_y()) > 1))
+        f, g = f * h, g * h
+    elif shape == "defective":
+        g = g + (x + 2) * y ** max(2, len(g.in_y()))
+        r = draw(nonzero.filter(lambda p: len(p.in_y()) < len(g.in_y()) - 1))
+        f = g * draw(nonzero) + r
+    return (f, g) if draw(st.booleans()) else (g, f)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(pair=_elimination_pairs())
+def test_subresultants_equal_fraction_sylvester_minors(pair):
+    """Every coefficient of every subresultant, at x = -2 ... 2."""
+    fy, gy = (p.in_y() for p in pair)
+    m, n = len(fy) - 1, len(gy) - 1
+    chain = subresultants(fy, gy)
+    assert len(chain) == max(min(m, n) + (m != n), 1)
+    for j, sj in enumerate(chain):
+        assert len(sj) == j + 1
+        for i, si in enumerate(sj):
+            for x in range(-2, 3):
+                assert value_at(si, x) == _sylvester_minor(fy, gy, Fraction(x), j, i), (j, i, x)
 
 
 def test_real_roots_rational_exact_at_the_ends():
@@ -345,6 +389,36 @@ def test_sign_at_irrational_root():
     assert sign_at([-70, 99], p, root) == 1
     # 2^140 (2x^2 - 1) - 1 vanishes ~1e-43 above it, inside the interval
     assert sign_at([-(2**140) - 1, 0, 2**141], p, root) == -1
+    # constants, and the zero polynomial
+    assert (sign_at([5], p, root), sign_at([-3], p, root), sign_at([], p, root)) == (1, -1, 0)
+
+
+def test_sign_at_with_a_zero_of_h_between_the_left_end_and_the_root():
+    """h(lo) < 0, but h = x - mid vanishes at a dyadic mid inside the
+    isolating interval, below the root 1/sqrt(2), so h > 0 there."""
+    p = [-1, 0, 2]
+    ((lo, up),) = real_roots(p)
+    mid = lo + (up - lo) / 2
+    while 2 * mid * mid > 1:
+        mid = (lo + mid) / 2
+    h = [-mid.numerator, mid.denominator]
+    assert value_at(h, lo) < 0 and sign_at(h, p, (lo, up)) == 1
+
+
+def test_sign_at_bound_takes_the_derivative_of_h():
+    """h = (2^24 x)^3 - c^3 vanishes at c / 2^24, 0.95 of the way from lo
+    to the root 1/sqrt(2) across the interval (lo, lo + 2^-16) holding it.
+    |h(lo)| exceeds 2^-16 sum |h_i|, so a bound without the factors i of
+    h' would take the sign of h(lo); the root's sign is +1."""
+    p, k = [-1, 0, 2], 16
+    c = math.isqrt(2**95)  # floor(2^48 / sqrt(2)), so c / 2^24 sits just below the root
+    c >>= 24
+    h = [-(c**3), 0, 0, 2**72]
+    lo = Fraction(math.isqrt(2**(2 * k - 1)), 2**k)
+    assert 2 * lo * lo < 1 < 2 * (lo + Fraction(1, 2**k)) ** 2
+    assert lo < Fraction(c, 2**24) and 2 * c * c < 2**48
+    assert abs(value_at(h, lo)) > sum(abs(a) for a in h) * Fraction(1, 2**k)
+    assert sign_at(h, p, (lo, lo + Fraction(1, 2**k))) == 1
 
 
 def test_value_at_xy_by_hand():

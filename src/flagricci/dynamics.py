@@ -303,10 +303,10 @@ def _certifies(sectors, level: Fraction) -> bool:
     return bool(_negative_on(q, a, b).all())
 
 
-def sink_trap(field: ProjectedField, center, index: int) -> Optional[SinkTrap]:
-    """The certified trap around the zero center (exact Fractions), or None.
+def sink_trap(field: ProjectedField, center, index: int) -> SinkTrap:
+    """The certified trap around the zero center (exact Fractions).
 
-    None unless the exact Jacobian A at center has trace < 0 < det.
+    center must be an attractor, its exact Jacobian A having trace < 0 < det.
     Shifted to center, dV/dt = -|w|^2 plus its parts W_g of degree g >= 3
     (_dv_dt_parts).  The level is the least of the sector levels m ρ^2
     (_trap_sectors), each ρ <= 2 the largest that passes _negative_on's
@@ -320,8 +320,6 @@ def sink_trap(field: ProjectedField, center, index: int) -> Optional[SinkTrap]:
         raise ValueError(f"{center} is not a zero of the field")
     a, b, c, d = su.get((1, 0), 0), su.get((0, 1), 0), sv.get((1, 0), 0), sv.get((0, 1), 0)
     tr, det = a + d, a * d - b * c
-    if not tr < 0 < det:
-        return None
     # P = -(det I + adj(A)ᵀ adj(A)) / (2 tr det)
     k = -2 * tr * det
     p = pxx, pxy, pyy = (det + c * c + d * d) / k, -(a * c + b * d) / k, (det + a * a + b * b) / k
@@ -360,8 +358,9 @@ def sink_trap(field: ProjectedField, center, index: int) -> Optional[SinkTrap]:
 def traps_for(family: FamilyDescriptor) -> tuple:
     """The certified traps of the family's rational attractors, built once per process.
 
-    A rational zero is an attractor exactly when its Jacobian has trace < 0 < det,
-    so each gets a trap; an attractor at an irrational position has none.
+    A rational zero is an attractor exactly when its Jacobian has trace < 0 < det
+    (corner_class calls every degenerate corner a repeller), as sink_trap
+    needs; an attractor at an irrational position has no trap.
     """
     field = field_for(family)
     attractors = [(j, eq.exact) for j, eq in enumerate(equilibria_for(family)) if eq.stability == ATTRACTOR]
@@ -599,8 +598,8 @@ def integrate_orbit(
     """Single orbit of the cleared field with dense samples.
 
     Terminates on equilibrium proximity (accepted-step displacement
-    below 1e-9) or an exhausted budget; every sample lies in the closed
-    simplex, with slack 1e-9.
+    below STALL_TOL) or an exhausted budget; every sample lies in the
+    closed simplex, with slack BOUNDARY_EXIT_TOL.
     The terminal outcome is matched against the family's computed
     zero set, so a converged orbit arrives labeled.
     """

@@ -8,8 +8,9 @@ family's reference table:
 positions, Jacobian eigenvalues (where the table has closed forms), and
 stability classes all have to agree.
 
-A rational zero's class comes from exact signs, an irrational zero's from
-float eigenvalues, and a degenerate simplex corner's from corner_class.
+find_equilibria gives each zero its one record match and class: exact signs
+decide a rational zero's, float eigenvalues an irrational one's, and
+corner_class a degenerate simplex corner's.
 """
 
 from __future__ import annotations
@@ -170,8 +171,9 @@ def find_equilibria(field: ProjectedField) -> EquilibriumList:
     y0 = -s0(x0) / s1(x0), and exact signs at x0 (sign_at) decide whether
     the zero lies in the simplex or on its edge.
     Rational zeros keep their exact position and take their class from the
-    signs of their exact Jacobian's trace and determinant.  A zero takes
-    its nearest reference record's label within that record's position_tol.
+    signs of their exact Jacobian's trace and determinant, or corner_class's
+    where those leave it nonhyperbolic.  A zero takes its nearest reference
+    record's label within that record's position_tol.
     A field with a nonzero constant u or v has no zeros.  Raises
     ArithmeticError if u or v is zero, if u and v share a factor, or if
     they have a nonlinear gcd over an irrational x.
@@ -225,12 +227,15 @@ def find_equilibria(field: ProjectedField) -> EquilibriumList:
     ):
         eigs, tr, det = _linearization(field, pos, rows)
         exact = pos if isinstance(pos[1], Fraction) else None
+        stability = classify_equilibrium(eigs) if exact is None else _sign_class(tr, det)
+        if exact and stability == NONHYPERBOLIC:
+            stability = corner_class(field, exact) or stability
         accepted.append(
             FoundEquilibrium(
                 position=point,
                 residual=resid,
                 eigenvalues=eigs,
-                stability=classify_equilibrium(eigs) if exact is None else _sign_class(tr, det),
+                stability=stability,
                 matched_label=refs[i].label if d <= refs[i].position_tol else None,
                 boundary_flag=boundary,
                 exact=exact,
@@ -292,14 +297,11 @@ def verify_catalog(family: FamilyDescriptor) -> VerificationReport:
 
     A record passes when a zero sits within its position tolerance, the
     Jacobian eigenvalues reproduce the closed forms (when present), and
-    the stability class matches.  A found rational zero that is
-    nonhyperbolic takes corner_class's class at its exact position, when
-    that decides one.
+    the zero's class from find_equilibria matches.  The extras are the
+    zeros find_equilibria matched to no record.
     """
-    field = projected_field(family)
-    found = find_equilibria(field)
+    found = find_equilibria(projected_field(family))
     report = VerificationReport(family=family)
-    used = set()
     refs = reference_equilibria(family)
     nearest_idx, nearest_d = nearest([rec.position_float() for rec in refs], [eq.position for eq in found])
     for rec, best_i, best_d in zip(refs, nearest_idx.tolist(), nearest_d.tolist()):
@@ -309,15 +311,14 @@ def verify_catalog(family: FamilyDescriptor) -> VerificationReport:
         eigen_err = found_class = None
         note = "no zero within position tolerance"
         if best_d <= tol:
-            used.add(best_i)
             # a rational zero's eigenvalues are exact up to the final
             # square root, so double roots stay exactly double
             if rec.eigenvalues is not None:
                 eigen_err = _eigen_rel_error(eq.eigenvalues, rec.eigenvalues)
             found_class, note = eq.stability, ""
-            corner = corner_class(field, eq.exact) if found_class == NONHYPERBOLIC and eq.exact else None
-            if corner:
-                found_class, note = corner, "degenerate Jacobian, classified by its lowest radial form"
+            # only corner_class classifies a zero whose eigenvalues are both exactly 0
+            if eq.exact and found_class != NONHYPERBOLIC and not any(eq.eigenvalues):
+                note = "degenerate Jacobian, classified by its lowest radial form"
         eigen_ok = eigen_err is None or eigen_err <= rec.eigen_rel_tol
         report.checks.append(
             RecordCheck(
@@ -334,5 +335,5 @@ def verify_catalog(family: FamilyDescriptor) -> VerificationReport:
                 note=note,
             )
         )
-    report.extras = [eq for i, eq in enumerate(found) if i not in used]
+    report.extras = [eq for eq in found if eq.matched_label is None]
     return report

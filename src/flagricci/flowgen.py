@@ -150,25 +150,24 @@ def lyapunov_value(family: FamilyDescriptor, m: Sequence):
     cone, and constant exactly at equilibria of the projected flow.
     Components may be same-shape arrays; S is exact for int or Fraction
     (and the volume factor then taken from their exact logarithms), and
-    at a float point with a subnormal coordinate.
+    at a float point whose least coordinate is below 2^-257.  Raises
+    ValueError unless every component is positive.
     """
+    _check_positive(m)
     d1, d2, d3 = family.dims
     if all(isinstance(v, (int, Fraction)) for v in m):
-        _check_positive(m)
         ((s, k),) = _exact_curvature(family, [m])
         logs = (math.log(F(v).numerator) - math.log(F(v).denominator) for v in m)
         vol_pow = math.exp(sum(d * lg for d, lg in zip(family.dims, logs)) / family.total_dim)
     else:
         x, y, z = (np.asarray(v, dtype=float) for v in m)
-        # Ric is homogeneous of degree -1, so S(m) = 2^k S(2^k m), exactly in
-        # floats: k > 0 lifts a least coordinate below 2^-256, whose negative
-        # powers can overflow, to 2^-256.  A subnormal coordinate's ratio to
-        # another overflows at any scale, so there S is exact, as s 2^k
+        # below 2^-257 a term such as y/x^2 of the degree -1 table can
+        # overflow, and a subnormal coordinate's ratio to another does at
+        # any scale, so there S is exact, as s 2^k
         least = np.fmin(np.fmin(x, y), z)
-        k = np.array(np.maximum(0, -256 - np.frexp(least)[1]))
-        s, sub = np.empty(x.shape), least < 2.0**-1022
-        s[~sub] = scalar_curvature(family, tuple(np.ldexp(c[~sub], k[~sub]) for c in (x, y, z)))
-        idx = np.flatnonzero(sub)
+        s, k, tiny = np.empty(x.shape), np.zeros(x.shape, dtype=int), least < 2.0**-257
+        s[~tiny] = scalar_curvature(family, (x[~tiny], y[~tiny], z[~tiny]))
+        idx = np.flatnonzero(tiny)
         for i, (si, ei) in zip(idx, _exact_curvature(family, zip(x.flat[idx], y.flat[idx], z.flat[idx]))):
             s.flat[i], k.flat[i] = si, ei
         vol_pow = np.exp((d1 * np.log(x) + d2 * np.log(y) + d3 * np.log(z)) / family.total_dim)

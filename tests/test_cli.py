@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from flagricci import render
 from flagricci.cli import main
 from flagricci.polyalg import Poly
-from flagricci import basin_map, family_from_id, projected_field
+from flagricci import basin_map, family_from_id, list_families, projected_field
 
 
 def run(capsys, *argv):
@@ -104,13 +104,36 @@ def test_equilibria_json(capsys):
 )
 def test_type1_corner_eigenvalues_exactly_zero(capsys, fid):
     """The Jacobian vanishes at the corners O and P: the JSON reports
-    exact zeros, not the rounding noise of a float evaluation."""
+    exact zeros, not the rounding noise of a float evaluation, and the
+    class their lowest radial form gives."""
     code, out, _ = run(capsys, "equilibria", "--family", fid)
     assert code == 0
     by_label = {e["matched_label"]: e for e in json.loads(out)["equilibria"]}
     for label in ("O", "P"):
         assert by_label[label]["eigenvalues"] == [[0.0, 0.0], [0.0, 0.0]]
-        assert by_label[label]["class"] == "nonhyperbolic"
+        assert by_label[label]["class"] == "repeller"
+
+
+def test_equilibria_and_verify_give_each_zero_one_class(capsys):
+    """Over list_families(6, 12), each zero's equilibria class is verify's
+    found_class (or its extras class), and the zeros a lowest radial form
+    classifies, the 14 Type I corners O and P, are repellers."""
+    degenerate = 0
+    for fam in list_families(6, 12):
+        argv = ["--family", fam.id] + (["--params", ",".join(map(str, fam.params))] if fam.params else [])
+        code, out, _ = run(capsys, "equilibria", *argv)
+        assert code == 0
+        listed = {tuple(e["position"]): e["class"] for e in json.loads(out)["equilibria"]}
+        _code, out, _ = run(capsys, "verify", *argv)
+        doc = json.loads(out)
+        verified = {tuple(c["found_position"]): c["found_class"] for c in doc["checks"] if c["found_class"]}
+        verified.update((tuple(e["position"]), e["class"]) for e in doc["extras"])
+        assert listed == verified, (fam.id, fam.params)
+        for c in doc["checks"]:
+            if c["note"] == "degenerate Jacobian, classified by its lowest radial form":
+                degenerate += 1
+                assert (c["label"], c["found_class"]) in {("O", "repeller"), ("P", "repeller")}
+    assert degenerate == 14
 
 
 def test_verify_passes(capsys):

@@ -320,6 +320,33 @@ def test_lyapunov_value_exact_beyond_the_float_range_of_its_parts():
     assert math.isinf(lyapunov_value(g2, (tiny, half, half - tiny)))
 
 
+@pytest.mark.parametrize("fid", ["g2u2", "e8su8u1"])
+def test_lyapunov_planar_infinite_at_small_normal_x(fid):
+    """At x = 10^-300 and at the least normal x, y/x^2 overflows in floats
+    and -S vol lies beyond the float range: exact S gives +inf, with no
+    RuntimeWarning (which the suite turns into an error)."""
+    fam = type1_family(fid)
+    for x in (1e-300, 2.2250738585072014e-308):
+        assert lyapunov_planar(fam, x, 0.5) == math.inf
+
+
+@pytest.mark.parametrize("fam", [su_family(2, 1, 1), type1_family("g2u2"), type1_family("e8e6su2u1")],
+                         ids=lambda f: f.id)
+def test_lyapunov_value_float_rows_near_the_exact_threshold(fam):
+    """Rows whose least coordinate lies just above 2^-257 (float S) and at or
+    just below it (exact S) match the value at the same coordinates taken
+    as Fractions."""
+    small = [math.ldexp(1.0, -257) * f for f in (1 + 2.0**-52, 1.0, 1 - 2.0**-53, 0.75, 1.5)]
+    for v in small:
+        for m in [(v, 0.5, 0.5 - v), (0.25, v, 0.75 - v), (0.5, 0.5 - v, v)]:
+            want = lyapunov_value(fam, tuple(Fraction(c) for c in m))
+            assert lyapunov_value(fam, m) == pytest.approx(want, rel=1e-12), m
+    xs = np.array(small)
+    got = lyapunov_value(fam, (xs, np.full(len(xs), 0.5), 0.5 - xs))
+    want = [lyapunov_value(fam, (Fraction(v), Fraction(1, 2), Fraction(1, 2) - Fraction(v))) for v in small]
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_lyapunov_planar_degenerate_conventions():
     fam = su_family(2, 1, 1)
     assert math.isfinite(lyapunov_planar(fam, 0.3, 0.3))
@@ -430,6 +457,12 @@ def test_ricci_rejects_nonpositive_metrics():
         ricci_components(fam, (Fraction(0), Fraction(1), Fraction(1)))
     with pytest.raises(ValueError):
         lyapunov_value(fam, (Fraction(-1), Fraction(1), Fraction(1)))
+    # floats and arrays are checked too, and the message gives the input
+    for m in [(-1.0, 0.5, 1.5), (0.0, 0.5, 0.5), (np.array([0.2, -0.1]), np.array([0.3, 0.3]), np.array([0.5, 0.8]))]:
+        with pytest.raises(ValueError, match="must be positive"):
+            lyapunov_value(fam, m)
+    with pytest.raises(ValueError, match=r"got \(-1\.0, 0\.5, 1\.5\)"):
+        lyapunov_value(fam, (-1.0, 0.5, 1.5))
 
 
 # ----------------------------------------------------------------------

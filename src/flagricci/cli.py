@@ -237,30 +237,18 @@ def _add_family_flags(sp) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="flagricci",
-        description="Projected Ricci flow on three-summand flag manifolds.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("families", help="emit the family catalog as JSON")
+def _families_flags(sp) -> None:
     sp.add_argument("--mnp-bound", type=int, help="enumerate su families up to this bound")
     sp.add_argument("--ell-bound", type=int, help="enumerate so families up to this l")
     sp.add_argument("--out")
-    sp.set_defaults(handler=_cmd_families, usage_parser=sp)
 
-    sp = sub.add_parser("field", help="print the projected field u, v")
+
+def _family_out_flags(sp) -> None:
     _add_family_flags(sp)
     sp.add_argument("--out")
-    sp.set_defaults(handler=_cmd_field, usage_parser=sp)
 
-    sp = sub.add_parser("equilibria", help="find all equilibria exactly, emit JSON")
-    _add_family_flags(sp)
-    sp.add_argument("--out")
-    sp.set_defaults(handler=_cmd_equilibria, usage_parser=sp)
 
-    sp = sub.add_parser("orbit", help="integrate one orbit, emit CSV t,x,y,L")
+def _orbit_flags(sp) -> None:
     _add_family_flags(sp)
     sp.add_argument("--x0", type=float, required=True)
     sp.add_argument("--y0", type=float, required=True)
@@ -270,35 +258,60 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-time", type=float, default=ORBIT_MAX_TIME)
     sp.add_argument("--max-steps", type=int, default=ORBIT_MAX_STEPS)
     sp.add_argument("--out")
-    sp.set_defaults(handler=_cmd_orbit, usage_parser=sp)
 
-    sp = sub.add_parser("basins", help="basin-of-attraction grid, CSV plus optional SVG")
+
+def _basins_flags(sp) -> None:
     _add_family_flags(sp)
     sp.add_argument("--res", type=int, required=True)
     sp.add_argument("--margin", type=float, default=BASIN_MARGIN)
     sp.add_argument("--svg", help="also write an SVG heat map to this path")
     sp.add_argument("--out")
-    sp.set_defaults(handler=_cmd_basins, usage_parser=sp)
 
-    sp = sub.add_parser("portrait", help="phase portrait SVG")
+
+def _portrait_flags(sp) -> None:
     _add_family_flags(sp)
     sp.add_argument("--out", required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--orbits", type=int, default=PORTRAIT_ORBITS)
-    sp.set_defaults(handler=_cmd_portrait, usage_parser=sp)
 
-    sp = sub.add_parser("gh-limit", help="classify the collapse limit at a boundary point")
+
+def _gh_limit_flags(sp) -> None:
     _add_family_flags(sp)
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--y", type=float, required=True)
     sp.add_argument("--out")
-    sp.set_defaults(handler=_cmd_gh_limit, usage_parser=sp)
 
-    sp = sub.add_parser("verify", help="check found equilibria against the catalog")
-    _add_family_flags(sp)
-    sp.add_argument("--out")
-    sp.set_defaults(handler=_cmd_verify, usage_parser=sp)
 
+# each subcommand's help, flags and handler, in the order the usage lists them
+COMMANDS = {
+    "families": ("emit the family catalog as JSON", _families_flags, _cmd_families),
+    "field": ("print the projected field u, v", _family_out_flags, _cmd_field),
+    "equilibria": ("find all equilibria exactly, emit JSON", _family_out_flags, _cmd_equilibria),
+    "orbit": ("integrate one orbit, emit CSV t,x,y,L", _orbit_flags, _cmd_orbit),
+    "basins": ("basin-of-attraction grid, CSV plus optional SVG", _basins_flags, _cmd_basins),
+    "portrait": ("phase portrait SVG", _portrait_flags, _cmd_portrait),
+    "gh-limit": ("classify the collapse limit at a boundary point", _gh_limit_flags, _cmd_gh_limit),
+    "verify": ("check found equilibria against the catalog", _family_out_flags, _cmd_verify),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The flagricci parser: with command one of COMMANDS, only that
+    command's subparser is built, and the usage still lists them all;
+    otherwise every subparser is built."""
+    parser = argparse.ArgumentParser(
+        prog="flagricci",
+        description="Projected Ricci flow on three-summand flag manifolds.",
+    )
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    # a metavar would also rename the argument in the full parser's errors
+    every = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in names:
+        help_text, add_flags, handler = COMMANDS[name]
+        sp = sub.add_parser(name, help=help_text)
+        add_flags(sp)
+        sp.set_defaults(handler=handler, usage_parser=sp)
     return parser
 
 
@@ -325,9 +338,16 @@ def _attach_negative_values(argv: list) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run the subcommand argv names (default sys.argv[1:]); its exit code.
+
+    Only the named subcommand's parser is built; with no command first in
+    argv (none at all, -h, or an unknown name) every one is, so help and
+    errors list them all.
+    """
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
+    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0

@@ -24,8 +24,8 @@ import numpy as np
 
 from .catalog import ATTRACTOR, REPELLER, SADDLE, FamilyDescriptor, reference_equilibria
 from .flowgen import ProjectedField, projected_field, row_max_abs
-from .polyalg import (at_x, gcd, primitive, real_roots, restrict_to_line, sign_at, squarefree, sub, subresultants,
-                      taylor_shift, value_at, value_at_xy)
+from .polyalg import (at_x, gcd, primitive, real_roots, restrict_to_line, scaled_at_xy, sign_at, squarefree, sub,
+                      subresultants, taylor_shift, value_at)
 
 NONHYPERBOLIC = "nonhyperbolic"
 
@@ -86,21 +86,26 @@ def classify_equilibrium(eigs: tuple) -> str:
 
 def _linearization(field: ProjectedField, p, rows: list) -> tuple:
     """The Jacobian's eigenvalues at p, ascending real part, and its trace and
-    determinant: exact Fractions at a rational p from rows, the four entries
-    in Poly.in_y's form, floats otherwise, so the eigenvalues are exact up to
-    the final square root."""
+    determinant times positive scales: exact integers at a rational p from
+    rows, the four entries in Poly.in_y's form, floats otherwise, so the
+    eigenvalues are exact up to the final square root."""
     if all(isinstance(c, (int, Fraction)) for c in p):
-        j11, j12, j21, j22 = (value_at_xy(q, *p) for q in rows)
+        # each entry times s = (d e)^top for p = (a / d, b / e); int / int
+        # rounds correctly, as float(Fraction) does
+        top = field.degree()
+        j11, j12, j21, j22 = (scaled_at_xy(q, *p, top) for q in rows)
+        s = (p[0].as_integer_ratio()[1] * p[1].as_integer_ratio()[1]) ** top
     else:
         j11, j12, j21, j22 = (q.eval(p) for q in (field.du_dx, field.du_dy, field.dv_dx, field.dv_dy))
+        s = 1
     tr, det = j11 + j22, j11 * j22 - j12 * j21
     disc = tr * tr - 4 * det
     if disc >= 0:
-        root = math.sqrt(float(disc))
-        pair = (complex((float(tr) - root) / 2), complex((float(tr) + root) / 2))
+        root = math.sqrt(disc / (s * s))
+        pair = (complex((tr / s - root) / 2), complex((tr / s + root) / 2))
     else:
-        root = math.sqrt(-float(disc))
-        half = float(tr) / 2
+        root = math.sqrt(-disc / (s * s))
+        half = tr / s / 2
         pair = (complex(half, -root / 2), complex(half, root / 2))
     return tuple(sorted(pair, key=lambda e: (e.real, e.imag))), tr, det
 

@@ -43,8 +43,9 @@ F = Fraction
 def _check_positive(m: Sequence) -> None:
     if len(m) != 3:
         raise ValueError("metric must have three components")
-    if any(np.any(v <= 0) for v in m):
-        raise ValueError(f"metric components must be positive, got {tuple(m)}")
+    # nan fails both comparisons
+    if not all(np.all((v > 0) & (v < math.inf)) for v in m):
+        raise ValueError(f"metric components must be positive and finite, got {tuple(m)}")
 
 
 # the monomials of the Ricci operators as exponent triples of (x, y, z)
@@ -181,9 +182,12 @@ def lyapunov_planar(family: FamilyDescriptor, x, y):
     x and y are numbers (giving a float) or same-shape arrays.  The value
     is -inf where exactly one coordinate has degenerated (the flow runs
     toward such strata) and +inf where two have (it runs away from them),
-    so trajectory monotonicity extends to the boundary.
+    so trajectory monotonicity extends to the boundary.  A nan or
+    infinite x or y raises ValueError.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError(f"x and y must be finite, got {x}, {y}")
     z = np.asarray(1.0 - x - y)
     degenerate = (x <= 0.0).astype(int) + (y <= 0.0) + (z <= 0.0)
     out = np.where(degenerate >= 2, np.inf, -np.inf)

@@ -11,7 +11,8 @@ polynomial is a list of integer (or, where noted, Fraction)
 coefficients, lowest degree first, without trailing zeros.  It has
 pseudo-division, gcd, square-free parts, the subresultants of two
 polynomials in y over Z[x] from one subresultant PRS, real-root
-isolation by Sturm sequences, and the sign of a polynomial at an
+isolation by Sturm sequences with Newton refinement (bisection on signs
+where Newton fails), and the sign of a polynomial at an
 isolated root, certified by a bound on its derivative or else by a
 Sturm-Tarski sequence, all in integer arithmetic.
 """
@@ -307,11 +308,10 @@ def _exact_div(p: list, q: list) -> list:
 
 
 def value_at(p: list, r) -> Fraction:
-    """p(r), exactly for a rational r."""
-    out = Fraction(0)
-    for a in reversed(p):
-        out = out * r + a
-    return out
+    """p(r), exactly for a rational r = a / d: d^deg(p) p(r) in integers,
+    then one division."""
+    a, d = r.as_integer_ratio()
+    return Fraction(_scaled(p, a, d), d ** max(len(p) - 1, 0))
 
 
 def _scaled(p: list, c: int, d: int) -> int:
@@ -331,18 +331,25 @@ def at_x(rows: list, x) -> list:
     """d^I p(a / d, y) in integers, as coefficients in y, lowest power
     first, for p in Poly.in_y's form (rows[j] the integer coefficients in
     x of y^j) at a rational x = a / d, with I the highest power of x."""
-    a, d = Fraction(x).as_integer_ratio()
+    a, d = x.as_integer_ratio()
     top = max(map(len, rows), default=1) - 1
     return [_scaled(r, a, d) * d ** (top + 1 - len(r)) for r in rows]
 
 
+def scaled_at_xy(rows: list, x: Fraction, y: Fraction, top: int) -> int:
+    """(d e)^top p(x, y) in integers, for p in Poly.in_y's form at rational
+    x = a / d and y = b / e and a top at least p's degrees in x and in y:
+    Horner's rule in y over at_x's integers gives d^I e^J p(x, y), for I
+    and J those degrees, and the rest of the scale is a product."""
+    d, (b, e) = x.as_integer_ratio()[1], y.as_integer_ratio()
+    i, j = max(map(len, rows), default=1) - 1, max(len(rows), 1) - 1
+    return _scaled(at_x(rows, x), b, e) * d ** (top - i) * e ** (top - j)
+
+
 def value_at_xy(rows: list, x: Fraction, y: Fraction) -> Fraction:
-    """p(x, y) exactly, for p in Poly.in_y's form at rational x = a / d
-    and y = b / e: Horner's rule in y over at_x's integers, so one
-    division by d^I e^J remains."""
-    d, (b, e) = Fraction(x).denominator, Fraction(y).as_integer_ratio()
-    top = max(map(len, rows), default=1) - 1
-    return Fraction(_scaled(at_x(rows, x), b, e), d**top * e ** max(len(rows) - 1, 0))
+    """p(x, y) exactly, for p in Poly.in_y's form at rational x and y."""
+    top = max(len(rows), *map(len, rows), 1) - 1
+    return Fraction(scaled_at_xy(rows, x, y, top), (x.as_integer_ratio()[1] * y.as_integer_ratio()[1]) ** top)
 
 
 def taylor_shift(poly: Poly, center) -> dict:
@@ -384,7 +391,7 @@ def restrict_to_line(rows: list, point, direction) -> list:
 def primitive(p: list) -> list:
     """p (integer or Fraction coefficients) scaled to coprime integer
     coefficients with a positive leading one."""
-    den = math.lcm(*(Fraction(a).denominator for a in p))
+    den = math.lcm(*(a.denominator for a in p))
     ints = _trim(int(a * den) for a in p)
     g = math.gcd(*ints) if ints and ints[-1] > 0 else -math.gcd(*ints)
     return [a // g for a in ints]
@@ -499,17 +506,80 @@ def _variations(seq: list, c: int, k: int) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
+def _newton_cell(p: list, c: int, k: int, bits: int):
+    """p's one root in (c / 2^k, (c + 1) / 2^k), for k < bits and p
+    nonzero at both ends: its cell (c', bits), the interval
+    (c' / 2^bits, (c' + 1) / 2^bits) that holds it, or the root itself as
+    a Fraction where p vanishes at an iterate or a cell end; None where
+    Newton fails.
+
+    From the interval's midpoint, x -= p(x) / p'(x) at scale 2^(bits + 4),
+    rounded toward zero, until the step is 0.  The cell of x is certified
+    by lying inside the interval and by p's opposite signs at its ends.
+    A step out of the interval, p'(x) = 0, more than 2 bit_length(bits + 4)
+    steps, or no sign change across the cell is a failure.
+    """
+    s, dp = bits + 4, [i * a for i, a in enumerate(p)][1:]
+    lo, up = c << (s - k), (c + 1) << (s - k)
+    x = (lo + up) >> 1
+    for _ in range(2 * s.bit_length()):
+        val, slope = _dyadic(p, x, s), _dyadic(dp, x, s)
+        if not val:
+            return Fraction(x, 1 << s)
+        if not slope:
+            return None
+        # val / slope is 2^s p(x / 2^s) / p'(x / 2^s)
+        step = abs(val) // abs(slope)
+        if not step:
+            break
+        x -= step if (val > 0) == (slope > 0) else -step
+        if not lo < x < up:
+            return None
+    else:
+        return None
+    cell = x >> 4
+    if cell >> (bits - k) != c:
+        return None
+    left, right = _dyadic(p, cell, bits), _dyadic(p, cell + 1, bits)
+    if not left or not right:
+        # inside the interval, so p's one root there
+        return Fraction(cell + (not right), 1 << bits)
+    return (cell, bits) if (left > 0) != (right > 0) else None
+
+
+def _bisect(p: list, c: int, k: int, left: int, bits: int):
+    """p's one root in (c / 2^k, (c + 1) / 2^k), where p has the sign of
+    left at c / 2^k: its cell (c', max(k, bits)) as _newton_cell gives it,
+    or the root as a Fraction where a midpoint hits it, by bisection on
+    signs."""
+    while k < bits:
+        c, k = 2 * c, k + 1
+        mid = _dyadic(p, c + 1, k)
+        if not mid:
+            return Fraction(c + 1, 1 << k)
+        c += (mid > 0) == (left > 0)
+    return c, k
+
+
 def real_roots(p: list) -> list:
     """The real roots of a square-free p (as squarefree returns it) in
     [0, 1], ascending: rational ones as exact Fractions, every other one
-    as an interval (lo, up) of Fractions, narrower than 2^-64, that holds
-    it and no other root.
+    as the interval (c / 2^bits, (c + 1) / 2^bits) of Fractions that holds
+    it, with bits = max(64, 2 bit_length(L)) for the leading coefficient L
+    (or the narrower interval Sturm isolation ended on, for a root it could
+    only isolate from another below 2^-bits).
 
-    Sturm's sequence counts the roots in each half of a bisection.  A
-    rational root has a denominator dividing the leading coefficient L,
-    so it is the fraction of denominator at most L nearest the midpoint
-    of an isolating interval narrower than 1 / L^2.
+    This answer is canonical, so any exact route to it gives the same
+    value.  A linear p's root is -p_0 / p_1.  Otherwise Sturm's sequence
+    counts the roots in each half of a bisection until each root is
+    isolated, then Newton steps (_newton_cell) refine it to its cell, with
+    bisection on signs (_bisect) where they fail.  A rational root has a
+    denominator dividing L, so it is the fraction of denominator at most L
+    nearest the midpoint of its cell, narrower than 1 / L^2.
     """
+    if len(p) == 2:
+        root = Fraction(-p[0], p[1])
+        return [root] if 0 <= root <= 1 else []
     sturm = _remainders(p, [i * a for i, a in enumerate(p)][1:])
     bits = max(64, 2 * p[-1].bit_length())
     found = [Fraction(0)] if not p[0] else []
@@ -520,18 +590,16 @@ def real_roots(p: list) -> list:
         if count == 1 and not _dyadic(p, c + 1, k):
             found.append(Fraction(c + 1, 1 << k))
         elif count == 1 and (left := _dyadic(p, c, k)):
-            # p changes sign across its one root inside: bisect by sign
-            while k < bits:
-                c, k = 2 * c, k + 1
-                mid = _dyadic(p, c + 1, k)
-                if not mid:
-                    found.append(Fraction(c + 1, 1 << k))
-                    break
-                c += (mid > 0) == (left > 0)
-            else:
+            # p changes sign across its one root inside
+            root = _newton_cell(p, c, k, bits) if k < bits else None
+            if root is None:
+                root = _bisect(p, c, k, left, bits)
+            if isinstance(root, tuple):
+                c, k = root
                 lo, up = Fraction(c, 1 << k), Fraction(c + 1, 1 << k)
                 guess = ((lo + up) / 2).limit_denominator(abs(p[-1]))
-                found.append(guess if lo < guess < up and not value_at(p, guess) else (lo, up))
+                root = guess if lo < guess < up and not value_at(p, guess) else (lo, up)
+            found.append(root)
         elif count:
             # more roots, or a root at the left end hides the sign change
             stack += [(2 * c, k + 1), (2 * c + 1, k + 1)]

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flagricci import render
-from flagricci.cli import main
+from flagricci.cli import COMMANDS, build_parser, main
 from flagricci.polyalg import Poly
 from flagricci import basin_map, family_from_id, list_families, projected_field
 
@@ -405,6 +406,45 @@ def test_su_requires_three_params(capsys):
 def test_params_forbidden_for_constant_family(capsys):
     code, _, err = run(capsys, "field", "--family", "g2u2", "--params", "1,2,3")
     assert code == 2
+
+
+def _subparser(parser, name):
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_one_subparser_build_formats_as_the_full_build(name):
+    """The parser built for one command gives its subparser's usage and help,
+    and the top-level usage with every command, as the full parser does."""
+    full, one = build_parser(), build_parser(name)
+    assert list(_subparser(one, name)._option_string_actions) == list(_subparser(full, name)._option_string_actions)
+    assert _subparser(one, name).format_usage() == _subparser(full, name).format_usage()
+    assert _subparser(one, name).format_help() == _subparser(full, name).format_help()
+    assert one.format_usage() == full.format_usage()
+    assert "{" + ",".join(COMMANDS) + "}" in full.format_usage()
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["verify", "--family", "g2u2"], ["verify"]),
+        (["families", "-h"], ["families"]),
+        (["orbit", "--family", "g2u2", "--x0", "-5e-07"], ["orbit"]),
+        (["gh-limit", "--family", "g2u2", "extra"], ["gh-limit"]),
+        ([], list(COMMANDS)),
+        (["-h"], list(COMMANDS)),
+        (["bogus"], list(COMMANDS)),
+        (["--family", "g2u2", "verify"], list(COMMANDS)),
+    ],
+)
+def test_a_named_command_builds_only_its_subparser(capsys, monkeypatch, argv, built):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: names.append(name) or add_parser(self, name, **kw))
+    run(capsys, *argv)
+    assert names == built
 
 
 def test_bad_subcommand(capsys):

@@ -465,6 +465,36 @@ def test_ricci_rejects_nonpositive_metrics():
         lyapunov_value(fam, (-1.0, 0.5, 1.5))
 
 
+_NONFINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("bad", _NONFINITE, ids=("nan", "inf", "-inf"))
+@pytest.mark.parametrize("fn", (ricci_components, scalar_curvature, lyapunov_value), ids=lambda f: f.__name__)
+def test_metric_functions_reject_nonfinite_components(fn, bad):
+    """A nan or infinite component, as a scalar or inside an array, raises
+    the ValueError of a nonpositive one instead of returning nan."""
+    fam = su_family(2, 1, 1)
+    for slot in range(3):
+        scalars = [0.5, 0.5, 0.5]
+        scalars[slot] = bad
+        arrays = [np.array([0.2, 0.3]), np.array([0.3, 0.3]), np.array([0.5, 0.4])]
+        arrays[slot] = np.array([0.2, bad])
+        for m in (tuple(scalars), tuple(arrays)):
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                fn(fam, m)
+
+
+@pytest.mark.parametrize("bad", _NONFINITE, ids=("nan", "inf", "-inf"))
+def test_lyapunov_planar_rejects_nonfinite_points(bad):
+    fam = su_family(2, 1, 1)
+    for x, y in ((bad, 0.5), (0.25, bad), (np.array([0.2, bad]), np.array([0.3, 0.3])),
+                 (np.array([0.2, 0.3]), np.array([bad, 0.3]))):
+        with pytest.raises(ValueError, match="must be finite"):
+            lyapunov_planar(fam, x, y)
+    # the finite points around them keep their values
+    assert np.isfinite(lyapunov_planar(fam, np.array([0.2, 0.3]), np.array([0.3, 0.3]))).all()
+
+
 # ----------------------------------------------------------------------
 # fast numeric evaluation agrees with the exact polynomials
 

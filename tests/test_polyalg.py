@@ -4,8 +4,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from flagricci import polyalg
 from flagricci.polyalg import (
     Poly,
     _mul,
@@ -377,6 +378,112 @@ def test_real_roots_of_products_of_known_factors(rational, squares, sign, probe)
         assert abs(float((lo + up) / 2) - x) < 1e-15
         expected = (x > probe) - (x < probe)
         assert sign_at(primitive([-probe, 1]), squarefree(p), (lo, up)) == expected
+
+
+def _bisection_roots(p):
+    """real_roots by Sturm isolation and bisection alone, for every degree:
+    the route before the closed form for a linear p and Newton refinement."""
+    sturm = polyalg._remainders(p, [i * a for i, a in enumerate(p)][1:])
+    bits = max(64, 2 * p[-1].bit_length())
+    found = [Fraction(0)] if not p[0] else []
+    stack = [(0, 0)]
+    while stack:
+        c, k = stack.pop()
+        count = polyalg._variations(sturm, c, k) - polyalg._variations(sturm, c + 1, k)
+        if count == 1 and not polyalg._dyadic(p, c + 1, k):
+            found.append(Fraction(c + 1, 1 << k))
+        elif count == 1 and (left := polyalg._dyadic(p, c, k)):
+            root = polyalg._bisect(p, c, k, left, bits)
+            if isinstance(root, tuple):
+                lo, up = Fraction(root[0], 1 << root[1]), Fraction(root[0] + 1, 1 << root[1])
+                guess = ((lo + up) / 2).limit_denominator(abs(p[-1]))
+                root = guess if lo < guess < up and not value_at(p, guess) else (lo, up)
+            found.append(root)
+        elif count:
+            stack += [(2 * c, k + 1), (2 * c + 1, k + 1)]
+    return sorted(found, key=lambda r: r if isinstance(r, Fraction) else r[0])
+
+
+_CLOSE = 2**41
+_root_factors = st.one_of(
+    # a rational root, in [0, 1] or not
+    st.fractions(min_value=-1, max_value=2, max_denominator=60).map(lambda r: [-r.numerator, r.denominator]),
+    # dyadic roots, 0 and 1 among them
+    st.sampled_from([[0, 1], [-1, 1], [-1, 2], [-3, 4]]),
+    st.tuples(st.integers(0, 2**12), st.integers(1, 12)).map(lambda t: [-t[0], 1 << t[1]]),
+    # irrational roots sqrt(n) / m, and rational ones where n is a square
+    st.tuples(st.integers(1, 300), st.integers(1, 40)).map(lambda t: [-t[0], 0, t[1] ** 2]),
+    # 1/2 -+ 1 / (sqrt(2) 2^41) and a / 2^41, (a + 1) / 2^41: roots closer than 2^-40
+    st.just([_CLOSE**2 - 2, -4 * _CLOSE**2, 4 * _CLOSE**2]),
+    st.integers(0, _CLOSE - 1).map(lambda a: _mul([-a, _CLOSE], [-a - 1, _CLOSE])),
+    # a leading coefficient above 2^32, so bits > 64
+    st.tuples(st.integers(2**32, 2**40), st.integers(1, 2**31)).map(lambda t: [-t[1], 0, t[0]]),
+    # anything else
+    st.lists(st.integers(-40, 40), min_size=2, max_size=5).filter(lambda q: q[-1] != 0),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(factors=st.lists(_root_factors, min_size=1, max_size=5), sign=st.sampled_from([1, -1]))
+def test_real_roots_equals_bisection(factors, sign):
+    """On square-free integer polynomials of degree 1 to 12, the closed
+    form and Newton refinement give bisection's answer exactly."""
+    p = [sign]
+    for q in factors:
+        p = _mul(p, q)
+    p = squarefree(p)
+    assume(1 <= len(p) - 1 <= 12)
+    assert real_roots(p) == _bisection_roots(p)
+
+
+def test_real_roots_without_newton_falls_back_to_bisection(monkeypatch):
+    """With every Newton refinement failing, bisection reaches the same roots."""
+    e = 10**24
+    inputs = [
+        [-1, 0, 2],  # 1/sqrt(2)
+        [0, 1, -4, 3],  # 0, 1/3, 1
+        [e - 2, -4 * e, 4 * e],  # two roots 1.4e-12 apart
+        squarefree(_mul(_mul([-1, 2], [-2, 0, 9]), [-5, 0, 16])),  # 1/2, sqrt(2)/3, sqrt(5)/4
+        [-(2**140) - 1, 0, 2**141],  # leading coefficient above 2^64
+    ]
+    refined = []
+    newton, bisect = polyalg._newton_cell, polyalg._bisect
+    monkeypatch.setattr(polyalg, "_newton_cell", lambda *args: refined.append(args) or newton(*args))
+    expected = [real_roots(p) for p in inputs]
+    calls = []
+    monkeypatch.setattr(polyalg, "_newton_cell", lambda *args: None)
+    monkeypatch.setattr(polyalg, "_bisect", lambda *args: calls.append(args[:3]) or bisect(*args))
+    assert [real_roots(p) for p in inputs] == expected
+    assert calls == [args[:3] for args in refined] and len(calls) >= 5
+
+
+def test_newton_cell_exact_dyadic_root_and_a_step_out_of_the_interval():
+    """Newton returns a dyadic root exactly, and None where a step leaves
+    the interval; real_roots then bisects to bisection's answer."""
+    # (4x - 1)(2x^2 - 1) has the one root 1/4 in (0, 1/2)
+    assert polyalg._newton_cell(_mul([-1, 4], [-1, 0, 2]), 0, 1, 64) == Fraction(1, 4)
+    # 5x^3 + 6x^2 - 4x - 6 has one root in (0, 1), near 0.955; from the
+    # midpoint 1/2 the first step goes to 1.52
+    p = [-6, -4, 6, 5]
+    sturm = polyalg._remainders(p, [-4, 12, 15])
+    assert polyalg._variations(sturm, 0, 0) - polyalg._variations(sturm, 1, 0) == 1
+    assert polyalg._newton_cell(p, 0, 0, 64) is None
+    ((lo, up),) = real_roots(p)
+    assert value_at(p, lo) < 0 < value_at(p, up) and up - lo == Fraction(1, 2**64)
+    assert real_roots(p) == _bisection_roots(p)
+
+
+def test_real_roots_of_a_linear_polynomial_in_closed_form(monkeypatch):
+    """-p0 / p1 as a Fraction where it lies in [0, 1], with no Sturm sequence."""
+    monkeypatch.setattr(polyalg, "_remainders", None)
+    assert real_roots([1, 3]) == []  # -1/3
+    assert real_roots([0, 5]) == [0]
+    assert real_roots([-2, 7]) == [Fraction(2, 7)]
+    assert real_roots([-4, 4]) == [1]
+    assert real_roots([-5, 3]) == []  # 5/3
+    assert real_roots([3, -4]) == [Fraction(3, 4)]  # negative leading coefficient
+    assert real_roots([-1, -2]) == []  # -1/2
+    assert all(type(r) is Fraction for p in ([0, 5], [-2, 7], [-4, 4], [3, -4]) for r in real_roots(p))
 
 
 def test_sign_at_irrational_root():

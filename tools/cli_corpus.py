@@ -12,7 +12,7 @@ each in an empty working directory with every warning shown.  For each it
 stores the exit code and the sha256 of stdout, of stderr and of every file
 the call wrote.  `diff` lists the invocations whose records differ (or
 that only one side has) and exits 1 if any do, 0 otherwise.  Recording
-the 336 invocations takes about 8 s on one core of a 2-vCPU VM.
+the 353 invocations takes 5-8 s on one core of a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ CONSTANT_FAMILIES = (
 TABLE_FAMILIES = (("su", "2,1,1"), ("su", "1,1,1"), ("so", "6")) + tuple((fid, None) for fid in CONSTANT_FAMILIES)
 # boundary points of the simplex, and one interior point that gh-limit rejects
 GH_POINTS = ((0, 0), (1, 0), (0, 1), (0, 0.5), (0.5, 0), (0.5, 0.5), (0.3, 0.3))
+COMMANDS = ("families", "field", "equilibria", "orbit", "basins", "portrait", "gh-limit", "verify")
 
 
 def _family_args(fid: str, params) -> list:
@@ -66,6 +67,17 @@ def corpus() -> list:
         # a start just inside an edge, where the Lyapunov value is taken exactly
         ["orbit", "--family", "su", "--params", "2,1,1", "--x0", "0.25", "--y0", "2.2250738585072014e-308",
          "--max-steps", "400", "--rtol", "5.960464477539063e-08", "--atol", "6.432049958169953e-08"],
+        # a negative value that argparse would take for an option
+        ["orbit", "--family", "g2u2", "--x0", "-5e-07", "--y0", "0.3"],
+    ]
+    # help, and the usage errors argparse reports
+    out += [[], ["-h"], ["bogus"]] + [[cmd, "-h"] for cmd in COMMANDS]
+    out += [
+        ["verify"],
+        ["verify", "--family", "g2u2", "--bogus"],
+        ["verify", "--family", "g2u2", "extra"],
+        ["--family", "g2u2", "verify"],
+        ["families", "--mnp-bound", "x"],
     ]
     return out
 

@@ -44,13 +44,12 @@ import numpy as np
 
 from .catalog import ATTRACTOR, SADDLE, FamilyDescriptor
 from .equilibria import EquilibriumList, find_equilibria, nearest
-from .flowgen import ProjectedField, keep_rows, lyapunov_planar, projected_field, row_max_abs
+from .flowgen import BOUNDARY_EXIT_TOL, ProjectedField, keep_rows, lyapunov_planar, projected_field, row_max_abs
 from .polyalg import restrict_to_line, taylor_shift
 
 STALL_TOL = 1e-9
 # shortest step whose displacement alone can tell a stall (see _integrate_batch)
 STALL_STEP = 1e-6
-BOUNDARY_EXIT_TOL = 1e-9
 MATCH_TOL = 1e-6
 # basin cells lie more than this inside every edge
 BASIN_MARGIN = 1e-3

@@ -38,6 +38,8 @@ from .catalog import KIND_SO, KIND_SU, KIND_TYPE1, FamilyDescriptor
 from .polyalg import Poly, expand_z
 
 F = Fraction
+# how far a float point may lie outside the closed simplex and still count as on it
+BOUNDARY_EXIT_TOL = 1e-9
 
 
 def _check_positive(m: Sequence) -> None:
@@ -183,11 +185,14 @@ def lyapunov_planar(family: FamilyDescriptor, x, y):
     is -inf where exactly one coordinate has degenerated (the flow runs
     toward such strata) and +inf where two have (it runs away from them),
     so trajectory monotonicity extends to the boundary.  A nan or
-    infinite x or y raises ValueError.
+    infinite x or y, or a point more than BOUNDARY_EXIT_TOL outside the
+    closed simplex, raises ValueError.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError(f"x and y must be finite, got {x}, {y}")
+    if ((x < -BOUNDARY_EXIT_TOL) | (y < -BOUNDARY_EXIT_TOL) | (x + y > 1.0 + BOUNDARY_EXIT_TOL)).any():
+        raise ValueError(f"(x, y) must lie in the closed simplex, got {x}, {y}")
     z = np.asarray(1.0 - x - y)
     degenerate = (x <= 0.0).astype(int) + (y <= 0.0) + (z <= 0.0)
     out = np.where(degenerate >= 2, np.inf, -np.inf)

@@ -11,10 +11,10 @@ polynomial is a list of integer (or, where noted, Fraction)
 coefficients, lowest degree first, without trailing zeros.  It has
 pseudo-division, gcd, square-free parts, the subresultants of two
 polynomials in y over Z[x] from one subresultant PRS, real-root
-isolation by Sturm sequences with Newton refinement (bisection on signs
-where Newton fails), and the sign of a polynomial at an
-isolated root, certified by a bound on its derivative or else by a
-Sturm-Tarski sequence, all in integer arithmetic.
+isolation by Sturm sequences and refinement by Newton steps safeguarded
+by bisection, and the sign of a polynomial at an isolated root,
+certified by a bound on its derivative or else by a Sturm-Tarski
+sequence, all in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -346,12 +346,6 @@ def scaled_at_xy(rows: list, x: Fraction, y: Fraction, top: int) -> int:
     return _scaled(at_x(rows, x), b, e) * d ** (top - i) * e ** (top - j)
 
 
-def value_at_xy(rows: list, x: Fraction, y: Fraction) -> Fraction:
-    """p(x, y) exactly, for p in Poly.in_y's form at rational x and y."""
-    top = max(len(rows), *map(len, rows), 1) - 1
-    return Fraction(scaled_at_xy(rows, x, y, top), (x.as_integer_ratio()[1] * y.as_integer_ratio()[1]) ** top)
-
-
 def taylor_shift(poly: Poly, center) -> dict:
     """The Fraction coefficients of poly(center + w) for an arity-2 poly
     and a rational center, keyed by the exponents of w: every pair at or
@@ -506,59 +500,47 @@ def _variations(seq: list, c: int, k: int) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _newton_cell(p: list, c: int, k: int, bits: int):
-    """p's one root in (c / 2^k, (c + 1) / 2^k), for k < bits and p
-    nonzero at both ends: its cell (c', bits), the interval
-    (c' / 2^bits, (c' + 1) / 2^bits) that holds it, or the root itself as
-    a Fraction where p vanishes at an iterate or a cell end; None where
-    Newton fails.
-
-    From the interval's midpoint, x -= p(x) / p'(x) at scale 2^(bits + 4),
-    rounded toward zero, until the step is 0.  The cell of x is certified
-    by lying inside the interval and by p's opposite signs at its ends.
-    A step out of the interval, p'(x) = 0, more than 2 bit_length(bits + 4)
-    steps, or no sign change across the cell is a failure.
-    """
-    s, dp = bits + 4, [i * a for i, a in enumerate(p)][1:]
-    lo, up = c << (s - k), (c + 1) << (s - k)
-    x = (lo + up) >> 1
-    for _ in range(2 * s.bit_length()):
-        val, slope = _dyadic(p, x, s), _dyadic(dp, x, s)
-        if not val:
-            return Fraction(x, 1 << s)
-        if not slope:
-            return None
-        # val / slope is 2^s p(x / 2^s) / p'(x / 2^s)
-        step = abs(val) // abs(slope)
-        if not step:
-            break
-        x -= step if (val > 0) == (slope > 0) else -step
-        if not lo < x < up:
-            return None
-    else:
-        return None
-    cell = x >> 4
-    if cell >> (bits - k) != c:
-        return None
-    left, right = _dyadic(p, cell, bits), _dyadic(p, cell + 1, bits)
-    if not left or not right:
-        # inside the interval, so p's one root there
-        return Fraction(cell + (not right), 1 << bits)
-    return (cell, bits) if (left > 0) != (right > 0) else None
-
-
-def _bisect(p: list, c: int, k: int, left: int, bits: int):
+def _refine(p: list, c: int, k: int, left: int, bits: int):
     """p's one root in (c / 2^k, (c + 1) / 2^k), where p has the sign of
-    left at c / 2^k: its cell (c', max(k, bits)) as _newton_cell gives it,
-    or the root as a Fraction where a midpoint hits it, by bisection on
-    signs."""
-    while k < bits:
-        c, k = 2 * c, k + 1
-        mid = _dyadic(p, c + 1, k)
-        if not mid:
-            return Fraction(c + 1, 1 << k)
-        c += (mid > 0) == (left > 0)
-    return c, k
+    left at c / 2^k and the other sign at (c + 1) / 2^k: its cell (c', bits),
+    the interval (c' / 2^bits, (c' + 1) / 2^bits) that holds it, or the
+    root itself as a Fraction where p vanishes at a point evaluated; (c, k)
+    itself for k >= bits.
+
+    The bracket [lo, up] at scale 2^bits holds the root; each point
+    evaluated, the midpoint first, replaces the end where p has its sign.
+    The next point from x is x - p(x) / p'(x), rounded toward x, if that is
+    inside the bracket and its step at most half the last Newton step (or
+    the bracket); a step that rounds to 0 probes x's neighbour inside the
+    bracket, and only midpoints follow it; else it is the midpoint.  So at
+    most bits - k Newton steps (of 2^(bits - k - 1), ..., 2, 1 at most), the
+    probe and bits - k midpoints, each halving the bracket, make at most
+    2 (bits - k) + 1 points.
+    """
+    if k >= bits:
+        return c, k
+    dp = [i * a for i, a in enumerate(p)][1:]
+    lo, up = c << (bits - k), (c + 1) << (bits - k)
+    x, last = (lo + up) >> 1, up - lo
+    while True:
+        val = _dyadic(p, x, bits)
+        if not val:
+            return Fraction(x, 1 << bits)
+        if (val > 0) == (left > 0):
+            lo = x
+        else:
+            up = x
+        if up - lo == 1:
+            return lo, bits
+        slope = last and _dyadic(dp, x, bits)
+        # val / slope is 2^bits p(x / 2^bits) / p'(x / 2^bits)
+        step = abs(val) // abs(slope) if slope else None
+        if step == 0:
+            x, last = x + 1 if x == lo else x - 1, 0
+        elif step and 2 * step <= last and lo < (newton := x - step if (val > 0) == (slope > 0) else x + step) < up:
+            x, last = newton, step
+        else:
+            x = (lo + up) >> 1
 
 
 def real_roots(p: list) -> list:
@@ -572,10 +554,10 @@ def real_roots(p: list) -> list:
     This answer is canonical, so any exact route to it gives the same
     value.  A linear p's root is -p_0 / p_1.  Otherwise Sturm's sequence
     counts the roots in each half of a bisection until each root is
-    isolated, then Newton steps (_newton_cell) refine it to its cell, with
-    bisection on signs (_bisect) where they fail.  A rational root has a
-    denominator dividing L, so it is the fraction of denominator at most L
-    nearest the midpoint of its cell, narrower than 1 / L^2.
+    isolated, then one bracketed Newton loop (_refine) narrows it to its
+    cell.  A rational root has a denominator dividing L, so it is the
+    fraction of denominator at most L nearest the midpoint of its cell,
+    narrower than 1 / L^2.
     """
     if len(p) == 2:
         root = Fraction(-p[0], p[1])
@@ -591,9 +573,7 @@ def real_roots(p: list) -> list:
             found.append(Fraction(c + 1, 1 << k))
         elif count == 1 and (left := _dyadic(p, c, k)):
             # p changes sign across its one root inside
-            root = _newton_cell(p, c, k, bits) if k < bits else None
-            if root is None:
-                root = _bisect(p, c, k, left, bits)
+            root = _refine(p, c, k, left, bits)
             if isinstance(root, tuple):
                 c, k = root
                 lo, up = Fraction(c, 1 << k), Fraction(c + 1, 1 << k)

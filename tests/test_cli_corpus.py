@@ -36,4 +36,4 @@ def test_corpus_lists_each_invocation_once():
     listed = {(f.id, ",".join(map(str, f.params)) or None) for f in list_families(6, 12)}
     assert set(cli_corpus._listed_families()) == listed
     keys = [" ".join(argv) for argv in cli_corpus.corpus()]
-    assert len(keys) == len(set(keys)) == 2 + 3 * 73 + 7 * 11 + 12 + 2 * 11 + 5 + 3 + 8 + 5
+    assert len(keys) == len(set(keys)) == 2 + 3 * 73 + 7 * 11 + 12 + 2 * 11 + 6 + 3 + 8 + 5

@@ -21,7 +21,7 @@ from flagricci import (
     random_interior_points,
     separatrices,
 )
-from flagricci.polyalg import restrict_to_line, taylor_shift, value_at_xy
+from flagricci.polyalg import restrict_to_line, taylor_shift
 
 SU211 = family_from_id("su", (2, 1, 1))
 SU111 = family_from_id("su", (1, 1, 1))
@@ -642,7 +642,7 @@ def _v_dot(field, trap, w) -> Fraction:
     """dV/dt = 2 wᵀP f(center + w), the field evaluated exactly."""
     pxx, pxy, pyy = trap.p
     point = (trap.center[0] + w[0], trap.center[1] + w[1])
-    fu, fv = (value_at_xy(q.in_y(), *point) for q in (field.u, field.v))
+    fu, fv = (q.eval(point) for q in (field.u, field.v))
     return 2 * ((pxx * w[0] + pxy * w[1]) * fu + (pxy * w[0] + pyy * w[1]) * fv)
 
 
@@ -665,7 +665,7 @@ def test_every_table_attractor_has_a_trap_solving_the_lyapunov_equation(family):
     assert len(traps) == 3
     for trap in traps:
         assert trap.center == eqs[trap.index].exact
-        a, b, c, d = (value_at_xy(q.in_y(), *trap.center) for q in (field.du_dx, field.du_dy, field.dv_dx, field.dv_dy))
+        a, b, c, d = (q.eval(trap.center) for q in (field.du_dx, field.du_dy, field.dv_dx, field.dv_dy))
         pxx, pxy, pyy = trap.p
         # AᵀP + PA = -I
         assert 2 * (a * pxx + c * pxy) == -1 and 2 * (b * pxy + d * pyy) == -1

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from flagricci import dynamics
 from flagricci.catalog import (
     DEGENERATE,
     TYPE1_IDS,
@@ -26,6 +27,7 @@ from flagricci.catalog import (
 )
 from flagricci.flowgen import (
     _BLOCK,
+    BOUNDARY_EXIT_TOL,
     cleared_field,
     lyapunov_planar,
     lyapunov_value,
@@ -370,9 +372,23 @@ def test_lyapunov_planar_ignores_argument_type(fam):
 # interior points, points one or two of whose coordinates are <= 0, and
 # points where a coordinate or a power of one under- or overflows
 _PLANAR_POINTS = [
-    (0.3, 0.3), (0.1, 0.7), (0.2, 0.5), (0.0, 0.5), (0.5, 0.5), (-0.1, 0.4), (0.0, 0.0),
-    (0.0, 1.0), (1.2, -0.2), (1e-200, 0.5), (0.5, 1e-200), (0.99999, 5e-324),
+    (0.3, 0.3), (0.1, 0.7), (0.2, 0.5), (0.0, 0.5), (0.5, 0.5), (0.0, 0.0),
+    (0.0, 1.0), (1e-200, 0.5), (0.5, 1e-200), (0.99999, 5e-324),
 ]
+
+
+def test_lyapunov_planar_rejects_points_off_the_simplex():
+    """A finite point more than BOUNDARY_EXIT_TOL outside the closed simplex
+    raises ValueError, alone or in an array; orbit samples in the slack keep
+    their edge value."""
+    fam = su_family(2, 1, 1)
+    for x, y in ((-0.1, 0.4), (1.2, -0.2), (2.0, 0.5), (-1.0, -1.0), (-2e-9, 0.5), (0.5, 0.5 + 2e-9)):
+        with pytest.raises(ValueError, match="closed simplex"):
+            lyapunov_planar(fam, x, y)
+        with pytest.raises(ValueError, match="closed simplex"):
+            lyapunov_planar(fam, np.array([0.3, x]), np.array([0.3, y]))
+    assert dynamics.BOUNDARY_EXIT_TOL is BOUNDARY_EXIT_TOL == 1e-9
+    assert lyapunov_planar(fam, -5e-10, 0.5) == -math.inf
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from flagricci import polyalg
 from flagricci.polyalg import (
@@ -15,12 +15,12 @@ from flagricci.polyalg import (
     pseudo_rem,
     real_roots,
     restrict_to_line,
+    scaled_at_xy,
     sign_at,
     squarefree,
     subresultants,
     taylor_shift,
     value_at,
-    value_at_xy,
     variables,
 )
 
@@ -381,8 +381,9 @@ def test_real_roots_of_products_of_known_factors(rational, squares, sign, probe)
 
 
 def _bisection_roots(p):
-    """real_roots by Sturm isolation and bisection alone, for every degree:
-    the route before the closed form for a linear p and Newton refinement."""
+    """real_roots by Sturm isolation and bisection on signs alone, for
+    every degree: the route before the closed form for a linear p and
+    Newton refinement."""
     sturm = polyalg._remainders(p, [i * a for i, a in enumerate(p)][1:])
     bits = max(64, 2 * p[-1].bit_length())
     found = [Fraction(0)] if not p[0] else []
@@ -393,12 +394,14 @@ def _bisection_roots(p):
         if count == 1 and not polyalg._dyadic(p, c + 1, k):
             found.append(Fraction(c + 1, 1 << k))
         elif count == 1 and (left := polyalg._dyadic(p, c, k)):
-            root = polyalg._bisect(p, c, k, left, bits)
-            if isinstance(root, tuple):
-                lo, up = Fraction(root[0], 1 << root[1]), Fraction(root[0] + 1, 1 << root[1])
-                guess = ((lo + up) / 2).limit_denominator(abs(p[-1]))
-                root = guess if lo < guess < up and not value_at(p, guess) else (lo, up)
-            found.append(root)
+            mid = left
+            while k < bits and mid:
+                c, k = 2 * c, k + 1
+                mid = polyalg._dyadic(p, c + 1, k)
+                c += bool(mid) and (mid > 0) == (left > 0)
+            lo, up = Fraction(c, 1 << k), Fraction(c + 1, 1 << k)
+            guess = ((lo + up) / 2).limit_denominator(abs(p[-1]))
+            found.append(up if not mid else guess if lo < guess < up and not value_at(p, guess) else (lo, up))
         elif count:
             stack += [(2 * c, k + 1), (2 * c + 1, k + 1)]
     return sorted(found, key=lambda r: r if isinstance(r, Fraction) else r[0])
@@ -423,54 +426,109 @@ _root_factors = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(factors=st.lists(_root_factors, min_size=1, max_size=5), sign=st.sampled_from([1, -1]))
-def test_real_roots_equals_bisection(factors, sign):
-    """On square-free integer polynomials of degree 1 to 12, the closed
-    form and Newton refinement give bisection's answer exactly."""
+_E24 = 10**24
+# Newton steps leave the bracket on (0, 1) from 1/2, and p' vanishes at 1/2
+_LEAVES, _FLAT = [-6, -4, 6, 5], [-3, 12, -24, 16]
+# from 1/2 Newton converges beside the cell of the root 13/70 of x (140x^2 - 96x + 13) in (1/8, 1/4)
+_BESIDE = [0, 13, -96, 140]
+
+
+def _product(factors, sign):
     p = [sign]
     for q in factors:
         p = _mul(p, q)
-    p = squarefree(p)
+    return squarefree(p)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(factors=st.lists(_root_factors, min_size=1, max_size=5), sign=st.sampled_from([1, -1]))
+@example(factors=[[-1, 0, 2]], sign=1)  # 1/sqrt(2)
+@example(factors=[[0, 1, -4, 3]], sign=1)  # 0, 1/3, 1
+@example(factors=[[_E24 - 2, -4 * _E24, 4 * _E24]], sign=1)  # two roots 1.4e-12 apart
+@example(factors=[[-1, 2], [-2, 0, 9], [-5, 0, 16]], sign=1)  # 1/2, sqrt(2)/3, sqrt(5)/4
+@example(factors=[[-(2**140) - 1, 0, 2**141]], sign=1)  # leading coefficient above 2^64
+@example(factors=[_LEAVES], sign=1)
+@example(factors=[_FLAT], sign=1)
+@example(factors=[_BESIDE], sign=1)
+def test_real_roots_equals_bisection(factors, sign):
+    """On square-free integer polynomials of degree 1 to 12, the closed
+    form and the bracketed Newton loop give bisection's answer exactly."""
+    p = _product(factors, sign)
     assume(1 <= len(p) - 1 <= 12)
     assert real_roots(p) == _bisection_roots(p)
 
 
-def test_real_roots_without_newton_falls_back_to_bisection(monkeypatch):
-    """With every Newton refinement failing, bisection reaches the same roots."""
-    e = 10**24
-    inputs = [
-        [-1, 0, 2],  # 1/sqrt(2)
-        [0, 1, -4, 3],  # 0, 1/3, 1
-        [e - 2, -4 * e, 4 * e],  # two roots 1.4e-12 apart
-        squarefree(_mul(_mul([-1, 2], [-2, 0, 9]), [-5, 0, 16])),  # 1/2, sqrt(2)/3, sqrt(5)/4
-        [-(2**140) - 1, 0, 2**141],  # leading coefficient above 2^64
-    ]
-    refined = []
-    newton, bisect = polyalg._newton_cell, polyalg._bisect
-    monkeypatch.setattr(polyalg, "_newton_cell", lambda *args: refined.append(args) or newton(*args))
-    expected = [real_roots(p) for p in inputs]
-    calls = []
-    monkeypatch.setattr(polyalg, "_newton_cell", lambda *args: None)
-    monkeypatch.setattr(polyalg, "_bisect", lambda *args: calls.append(args[:3]) or bisect(*args))
-    assert [real_roots(p) for p in inputs] == expected
-    assert calls == [args[:3] for args in refined] and len(calls) >= 5
+def _refinements(p):
+    """real_roots(p), and for each _refine call it makes the points where
+    p was evaluated at scale 2^bits and bits - k."""
+    calls, refine, dyadic = [], polyalg._refine, polyalg._dyadic
+
+    def counting(q, c, k, left, bits):
+        points = []
+
+        def at(r, x, scale):
+            if r is q:
+                points.append(x)
+            return dyadic(r, x, scale)
+
+        polyalg._dyadic = at
+        try:
+            return refine(q, c, k, left, bits)
+        finally:
+            polyalg._dyadic = dyadic
+            calls.append((points, bits - k))
+
+    polyalg._refine = counting
+    try:
+        roots = real_roots(p)
+    finally:
+        polyalg._refine = refine
+    return roots, calls
 
 
-def test_newton_cell_exact_dyadic_root_and_a_step_out_of_the_interval():
-    """Newton returns a dyadic root exactly, and None where a step leaves
-    the interval; real_roots then bisects to bisection's answer."""
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(factors=st.lists(_root_factors, min_size=1, max_size=5), sign=st.sampled_from([1, -1]))
+@example(factors=[_LEAVES], sign=1)
+@example(factors=[_FLAT], sign=1)
+@example(factors=[_BESIDE], sign=1)
+def test_refine_evaluates_at_most_twice_bits_minus_k_plus_one_points(factors, sign):
+    """The bound in _refine's docstring: 2 (bits - k) + 1 points, none
+    for k >= bits."""
+    p = _product(factors, sign)
+    assume(2 <= len(p) - 1 <= 12)
+    for points, room in _refinements(p)[1]:
+        assert len(points) <= (2 * room + 1 if room > 0 else 0)
+
+
+def test_refine_exact_dyadic_root_a_step_out_of_the_bracket_and_a_cell_beside_newton():
+    """The loop returns a dyadic root exactly; where a Newton step leaves
+    the bracket it takes the midpoint and reaches bisection's answer; where
+    Newton converges beside the root's cell, the probe finds the cell; and
+    Newton steps that shrink slowly give way to midpoints."""
     # (4x - 1)(2x^2 - 1) has the one root 1/4 in (0, 1/2)
-    assert polyalg._newton_cell(_mul([-1, 4], [-1, 0, 2]), 0, 1, 64) == Fraction(1, 4)
+    p = _mul([-1, 4], [-1, 0, 2])
+    assert polyalg._refine(p, 0, 1, polyalg._dyadic(p, 0, 1), 64) == Fraction(1, 4)
     # 5x^3 + 6x^2 - 4x - 6 has one root in (0, 1), near 0.955; from the
-    # midpoint 1/2 the first step goes to 1.52
-    p = [-6, -4, 6, 5]
-    sturm = polyalg._remainders(p, [-4, 12, 15])
+    # midpoint 1/2 the first step goes to 1.52, so 3/4 comes next
+    sturm = polyalg._remainders(_LEAVES, [-4, 12, 15])
     assert polyalg._variations(sturm, 0, 0) - polyalg._variations(sturm, 1, 0) == 1
-    assert polyalg._newton_cell(p, 0, 0, 64) is None
-    ((lo, up),) = real_roots(p)
-    assert value_at(p, lo) < 0 < value_at(p, up) and up - lo == Fraction(1, 2**64)
-    assert real_roots(p) == _bisection_roots(p)
+    roots, ((points, room),) = _refinements(_LEAVES)
+    assert points[:2] == [1 << 63, 3 << 62] and room == 64
+    ((lo, up),) = roots
+    assert value_at(_LEAVES, lo) < 0 < value_at(_LEAVES, up) and up - lo == Fraction(1, 2**64)
+    assert roots == _bisection_roots(_LEAVES)
+    # p' vanishes at the first point, 1/2, so 3/4 comes next as well
+    ((points, _),) = _refinements(_FLAT)[1]
+    assert points[:2] == [1 << 63, 3 << 62]
+    # Newton converges beside the cell of 13/70, and one probe finds it
+    roots, ((points, room),) = _refinements(_BESIDE)
+    assert room == 61 and len(points) == 6 and abs(points[-1] - points[-2]) == 1
+    assert roots == [0, Fraction(13, 70), Fraction(1, 2)]
+    # from 1/2 toward the root just below 1/8 of (2^36 + 1) x^12 - 1 each
+    # Newton step is only 11/12 of the last; midpoints take over, and 14
+    # points do what 23 unhalved Newton steps would
+    ((points, room),) = _refinements([-1] + [0] * 11 + [2**36 + 1])[1]
+    assert room == 74 and len(points) <= 14
 
 
 def test_real_roots_of_a_linear_polynomial_in_closed_form(monkeypatch):
@@ -528,18 +586,19 @@ def test_sign_at_bound_takes_the_derivative_of_h():
     assert sign_at(h, p, (lo, lo + Fraction(1, 2**k))) == 1
 
 
-def test_value_at_xy_by_hand():
+def test_scaled_at_xy_by_hand():
     x, y = variables(2)
     p = 3 * x**2 * y - 2 * y**3 + 5 * x - 7
     rows = p.in_y()
     assert rows == [[-7, 5], [0, 0, 3], [], [-2]]
     for point in ((Fraction(1, 2), Fraction(-2, 3)), (2, 0), (Fraction(-9, 4), 5), (0, 0)):
-        assert value_at_xy(rows, *point) == p.eval(point)
-    assert value_at_xy(rows, Fraction(1, 2), Fraction(-2, 3)) == Fraction(3, 4) * Fraction(-2, 3) + Fraction(
-        16, 27
-    ) + Fraction(5, 2) - 7
-    assert value_at_xy(Poly.zero(2).in_y(), Fraction(1, 3), 2) == 0
-    assert value_at_xy(Poly.constant(4, 2).in_y(), Fraction(1, 3), 2) == 4
+        d, e = (Fraction(v).denominator for v in point)
+        for top in (3, 5):
+            assert scaled_at_xy(rows, *point, top) == p.eval(point) * (d * e) ** top
+    # 6^3 (3/4 (-2/3) + 16/27 + 5/2 - 7) = 216 (-119/27)
+    assert scaled_at_xy(rows, Fraction(1, 2), Fraction(-2, 3), 3) == -952
+    assert scaled_at_xy(Poly.zero(2).in_y(), Fraction(1, 3), 2, 0) == 0
+    assert scaled_at_xy(Poly.constant(4, 2).in_y(), Fraction(1, 3), 2, 1) == 12
 
 
 _line_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)

@@ -45,7 +45,7 @@ import numpy as np
 from .catalog import ATTRACTOR, SADDLE, FamilyDescriptor
 from .equilibria import EquilibriumList, find_equilibria, nearest
 from .flowgen import BOUNDARY_EXIT_TOL, ProjectedField, keep_rows, lyapunov_planar, projected_field, row_max_abs
-from .polyalg import restrict_to_line, taylor_shift
+from .polyalg import restrict_to_line, sub, taylor_shift
 
 STALL_TOL = 1e-9
 # shortest step whose displacement alone can tell a stall (see _integrate_batch)
@@ -753,21 +753,26 @@ def edge_invariance_check(family: FamilyDescriptor) -> EdgeInvarianceReport:
     three mid-segment identities (v on y=1/2, u on x=1/2, normal
     component on x+y=1/2) hold for the families with all-equal or
     paired summand dimensions and are only asserted there.  Each is
-    the restriction of u, v or u+v to its line vanishing identically.
+    the restriction of u, v or u+v to its line vanishing identically;
+    restriction is linear, so u+v vanishes where u restricts to -v.
     """
     field = field_for(family)
-    u, v, upv = (p.in_y() for p in (field.u, field.v, field.u + field.v))
+    u, v = field.u.in_y(), field.v.in_y()
     half = Fraction(1, 2)
+
+    def sum_vanishes(point, direction):
+        return restrict_to_line(u, point, direction) == sub([], restrict_to_line(v, point, direction))
+
     identities = [
         ("x_divides_u", not restrict_to_line(u, (0, 0), (0, 1))),
         ("y_divides_v", not restrict_to_line(v, (0, 0), (1, 0))),
-        ("u_plus_v_on_hypotenuse", not restrict_to_line(upv, (1, 0), (-1, 1))),
+        ("u_plus_v_on_hypotenuse", sum_vanishes((1, 0), (-1, 1))),
     ]
     if family.is_type_two:
         identities += [
             ("v_on_segment_KL", not restrict_to_line(v, (0, half), (1, 0))),
             ("u_on_segment_LM", not restrict_to_line(u, (half, 0), (0, 1))),
-            ("normal_on_segment_MK", not restrict_to_line(upv, (half, 0), (-1, 1))),
+            ("normal_on_segment_MK", sum_vanishes((half, 0), (-1, 1))),
         ]
     return EdgeInvarianceReport(family=family, identities=identities)
 

@@ -207,7 +207,8 @@ def cleared_field(family: FamilyDescriptor) -> Tuple[Poly, Poly, Poly]:
     The clearing factor f is k times the monomial that lifts the least
     exponent of each variable over all terms of x r_x, y r_y and z r_z
     to zero, so F, G and H are polynomials and no monomial divides all
-    three.
+    three.  Every coefficient 2 k c is an integer; ArithmeticError
+    otherwise.
     """
     k, table = ricci_terms(family)
     # x_i r_i: the i-th exponent of each term of r_i raised by one
@@ -220,8 +221,11 @@ def cleared_field(family: FamilyDescriptor) -> Tuple[Poly, Poly, Poly]:
     for r in lifted:
         terms: dict = {}
         for c, exps in r:
+            n = 2 * k * c
+            if n.denominator != 1:
+                raise ArithmeticError(f"cleared coefficient {n} of {family.id} is not an integer")
             key = tuple(a - lo for a, lo in zip(exps, low))
-            terms[key] = terms.get(key, 0) - 2 * k * c
+            terms[key] = terms.get(key, 0) - n.numerator
         out.append(Poly(terms, 3))
     return tuple(out)
 
@@ -350,7 +354,7 @@ def projected_field(family: FamilyDescriptor) -> ProjectedField:
     (A, B) = (F, G) - (F + G + H) (x, y) and z = 1 - x - y, on the
     integer terms of the cleared field.
     """
-    cleared = [{e: c.numerator for e, c in p.terms.items()} for p in cleared_field(family)]
+    cleared = [p.terms for p in cleared_field(family)]
     uv = []
     for i in (0, 1):
         terms = dict(cleared[i])

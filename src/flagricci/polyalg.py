@@ -1,6 +1,6 @@
-"""Exact rational arithmetic for sparse multivariate polynomials.
+"""Exact integer arithmetic for sparse polynomials and their real roots.
 
-Polynomials live in up to three variables (x, y, z) with Fraction
+Polynomials live in up to three variables (x, y, z) with integer
 coefficients.  Everything downstream that claims bit-exactness (field
 derivation, printed-polynomial comparison, symbolic Jacobians) is built
 on this module; floats only enter once a Poly is evaluated at a float
@@ -21,26 +21,15 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Mapping, Sequence, Union
-
-Scalar = Union[int, Fraction]
+from typing import Mapping, Sequence, Union
 
 _VAR_NAMES = ("x", "y", "z")
 
 
-def _as_fraction(c: Scalar) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"expected an exact scalar, got {type(c).__name__}")
-
-
 class Poly:
-    """Sparse polynomial: map from exponent tuples to nonzero Fractions.
+    """Sparse polynomial: map from exponent tuples to nonzero ints.
 
     Canonical form is maintained on construction: zero coefficients are
     dropped and terms are stored in ascending exponent-tuple order.  So
@@ -52,17 +41,18 @@ class Poly:
 
     __slots__ = ("terms", "arity")
 
-    def __init__(self, terms: Mapping[tuple, Scalar], arity: int):
+    def __init__(self, terms: Mapping[tuple, int], arity: int):
         if arity not in (2, 3):
             raise ValueError(f"arity must be 2 or 3, got {arity}")
         clean = {}
-        for exps, coeff in terms.items():
+        for exps, c in terms.items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != arity:
                 raise ValueError(f"exponent tuple {exps} does not match arity {arity}")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            c = _as_fraction(coeff)
+            if not isinstance(c, int):
+                raise TypeError(f"expected an int coefficient, got {type(c).__name__}")
             if c:
                 clean[exps] = clean[exps] + c if exps in clean else c
         object.__setattr__(self, "terms", {e: clean[e] for e in sorted(clean) if clean[e] != 0})
@@ -71,96 +61,13 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
-    # ------------------------------------------------------------------
-    # constructors
-
-    @classmethod
-    def zero(cls, arity: int) -> "Poly":
-        return cls({}, arity)
-
-    @classmethod
-    def constant(cls, c: Scalar, arity: int) -> "Poly":
-        return cls({(0,) * arity: c}, arity)
-
-    @classmethod
-    def variable(cls, name: str, arity: int) -> "Poly":
-        names = _VAR_NAMES[:arity]
-        if name not in names:
-            raise ValueError(f"unknown variable {name!r} for arity {arity}")
-        exps = tuple(1 if v == name else 0 for v in names)
-        return cls({exps: 1}, arity)
-
-    # ------------------------------------------------------------------
-    # ring operations
-
-    def _coerce(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly.constant(other, self.arity)
-        if isinstance(other, Poly) and other.arity != self.arity:
-            raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
-        return other if isinstance(other, Poly) else NotImplemented
-
-    def __add__(self, other) -> "Poly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + c
-        return Poly(terms, self.arity)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return Poly({e: -c for e, c in self.terms.items()}, self.arity)
-
-    def __sub__(self, other) -> "Poly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Poly":
-        return (-self) + other
-
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly({e: k * other for e, k in self.terms.items()}, self.arity)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Poly(terms, self.arity)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        return functools.reduce(Poly.__mul__, [self] * n, Poly.constant(1, self.arity))
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other, self.arity)
         if not isinstance(other, Poly):
             return NotImplemented
         return self.arity == other.arity and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
-
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def __repr__(self) -> str:
-        return f"Poly({self.to_text()!r}, arity={self.arity})"
-
-    # ------------------------------------------------------------------
-    # calculus and evaluation
 
     def degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
@@ -197,27 +104,18 @@ class Poly:
             total = total + term
         return total
 
-    def substitute_z(self) -> "Poly":
-        """Replace z by (1 - x - y), dropping to arity 2 (see expand_z)."""
-        if self.arity != 3:
-            raise ValueError("substitute_z requires an arity-3 polynomial")
-        return Poly(expand_z(self.terms), 2)
-
     def in_y(self) -> list:
         """Coefficients in y, lowest power first, each an integer list in x."""
-        if self.arity != 2 or any(c.denominator != 1 for c in self.terms.values()):
-            raise ValueError("in_y requires an arity-2 polynomial with integer coefficients")
+        if self.arity != 2:
+            raise ValueError("in_y requires an arity-2 polynomial")
         n = self.degree() + 1
         out = [[0] * n for _ in range(n)]
         for (i, j), c in self.terms.items():
-            out[j][i] = c.numerator
+            out[j][i] = c
         return _trim(_trim(c) for c in out)
 
-    # ------------------------------------------------------------------
-    # textual form
-
     def to_text(self) -> str:
-        """Render as a monomial sum, e.g. ``-32*x^3*y + 6*x^3 - x + 1/3``,
+        """Render as a monomial sum, e.g. ``-32*x^3*y + 6*x^3 - x + 3``,
         in descending graded lexicographic order."""
         pieces = []
         for exps, coeff in sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True):
@@ -227,38 +125,8 @@ class Poly:
         text = " ".join(pieces)
         return (text[2:] if text[0] == "+" else "-" + text[2:]) if text else "0"
 
-    @classmethod
-    def parse(cls, text: str, arity: int) -> "Poly":
-        """Inverse of to_text for the serialization emitted above."""
-        names = _VAR_NAMES[:arity]
-        stripped = text.replace(" ", "")
-        if stripped in ("", "0"):
-            return cls.zero(arity)
-        terms: dict = {}
-        # a sign after anything but a sign or an operator starts a term
-        for chunk in re.split(r"(?<=[^-+*/^])(?=[-+])", stripped):
-            body = chunk.lstrip("+-")
-            coeff, exps = Fraction((-1) ** chunk[: len(chunk) - len(body)].count("-")), [0] * arity
-            for factor in body.split("*"):
-                if not factor:
-                    raise ValueError(f"cannot parse term in {text!r}")
-                if factor[0].isdigit():
-                    coeff *= Fraction(factor)
-                    continue
-                name, _, power = factor.partition("^")
-                if name not in names:
-                    raise ValueError(f"unknown variable {name!r} in {text!r}")
-                exps[names.index(name)] += int(power) if "^" in factor else 1
-            terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + coeff
-        return cls(terms, arity)
 
-
-def variables(arity: int) -> Iterable[Poly]:
-    """Convenience tuple of variable polynomials, (x, y) or (x, y, z)."""
-    return tuple(Poly.variable(name, arity) for name in _VAR_NAMES[:arity])
-
-
-def expand_z(terms: Mapping[tuple, Scalar]) -> dict:
+def expand_z(terms: Mapping[tuple, int]) -> dict:
     """The terms in (x, y) of terms in (x, y, z) under z = 1 - x - y: each
     c x^a y^b z^e expands by the trinomial coefficients of (1 - x - y)^e,
     (-1)^(i + j) e! / (i! j! (e - i - j)!) on x^i y^j; ints stay ints."""
@@ -350,18 +218,18 @@ def taylor_shift(poly: Poly, center) -> dict:
     """The Fraction coefficients of poly(center + w) for an arity-2 poly
     and a rational center, keyed by the exponents of w: every pair at or
     below one of poly's, zero or not.  The binomial expansion runs in
-    integers over one common denominator, divided out once per key."""
+    integers scaled by (d e)^top for the denominators d and e of the
+    center, divided out once per key."""
     (a, d), (b, e) = ((Fraction(c).numerator, Fraction(c).denominator) for c in center)
-    den = math.lcm(*(c.denominator for c in poly.terms.values()))
     top = max(poly.degree(), 0)
     out: dict = {}
     for (i, j), c in poly.terms.items():
-        n = c.numerator * (den // c.denominator) * d ** (top - i) * e ** (top - j)
+        n = c * d ** (top - i) * e ** (top - j)
         for s in range(i + 1):
             ns = n * math.comb(i, s) * a ** (i - s) * d**s
             for t in range(j + 1):
                 out[s, t] = out.get((s, t), 0) + ns * math.comb(j, t) * b ** (j - t) * e**t
-    return {k: Fraction(v, den * (d * e) ** top) for k, v in out.items()}
+    return {k: Fraction(v, (d * e) ** top) for k, v in out.items()}
 
 
 def restrict_to_line(rows: list, point, direction) -> list:
@@ -553,11 +421,11 @@ def real_roots(p: list) -> list:
 
     This answer is canonical, so any exact route to it gives the same
     value.  A linear p's root is -p_0 / p_1.  Otherwise Sturm's sequence
-    counts the roots in each half of a bisection until each root is
-    isolated, then one bracketed Newton loop (_refine) narrows it to its
-    cell.  A rational root has a denominator dividing L, so it is the
-    fraction of denominator at most L nearest the midpoint of its cell,
-    narrower than 1 / L^2.
+    counts the roots in each half of a bisection, evaluated once at each
+    new midpoint, until each root is isolated, then one bracketed Newton
+    loop (_refine) narrows it to its cell.  A rational root has a
+    denominator dividing L, so it is the fraction of denominator at most
+    L nearest the midpoint of its cell, narrower than 1 / L^2.
     """
     if len(p) == 2:
         root = Fraction(-p[0], p[1])
@@ -565,10 +433,11 @@ def real_roots(p: list) -> list:
     sturm = _remainders(p, [i * a for i, a in enumerate(p)][1:])
     bits = max(64, 2 * p[-1].bit_length())
     found = [Fraction(0)] if not p[0] else []
-    stack = [(0, 0)]  # (c, k): the interval (c / 2^k, (c + 1) / 2^k]
+    # (c, k, the sign changes at both ends): the interval (c / 2^k, (c + 1) / 2^k]
+    stack = [(0, 0, _variations(sturm, 0, 0), _variations(sturm, 1, 0))]
     while stack:
-        c, k = stack.pop()
-        count = _variations(sturm, c, k) - _variations(sturm, c + 1, k)
+        c, k, at_lo, at_up = stack.pop()
+        count = at_lo - at_up
         if count == 1 and not _dyadic(p, c + 1, k):
             found.append(Fraction(c + 1, 1 << k))
         elif count == 1 and (left := _dyadic(p, c, k)):
@@ -582,7 +451,8 @@ def real_roots(p: list) -> list:
             found.append(root)
         elif count:
             # more roots, or a root at the left end hides the sign change
-            stack += [(2 * c, k + 1), (2 * c + 1, k + 1)]
+            mid = _variations(sturm, 2 * c + 1, k + 1)
+            stack += [(2 * c, k + 1, at_lo, mid), (2 * c + 1, k + 1, mid, at_up)]
     return sorted(found, key=lambda r: r if isinstance(r, Fraction) else r[0])
 
 

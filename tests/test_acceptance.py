@@ -30,15 +30,15 @@ from flagricci.catalog import (
 )
 from flagricci.dynamics import field_for
 from flagricci.equilibria import verify_catalog
-from flagricci.polyalg import Poly
+from polyoracle import QPoly
 
-X = Poly.variable("x", 2)
-Y = Poly.variable("y", 2)
-ONE = Poly.constant(1, 2)
+X = QPoly.variable("x", 2)
+Y = QPoly.variable("y", 2)
+ONE = QPoly.constant(1, 2)
 
 
 def C(c):
-    return Poly.constant(c, 2)
+    return QPoly.constant(c, 2)
 
 
 def table_families():

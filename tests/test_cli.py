@@ -11,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from flagricci import render
 from flagricci.cli import COMMANDS, build_parser, main
-from flagricci.polyalg import Poly
 from flagricci import basin_map, family_from_id, list_families, projected_field
+from polyoracle import QPoly, as_poly
 
 
 def run(capsys, *argv):
@@ -70,9 +70,9 @@ def test_field_su211_text_and_json(capsys):
     assert doc["schema"] == 1
     assert doc["degree"] == 4
     field = projected_field(family_from_id("su", (2, 1, 1)))
-    assert Poly.parse(doc["u"], 2) == field.u
-    assert Poly.parse(doc["v"], 2) == field.v
-    assert Poly.parse(lines[0][4:], 2) == field.u
+    assert as_poly(QPoly.parse(doc["u"], 2)) == field.u
+    assert as_poly(QPoly.parse(doc["v"], 2)) == field.v
+    assert as_poly(QPoly.parse(lines[0][4:], 2)) == field.u
 
 
 def test_field_type_one_degree(capsys):

@@ -3,12 +3,14 @@
 sympy and scipy may serve as scratch oracles, never as dependencies of
 src: this test reads every module's imports with ast, so none slips in.
 No module imports another's private (underscore-prefixed) names either,
-every upper-case module-level constant is read somewhere in src, and the
-package exports exactly the names its __init__ imports.
+every upper-case module-level constant is read somewhere in src, the
+package exports exactly the names its __init__ imports, and every public
+function, class and method is referred to in src, demos or tools.
 """
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -133,3 +135,67 @@ def test_public_name_scan_sees_every_form():
         "__all__ = ['B', 'd', 'e']\ndef f():\n    from .g import h\n"
     )
     assert _public_names(tree) == ({"B", "d"}, {"B", "d", "e"})
+
+
+ROOT = SRC.parent.parent
+CALLERS = [SRC, ROOT / "demos", ROOT / "tools"]
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node) of each public top-level function and class
+    and each public method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            for item in node.body if isinstance(node, ast.ClassDef) else []:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _references(tree: ast.AST) -> Counter:
+    """Names the tree refers to: loaded names and attributes, imported
+    names, and identifier strings such as __all__ entries."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs[node.name.split(".")[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            refs[node.value] += 1
+    return refs
+
+
+def _unreferenced(defining: dict, callers: list) -> list:
+    """Qualified names of the public definitions in the defining modules
+    (name to tree) that no caller tree refers to outside the definition."""
+    refs = sum(map(_references, callers), Counter())
+    return sorted(f"{module}.{qual}" for module, tree in defining.items() for qual, node in _public_definitions(tree)
+                  if refs[node.name] <= _references(node)[node.name])
+
+
+def test_every_public_definition_is_referenced_outside_tests():
+    """Each public function, class and method of the package is referred
+    to in src, demos or tools; a reference from tests alone does not count."""
+    defining = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    callers = [ast.parse(p.read_text(), filename=str(p)) for d in CALLERS for p in sorted(d.glob("*.py"))]
+    assert len(callers) >= 15
+    assert _unreferenced(defining, callers) == []
+
+
+def test_caller_scan_sees_every_form():
+    mod = ast.parse(
+        "import os.path as osp\n__all__ = ['listed']\n"
+        "def listed(): pass\ndef called(): pass\ndef loaded(): pass\ndef imported(): pass\ndef attr(): pass\n"
+        "def recursive(n):\n    return recursive(n - 1)\ndef stored(): pass\ndef _private(): pass\n"
+        "class Used:\n    def method(self): pass\n    def unused(self): pass\n    def _hidden(self): pass\n"
+        "class Unused: pass\n"
+    )
+    user = ast.parse(
+        "from m import imported\ncalled()\nx = [loaded]\nobj.attr\nUsed().method()\nstored = 1\nobj.stored = 2\n"
+    )
+    assert _unreferenced({"m": mod}, [mod, user]) == [
+        "m.Unused", "m.Used.unused", "m.recursive", "m.stored",
+    ]

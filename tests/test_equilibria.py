@@ -28,7 +28,8 @@ from flagricci.equilibria import (
     verify_catalog,
 )
 from flagricci.flowgen import projected_field
-from flagricci.polyalg import Poly, scaled_at_xy, taylor_shift, variables
+from flagricci.polyalg import Poly, scaled_at_xy, taylor_shift
+from polyoracle import QPoly, as_poly, variables
 
 TABLE_FAMILIES = [su_family(2, 1, 1), su_family(1, 1, 1), so_family(6), family_from_id("e6so8u1u1")]
 TABLE_FAMILIES += [family_from_id(fid) for fid in TYPE1_IDS]
@@ -179,26 +180,26 @@ def test_find_equilibria_rejects_fields_without_isolated_zeros():
     field = projected_field(su_family(1, 1, 1))
     x, y = variables(2)
     with pytest.raises(ArithmeticError, match="share a factor"):
-        find_equilibria(dataclasses.replace(field, v=field.u * (x + y + 1)))
+        find_equilibria(dataclasses.replace(field, v=as_poly(field.u * (x + y + 1))))
     with pytest.raises(ArithmeticError, match="line x = 1/2"):
-        find_equilibria(dataclasses.replace(field, u=field.u * (2 * x - 1), v=field.v * (2 * x - 1)))
+        find_equilibria(dataclasses.replace(field, u=as_poly(field.u * (2 * x - 1)), v=as_poly(field.v * (2 * x - 1))))
     # zeros (1/sqrt(2), 1/2) and (1/sqrt(2), -1/2)
     with pytest.raises(ArithmeticError, match="not linear"):
-        find_equilibria(dataclasses.replace(field, u=(2 * x * x - 1) * (y + 1), v=4 * y * y - 1))
+        find_equilibria(dataclasses.replace(field, u=as_poly((2 * x * x - 1) * (y + 1)), v=as_poly(4 * y * y - 1)))
     # u of degree 0 in y vanishes on x = 1/sqrt(2), where v is quadratic in y
     with pytest.raises(ArithmeticError, match="not linear"):
-        find_equilibria(dataclasses.replace(field, u=2 * x * x - 1, v=4 * y * y + x - 1))
+        find_equilibria(dataclasses.replace(field, u=as_poly(2 * x * x - 1), v=as_poly(4 * y * y + x - 1)))
 
 
 def test_find_equilibria_with_a_constant_or_zero_component():
     """A nonzero constant u or v has no zeros, so no equilibria; a zero u
     or v vanishes wherever the other does and is rejected."""
     field = projected_field(type1_family("g2u2"))
-    one, three = Poly.constant(1, 2), Poly.constant(3, 2)
-    for u, v in [(one, Poly.zero(2)), (one, three), (field.u, three), (Poly.zero(2), -three)]:
+    one, three, zero = Poly({(0, 0): 1}, 2), Poly({(0, 0): 3}, 2), Poly({}, 2)
+    for u, v in [(one, zero), (one, three), (field.u, three), (zero, Poly({(0, 0): -3}, 2))]:
         found = find_equilibria(dataclasses.replace(field, u=u, v=v))
         assert (list(found), found.seeds_tried, found.seeds_converged) == ([], 0, 0)
-    for u, v in [(Poly.zero(2), field.v), (field.u, Poly.zero(2)), (Poly.zero(2), Poly.zero(2))]:
+    for u, v in [(zero, field.v), (field.u, zero), (zero, zero)]:
         with pytest.raises(ArithmeticError, match="u or v is zero"):
             find_equilibria(dataclasses.replace(field, u=u, v=v))
 
@@ -225,17 +226,17 @@ def test_find_equilibria_when_u_and_v_have_degree_one_in_y():
     gcd is u or v itself, and rational zeros never need it."""
     field = projected_field(type1_family("g2u2"))
     x, y = variables(2)
-    found = find_equilibria(dataclasses.replace(field, u=x * (x - y), v=y * (2 * x - 1)))
+    found = find_equilibria(dataclasses.replace(field, u=as_poly(x * (x - y)), v=as_poly(y * (2 * x - 1))))
     assert [(eq.exact, eq.stability) for eq in found] == [
         ((0, 0), "nonhyperbolic"), ((Fraction(1, 2), Fraction(1, 2)), "repeller")
     ]
     # y = x / 2 and 4x^2 + 2x - 1 = 0: x = (sqrt 5 - 1) / 4, where det J = -4 - 16x < 0
-    (eq,) = find_equilibria(dataclasses.replace(field, u=2 * y - x, v=4 * y + 4 * x * x - 1))
+    (eq,) = find_equilibria(dataclasses.replace(field, u=as_poly(2 * y - x), v=as_poly(4 * y + 4 * x * x - 1)))
     root = (math.sqrt(5) - 1) / 4
     assert eq.exact is None and eq.stability == "saddle"
     assert eq.position == pytest.approx((root, root / 2), abs=1e-12) and eq.residual < 1e-15
     # v of degree 0 in y: the zeros over x = 1/sqrt 2 are those of u there
-    (eq,) = find_equilibria(dataclasses.replace(field, u=4 * y - 1 + x, v=2 * x * x - 1))
+    (eq,) = find_equilibria(dataclasses.replace(field, u=as_poly(4 * y - 1 + x), v=as_poly(2 * x * x - 1)))
     assert eq.position == pytest.approx((math.sqrt(0.5), (1 - math.sqrt(0.5)) / 4), abs=1e-12)
 
 
@@ -276,13 +277,14 @@ def test_corner_class_declines_off_degenerate_corners():
     assert su_classes[0, 0] == "repeller" and corner_class(su, (0, 0)) is None
     x, y = variables(2)
     # R_2 = x^2 (x - 2y) vanishes at x = 2y, inside the wedge at O
-    assert corner_class(dataclasses.replace(g2, u=x * x - 2 * x * y, v=Poly.zero(2)), (0, 0)) is None
+    assert corner_class(dataclasses.replace(g2, u=as_poly(x * x - 2 * x * y), v=Poly({}, 2)), (0, 0)) is None
     # R_2 = 0 for the rotation part; R_3 = x^4 + y^4 decides
-    spin = dataclasses.replace(g2, u=-y * (x + y) + x**3, v=x * (x + y) + y**3)
+    spin_u, spin_v = -y * (x + y) + x**3, x * (x + y) + y**3
+    spin = dataclasses.replace(g2, u=as_poly(spin_u), v=as_poly(spin_v))
     assert corner_class(spin, (0, 0)) == "repeller"
-    assert corner_class(dataclasses.replace(spin, u=-spin.u, v=-spin.v), (0, 0)) == "attractor"
+    assert corner_class(dataclasses.replace(spin, u=as_poly(-spin_u), v=as_poly(-spin_v)), (0, 0)) == "attractor"
     # a corner at which the field does not vanish
-    assert corner_class(dataclasses.replace(g2, u=g2.u + 1), (0, 0)) is None
+    assert corner_class(dataclasses.replace(g2, u=as_poly(QPoly(g2.u.terms, 2) + 1)), (0, 0)) is None
 
 
 @pytest.mark.parametrize("fam", [su_family(2, 1, 1), so_family(6), type1_family("g2u2"),

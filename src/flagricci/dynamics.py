@@ -508,38 +508,47 @@ def _integrate_batch(
 
         accept = errnorm <= 1.0
         # a rejected step keeps its point and its first stage
-        rejected = np.flatnonzero(~accept)
-        y5[rejected] = p[rejected]
-        k7[rejected] = k1[rejected]
+        if not accept.all():
+            rejected = (~accept).nonzero()[0]
+            y5[rejected] = p[rejected]
+            k7[rejected] = k1[rejected]
         disp = row_max_abs(y5 - p)
         p, k1 = y5, k7
-        tp[accept] += h[accept]
+        np.add(tp, h, out=tp, where=accept)
         sp += accept
         if record:
-            moved = np.flatnonzero(accept)
-            for g, tg, (x, y) in zip(ids[moved].tolist(), tp[moved].tolist(), p.take(moved, axis=0).tolist()):
+            moved = accept.nonzero()[0]
+            for g, tg, (x, y) in zip(ids.take(moved).tolist(), tp.take(moved).tolist(), p.take(moved, axis=0).tolist()):
                 samples[g].append((tg, x, y))
         # a step shortened by the controller or by the max_time cap must
         # not read as a stall: a short step counts only where the field is
         # so slow that a step of STALL_STEP would have stalled as well
-        short = (h < STALL_STEP) & (row_max_abs(k1) * STALL_STEP >= STALL_TOL)
-        stalled = accept & (disp < STALL_TOL) & ~short
-        code = np.full(ids.size, RUNNING, dtype=np.int8)
-        code[stalled] = STALLED
-        if traps:
-            code[_trap_of(traps, p) >= 0] = TRAPPED
+        stalled = accept & (disp < STALL_TOL)
+        if stalled.any():
+            stalled &= ~((h < STALL_STEP) & (row_max_abs(k1) * STALL_STEP >= STALL_TOL))
 
-        # step-size update, guarding the zero-error case
-        factor = np.clip(0.9 * np.maximum(errnorm, 1e-300) ** -0.2, 0.2, 5.0)
+        # step-size update, guarding the zero-error case; the two-sided
+        # bound is np.clip's arithmetic without its call overhead
+        factor = np.minimum(np.maximum(0.9 * np.maximum(errnorm, 1e-300) ** -0.2, 0.2), 5.0)
         rem = max_time - tp
-        code[(code == RUNNING) & (rem <= 1e-12)] = MAX_TIME
         h = np.minimum(np.minimum(h * factor, H_MAX), rem)
-        code[(code == RUNNING) & (h < H_MIN)] = UNDERFLOW
+        out_of_time = rem <= 1e-12
+        underflow = h < H_MIN
         # out of accepted steps, or of trial steps: 4 * budget <= done
-        code[(code == RUNNING) & (np.maximum(sp, done // 4) >= budget.take(ids))] = MAX_STEPS
+        out_of_steps = np.maximum(sp, done // 4) >= budget.take(ids)
 
-        stop = code != RUNNING
+        stop = stalled | out_of_time | underflow | out_of_steps
+        if traps:
+            trapped = _trap_of(traps, p) >= 0
+            stop |= trapped
         if stop.any():
+            # one reason per stopped row; a later assignment wins, so
+            # TRAPPED > STALLED > MAX_TIME > UNDERFLOW > MAX_STEPS
+            code = np.full(ids.size, MAX_STEPS, dtype=np.int8)
+            for reason, rows in ((UNDERFLOW, underflow), (MAX_TIME, out_of_time), (STALLED, stalled)):
+                code[rows] = reason
+            if traps:
+                code[trapped] = TRAPPED
             g = ids[stop]
             pos[g] = np.compress(stop, p, axis=0)
             t[g], steps[g], status[g] = tp[stop], sp[stop], code[stop]

@@ -18,10 +18,11 @@ For numerics, (u, v) and the four Jacobian entries compile into two
 groups, each the union of its monomials plus one float coefficient
 matrix.  A group is evaluated over fixed blocks of points: the powers
 0..deg of x and y come from one shared table built by repeated
-multiplication, the monomials from one gather-multiply, and the values
-from one matrix product.  A block of one point is evaluated as two, so
-every row goes through the same matrix product and its value does not
-depend on the batch it is evaluated in.
+multiplication, both factors of every monomial from one gather of its
+rows and the monomials from one in-place multiply, and the values from
+one matrix product.  A block of one point is evaluated as two, so every
+row goes through the same matrix product and its value does not depend
+on the batch it is evaluated in.
 """
 
 from __future__ import annotations
@@ -241,20 +242,22 @@ _BLOCK = 2048
 def _compile(polys: Sequence[Poly]) -> tuple:
     """Union of the monomials of polys and their coefficient matrix.
 
-    Returns (exps, coeffs, deg): exps[k] is the (i, j) exponent pair of
-    the k-th monomial x^i y^j, coeffs[k, n] its coefficient in polys[n]
-    and deg the highest power of x or y the power table needs (at least 1).
-    Zero polys have no monomials, and their group evaluates to zeros.
+    Returns (gather, coeffs, deg).  The power table of a block holds x^i
+    at row 2i and y^j at row 2j + 1; gather[0, k] and gather[1, k] are the
+    rows of x^i and y^j for the k-th monomial x^i y^j.  coeffs[k, n] is its
+    coefficient in polys[n] and deg the highest power of x or y the table
+    needs (at least 1).  Zero polys have no monomials, and their group
+    evaluates to zeros.
     """
     monos = sorted(set().union(*(p.terms for p in polys)))
     exps = np.array(monos, dtype=np.intp).reshape(-1, 2)
     coeffs = np.array([[float(p.terms.get(m, 0)) for p in polys] for m in monos]).reshape(-1, len(polys))
-    return exps, coeffs, max(1, int(exps.max(initial=0)))
+    return 2 * exps.T + [[0], [1]], coeffs, max(1, int(exps.max(initial=0)))
 
 
 def _eval_group(compiled: tuple, points) -> np.ndarray:
     """Values of the compiled polynomials at points (..., 2), shape (..., n_polys)."""
-    exps, coeffs, deg = compiled
+    gather, coeffs, deg = compiled
     pts = np.asarray(points, dtype=float)
     flat = pts.reshape(-1, 2)
     out = np.empty((flat.shape[0], coeffs.shape[1]))
@@ -263,14 +266,17 @@ def _eval_group(compiled: tuple, points) -> np.ndarray:
         # numpy hands a one-row product to gemv, which rounds apart from
         # the gemm that evaluates the same row among others; a lone row
         # goes in twice, so no row's value depends on its batch
-        block = (rows if len(rows) > 1 else np.repeat(rows, 2, axis=0)).T
+        block = (rows if len(rows) > 1 else rows.repeat(2, axis=0)).T
         powers = np.empty((deg + 1,) + block.shape)
         powers[0] = 1.0
         powers[1] = block
+        # the contiguous copy of the points multiplies faster than their
+        # strided transpose and holds the same values
         for k in range(2, deg + 1):
-            np.multiply(powers[k - 1], block, out=powers[k])
-        monos = powers[exps[:, 0], 0]
-        monos *= powers[exps[:, 1], 1]
+            np.multiply(powers[k - 1], powers[1], out=powers[k])
+        # both factors of every monomial in one gather, then x^i *= y^j
+        factors = powers.reshape(-1, block.shape[1]).take(gather, axis=0)
+        monos = np.multiply(factors[0], factors[1], out=factors[0])
         if len(rows) > 1:
             np.matmul(monos.T, coeffs, out=out[start : start + _BLOCK])
         else:

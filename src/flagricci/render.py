@@ -147,7 +147,11 @@ def _marker(x: float, y: float, stability: str, label: str) -> str:
 def _polyline(points, stroke: str, width: float, dashed: bool = False) -> str:
     if len(points) < 2:
         return ""
-    pts = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in (_xy(x, y) for x, y in points))
+    # _xy's multiply and add over all points at once, then one format
+    # call: "%.2f" rounds as _fmt does
+    xy = np.asarray(points, dtype=float)
+    view = np.column_stack(_xy(xy[:, 0], xy[:, 1]))
+    pts = " ".join(["%.2f,%.2f"] * len(view)) % tuple(view.ravel().tolist())
     dash = ' stroke-dasharray="6,4"' if dashed else ""
     return (
         f'<polyline points="{pts}" fill="none" stroke="{stroke}" '

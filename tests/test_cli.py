@@ -314,6 +314,35 @@ def test_portrait_writes_svg(tmp_path, capsys):
     assert out2.read_text() == svg
 
 
+def _polyline_per_point(points, stroke, width, dashed=False):
+    """A polyline as formatted one point at a time through _xy and _fmt."""
+    if len(points) < 2:
+        return ""
+    pts = " ".join(f"{render._fmt(a)},{render._fmt(b)}" for a, b in (render._xy(x, y) for x, y in points))
+    dash = ' stroke-dasharray="6,4"' if dashed else ""
+    return f'<polyline points="{pts}" fill="none" stroke="{stroke}" stroke-width="{width}"{dash}/>'
+
+
+# simplex coordinates, the slack outside its edges, the dyadic x = j/128,
+# which _xy maps onto k + 0.125, 0.375, 0.625 or 0.875 (exact .xx5 ties),
+# and x = (j + 0.5)/72000, which it maps to within rounding of a .xx5 tie
+_coordinate = st.one_of(
+    st.floats(min_value=-1e-9, max_value=1.0),
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1e-310]),
+    st.integers(0, 128).map(lambda j: j / 128),
+    st.integers(0, 71999).map(lambda j: (j + 0.5) / 72000),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(points=st.lists(st.tuples(_coordinate, _coordinate).filter(lambda p: p[0] + p[1] <= 1.0), max_size=30),
+       dashed=st.booleans())
+@example(points=[(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], dashed=False)
+@example(points=[(5e-324, 1e-310), (1 / 128, 1 / 128), (3 / 128, 5 / 128), (0.5, 0.5)], dashed=True)
+def test_polyline_formats_as_point_by_point(points, dashed):
+    assert render._polyline(points, "#123456", 1.8, dashed) == _polyline_per_point(points, "#123456", 1.8, dashed)
+
+
 def test_portrait_requires_out(capsys):
     code, _, err = run(capsys, "portrait", "--family", "g2u2")
     assert code == 2

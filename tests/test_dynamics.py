@@ -187,6 +187,18 @@ def test_trial_step_guard_is_per_row(monkeypatch):
     assert rows == [2] * 8 + [1] * 4
 
 
+def test_stop_reason_precedence_names_max_time_first():
+    """One accepted step of length max_time uses up the time, leaves no
+    step above H_MIN and spends the one-step budget: the row ends
+    MAX_TIME, which outranks UNDERFLOW and MAX_STEPS."""
+    from flagricci import dynamics
+
+    field = projected_field(SU211)
+    _pos, t, status, steps, _ = dynamics._integrate_batch(field, [(0.3, 0.25)], max_time=1e-9, max_steps=1)
+    assert status.tolist() == [dynamics.MAX_TIME] and dynamics.MAX_TIME == 3
+    assert steps.tolist() == [1] and t.tolist() == [1e-9]
+
+
 def test_budget_beyond_int64_runs_like_the_default():
     field = projected_field(SU211)
     assert integrate_orbit(field, (0.3, 0.25), max_steps=10**20) == integrate_orbit(field, (0.3, 0.25))
@@ -888,6 +900,28 @@ def test_start_inside_a_trap_takes_zero_steps(monkeypatch):
     lim, _ = dynamics._limits(G2, pos, status, traps)
     assert lim.tolist() == [trap.index for trap in traps] + [lim[3]]
     assert dynamics._terminal_outcome(G2, pos[0], t[0], status[0]).reason == "trapped"
+
+
+def test_a_row_that_stalls_inside_a_trap_ends_trapped(monkeypatch):
+    """TRAPPED outranks STALLED: a start on the attractor (1/2, 1/2) stalls
+    on its first trial step, and with the start check blind to it that
+    step ends in a trap."""
+    field = dynamics.field_for(G2)
+    traps = dynamics.traps_for(G2)
+    center = [(0.5, 0.5)]
+    assert center[0] in [tuple(float(c) for c in trap.center) for trap in traps]
+    _pos, _t, status, steps, _ = dynamics._integrate_batch(field, center)
+    assert status.tolist() == [dynamics.STALLED] and steps.tolist() == [1]
+    trap_of, checks = dynamics._trap_of, []
+
+    def blind_at_start(traps, p):
+        checks.append(len(p))
+        return np.full(len(p), -1) if len(checks) == 1 else trap_of(traps, p)
+
+    monkeypatch.setattr(dynamics, "_trap_of", blind_at_start)
+    _pos, _t, status, steps, _ = dynamics._integrate_batch(field, center, traps=traps)
+    assert checks == [1, 1]
+    assert status.tolist() == [dynamics.TRAPPED] and steps.tolist() == [1]
 
 
 @pytest.mark.parametrize("family", [SU211, G2], ids=lambda f: f.id)

@@ -630,6 +630,39 @@ def test_kernel_matches_exact_at_every_batch_size(kernel_case, n):
     assert_close(f.jacobian(pts[:n]), jac[:n])
 
 
+def reference_kernel(polys, pts):
+    """The kernel's arithmetic written plainly: the powers of x and of y by
+    repeated multiplication, a gather per exponent column, their product
+    and the same np.matmul per block, a lone row evaluated as two."""
+    monos = sorted(set().union(*(p.terms for p in polys)))
+    exps = np.array(monos, dtype=np.intp).reshape(-1, 2)
+    coeffs = np.array([[float(p.terms.get(m, 0)) for p in polys] for m in monos]).reshape(-1, len(polys))
+    deg = max(1, int(exps.max(initial=0)))
+    out = np.empty((len(pts), len(polys)))
+    for start in range(0, len(pts), _BLOCK):
+        rows = pts[start : start + _BLOCK]
+        block = rows if len(rows) > 1 else np.concatenate([rows, rows])
+        table = []
+        for col in block.T:
+            powers = [np.ones(len(block)), col.copy()]
+            for _ in range(2, deg + 1):
+                powers.append(powers[-1] * col)
+            table.append(np.array(powers))
+        values = np.matmul((table[0][exps[:, 0]] * table[1][exps[:, 1]]).T, coeffs)
+        out[start : start + len(rows)] = values[: len(rows)]
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_kernel_equals_the_plain_reference_bit_for_bit(kernel_case, n):
+    """Every float operation of the kernel is the reference's, so a
+    refactor that moves one last bit anywhere fails here."""
+    f, pts, _rhs, _jac = kernel_case
+    assert np.array_equal(f.rhs(pts[:n]), reference_kernel((f.u, f.v), pts[:n]))
+    jac = reference_kernel((f.du_dx, f.du_dy, f.dv_dx, f.dv_dy), pts[:n])
+    assert np.array_equal(f.jacobian(pts[:n]), jac.reshape(-1, 2, 2))
+
+
 def test_kernel_single_point_and_nested_batch(kernel_case):
     f, pts, rhs, jac = kernel_case
     assert_close(f.rhs(pts[0]), rhs[0])

@@ -2,8 +2,8 @@
 
 Adaptive Dormand-Prince 5(4) integration (scalar and batched), forward
 and backward limits, basins of attraction, separatrix tracing, the
-exact segment-invariance identities, and the Lyapunov monotonicity
-check used to rule out periodic orbits.
+exact segment-invariance identities, and the monotonicity check that
+rules out periodic orbits.
 
 The stepper is first same as last (Dormand & Prince 1980; Hairer,
 Norsett & Wanner, Solving ODEs I, II.5): the last stage of an accepted
@@ -28,8 +28,10 @@ passes traps: its cells stop on entering one instead of crawling the
 exponential tail to a stall, 80-93% of the table families' accepted
 steps.  Orbits, portraits, separatrices and the monotonicity check keep
 the stall rule and their whole paths.  Basin labels name the attractors
-among the limits, matched over all cells at once, and the revisit scan
-of the monotonicity check walks its distance matrix in blocks of rows.
+among the limits, matched over all cells at once.  The flow is
+gradient-like, so every forward orbit tends to a zero (LaSalle 1960):
+the monotonicity check asks the same rule where each sampled orbit ends,
+and a periodic orbit, which never stalls, has no limit.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 
 from .catalog import ATTRACTOR, SADDLE, FamilyDescriptor
 from .equilibria import EquilibriumList, find_equilibria, nearest
-from .flowgen import BOUNDARY_EXIT_TOL, ProjectedField, keep_rows, lyapunov_planar, projected_field, row_max_abs
+from .flowgen import ProjectedField, keep_rows, lyapunov_planar, outside_simplex, projected_field, row_max_abs
 from .polyalg import restrict_to_line, sub, taylor_shift
 
 STALL_TOL = 1e-9
@@ -70,12 +72,8 @@ _BUDGET_CAP = 1 << 62
 # separatrices start this far from their saddle along an eigenvector
 SEPARATRIX_OFFSET = 1e-6
 # the monotonicity check allows the Lyapunov value to rise by at most
-# LYAPUNOV_STEP_TOL per step and counts a return within REVISIT_TOL
+# LYAPUNOV_STEP_TOL per step
 LYAPUNOV_STEP_TOL = 1e-10
-REVISIT_TOL = 1e-8
-# a revisit counts only after the orbit left the revisited point by more
-# than this (Chebyshev distance), so plain convergence is exempt
-REVISIT_EXCURSION = 1e-4
 H_MAX = 50.0
 H_MIN = 1e-14
 
@@ -198,6 +196,7 @@ class EdgeInvarianceReport:
 class MonotonicityReport:
     family: FamilyDescriptor
     n_orbits: int
+    # (orbit, kind, value, start); kind is "lyapunov_increase" or "no_limit (<end reason>)"
     violations: list = dc_field(default_factory=list)
 
     @property
@@ -376,12 +375,6 @@ def _trap_of(traps, p: np.ndarray) -> np.ndarray:
     return held
 
 
-def _outside_simplex(p: np.ndarray) -> np.ndarray:
-    """Rows of the (n, 2) array p outside the closed simplex, slack BOUNDARY_EXIT_TOL."""
-    tol = BOUNDARY_EXIT_TOL
-    return (p[:, 0] < -tol) | (p[:, 1] < -tol) | (p[:, 0] + p[:, 1] > 1.0 + tol)
-
-
 def _dp_step(field: ProjectedField, p, k1, hs, rtol, atol):
     """One trial Dormand-Prince step for a batch of points.
 
@@ -410,7 +403,7 @@ def _dp_step(field: ProjectedField, p, k1, hs, rtol, atol):
         err = hc * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
         scale = atol + rtol * np.maximum(np.abs(p), np.abs(y5))
         errnorm = row_max_abs(err / scale)
-        errnorm[(errnorm <= 1.0) & _outside_simplex(y5)] = np.inf
+        errnorm[(errnorm <= 1.0) & outside_simplex(y5[:, 0], y5[:, 1])] = np.inf
     errnorm = np.where(np.isfinite(errnorm), errnorm, np.inf)
     return y5, errnorm, k7
 
@@ -421,7 +414,7 @@ def _check_integration_input(pos, direction, rtol, atol, max_time, max_steps) ->
     and max_steps are one value or one per start."""
     if not np.isfinite(pos).all():
         raise ValueError("start points must be finite")
-    outside = _outside_simplex(pos)
+    outside = outside_simplex(pos[:, 0], pos[:, 1])
     if outside.any():
         x, y = pos[np.flatnonzero(outside)[0]].tolist()
         raise ValueError(f"start point ({x!r}, {y!r}) lies outside the closed simplex")
@@ -732,7 +725,7 @@ def phase_portrait(family: FamilyDescriptor, starts) -> tuple:
                     eq.position[0] + sgn * SEPARATRIX_OFFSET * vec[0],
                     eq.position[1] + sgn * SEPARATRIX_OFFSET * vec[1],
                 )
-                if _outside_simplex(np.array([start]))[0]:
+                if outside_simplex(*start):
                     continue
                 heads.append((eq.name, manifold, sgn, float(lam)))
                 directions.append("forward" if lam > 0 else "backward")
@@ -797,75 +790,37 @@ def random_interior_points(n: int, rng) -> list:
     return pts
 
 
-# distance-matrix elements per block of rows in the revisit scan
-_REVISIT_BLOCK = 1 << 18
-
-
-def _first_revisit(tv, xy, revisit_tol: float) -> Optional[float]:
-    """Distance of the first revisit along one sampled orbit, or None.
-
-    A periodic orbit returns within revisit_tol of a point it saw at
-    least one time unit earlier AFTER leaving its neighborhood by more
-    than REVISIT_EXCURSION; plain convergence clusters samples without
-    any excursion and is exempt.  Pairs (i, j) are scanned in row-major
-    order over blocks of rows, so memory stays bounded while the
-    reported pair is the same as a full-matrix scan would give.
-    """
-    n = len(tv)
-    rows = max(1, _REVISIT_BLOCK // max(n, 1))
-    cols = np.arange(n)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        dist = np.maximum(
-            np.abs(xy[None, :, 0] - xy[start:stop, None, 0]),
-            np.abs(xy[None, :, 1] - xy[start:stop, None, 1]),
-        )
-        close = (dist < revisit_tol) & (tv[None, :] - tv[start:stop, None] >= 1.0)
-        if not close.any():
-            continue
-        # reach[r, j] is the farthest the orbit got from sample i = start + r
-        # over samples i..j
-        reach = np.maximum.accumulate(
-            np.where(cols[None, :] >= np.arange(start, stop)[:, None], dist, 0.0), axis=1
-        )
-        hits = np.argwhere(close & (reach > REVISIT_EXCURSION))
-        if hits.size:
-            r, j = hits[0]
-            return float(dist[r, j])
-    return None
-
-
 def monotonicity_check(family: FamilyDescriptor, n_orbits: int, seed: int = 0) -> MonotonicityReport:
     """Gradient-like behavior along random interior orbits.
 
     The Lyapunov value must not increase between accepted steps by more
-    than LYAPUNOV_STEP_TOL, and after one unit of time no orbit may
-    return within REVISIT_TOL of a point it already visited at least one
-    time unit earlier (no periodic orbits).
+    than LYAPUNOV_STEP_TOL ("lyapunov_increase", valued by the largest
+    rise), and every orbit must end at a found zero by the rule of
+    _limits.  An orbit that does not is recorded as "no_limit (<reason>)",
+    its end reason from _REASONS, valued by its end's distance to the
+    nearest found zero: a periodic orbit runs out of budget, and a stall
+    beside no found zero points at a zero the search missed.
     """
     if n_orbits < 1:
         raise ValueError("n_orbits must be at least 1")
     field = field_for(family)
     rng = np.random.default_rng(seed)
     pts = random_interior_points(n_orbits, rng)
-    _pos, _t, _status, _steps, samples = _integrate_batch(
+    pos, _t, status, _steps, samples = _integrate_batch(
         field, pts, direction="forward", record=True
     )
+    lim, dist = _limits(family, pos, status)
     report = MonotonicityReport(family=family, n_orbits=n_orbits)
     for g, sam in enumerate(samples):
-        if len(sam) < 2:
-            continue
-        arr = np.array(sam)
-        tv, xy = arr[:, 0], arr[:, 1:3]
-        lv = lyapunov_planar(family, xy[:, 0], xy[:, 1])
-        finite = np.isfinite(lv)
-        dl = np.diff(lv[finite])
+        _tv, x, y = np.array(sam).T
+        lv = lyapunov_planar(family, x, y)
+        dl = np.diff(lv[np.isfinite(lv)])
         worst = dl.max() if dl.size else 0.0
         if worst > LYAPUNOV_STEP_TOL:
             report.violations.append(
                 (g, "lyapunov_increase", float(worst), tuple(pts[g]))
             )
-        revisit = _first_revisit(tv, xy, REVISIT_TOL)
-        if revisit is not None:
-            report.violations.append((g, "revisit", revisit, tuple(pts[g])))
+        if lim[g] < 0:
+            kind = f"no_limit ({_REASONS[int(status[g])]})"
+            report.violations.append((g, kind, float(dist[g]), tuple(pts[g])))
     return report

@@ -43,6 +43,12 @@ F = Fraction
 BOUNDARY_EXIT_TOL = 1e-9
 
 
+def outside_simplex(x, y):
+    """Whether (x, y) lies outside the closed simplex, slack BOUNDARY_EXIT_TOL;
+    x and y are numbers or same-shape arrays."""
+    return (x < -BOUNDARY_EXIT_TOL) | (y < -BOUNDARY_EXIT_TOL) | (x + y > 1.0 + BOUNDARY_EXIT_TOL)
+
+
 def _check_positive(m: Sequence) -> None:
     if len(m) != 3:
         raise ValueError("metric must have three components")
@@ -192,7 +198,7 @@ def lyapunov_planar(family: FamilyDescriptor, x, y):
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError(f"x and y must be finite, got {x}, {y}")
-    if ((x < -BOUNDARY_EXIT_TOL) | (y < -BOUNDARY_EXIT_TOL) | (x + y > 1.0 + BOUNDARY_EXIT_TOL)).any():
+    if outside_simplex(x, y).any():
         raise ValueError(f"(x, y) must lie in the closed simplex, got {x}, {y}")
     z = np.asarray(1.0 - x - y)
     degenerate = (x <= 0.0).astype(int) + (y <= 0.0) + (z <= 0.0)
@@ -325,13 +331,14 @@ class ProjectedField:
     family: FamilyDescriptor
     u: Poly
     v: Poly
-    du_dx: Poly = dc_field(init=False)
-    du_dy: Poly = dc_field(init=False)
-    dv_dx: Poly = dc_field(init=False)
-    dv_dy: Poly = dc_field(init=False)
-    scale: float = dc_field(init=False)
-    _field_group: tuple = dc_field(init=False)
-    _jacobian_group: tuple = dc_field(init=False)
+    # derived from u and v, so equality and repr cover family, u and v only
+    du_dx: Poly = dc_field(init=False, compare=False, repr=False)
+    du_dy: Poly = dc_field(init=False, compare=False, repr=False)
+    dv_dx: Poly = dc_field(init=False, compare=False, repr=False)
+    dv_dy: Poly = dc_field(init=False, compare=False, repr=False)
+    scale: float = dc_field(init=False, compare=False, repr=False)
+    _field_group: tuple = dc_field(init=False, compare=False, repr=False)
+    _jacobian_group: tuple = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         jac = (self.u.diff("x"), self.u.diff("y"), self.v.diff("x"), self.v.diff("y"))

@@ -1,5 +1,6 @@
 """Orbit integration, limits, basins, sink traps, separatrices, and invariance reports."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from flagricci import (
     random_interior_points,
     separatrices,
 )
+from flagricci.flowgen import outside_simplex
 from flagricci.polyalg import restrict_to_line, taylor_shift
 from polyoracle import QPoly, as_poly
 
@@ -331,7 +333,7 @@ def test_samples_stay_in_the_closed_simplex_at_any_allowed_tolerance(family, x, 
     )
     reason = dynamics._terminal_outcome(family, pos[0], t[0], status[0]).reason
     assert reason != "boundary" and reason in dynamics._REASONS.values()
-    assert not dynamics._outside_simplex(np.array(samples[0])[:, 1:3]).any()
+    assert not outside_simplex(*np.array(samples[0])[:, 1:3].T).any()
 
 
 def test_backward_samples_ascend():
@@ -511,50 +513,41 @@ def test_monotonicity_rejects_empty_sample():
         monotonicity_check(SU211, 0)
 
 
-def _full_matrix_revisit(tv, xy, revisit_tol):
-    """The revisit scan over the whole (n, n) distance matrix, as reference."""
-    dt = tv[None, :] - tv[:, None]
-    dist = np.abs(xy[None, :, :] - xy[:, None, :]).max(axis=2)
-    close = (dist < revisit_tol) & (dt >= 1.0)
-    for i, j in np.argwhere(close):
-        if dist[i, i : j + 1].max() > 1e-4:
-            return float(dist[i, j])
-    return None
+def test_orbit_without_a_limit_is_a_violation(monkeypatch):
+    """A rotation about (1/3, 1/3) never stalls: its orbit runs out of
+    budget, and the check names that end, valued by the end's distance to
+    the nearest found zero of su(2,1,1)."""
+    x, y = QPoly.variable("x", 2), QPoly.variable("y", 2)
+    one = QPoly.constant(1, 2)
+    eqs = dynamics.equilibria_for(SU211)
+    rotation = dataclasses.replace(dynamics.field_for(SU211), u=as_poly(one - 3 * y), v=as_poly(3 * x - one))
+    results = []
+    integrate = dynamics._integrate_batch
+
+    def short(*args, **kwargs):
+        results.append(integrate(*args, **{**kwargs, "max_steps": 2000}))
+        return results[-1]
+
+    monkeypatch.setattr(dynamics, "field_for", lambda family: rotation)
+    monkeypatch.setattr(dynamics, "random_interior_points", lambda n, rng: [(0.4, 1 / 3)])
+    monkeypatch.setattr(dynamics, "_integrate_batch", short)
+    report = monotonicity_check(SU211, 1)
+    (pos, _t, status, steps, _samples), = results
+    assert status[0] == dynamics.MAX_STEPS and steps[0] == 2000
+    _idx, dist = dynamics.nearest(pos, [eq.position for eq in eqs])
+    assert dist[0] > dynamics.MATCH_TOL
+    ends = [v for v in report.violations if v[1] != "lyapunov_increase"]
+    assert ends == [(0, "no_limit (max_steps)", float(dist[0]), (0.4, 1 / 3))]
 
 
-@pytest.mark.parametrize("family", [SU211, G2], ids=lambda f: f.id)
-@pytest.mark.parametrize("block", [1 << 18, 7, 1])
-def test_blocked_revisit_scan_matches_full_matrix(family, block, monkeypatch):
-    from flagricci import dynamics
-
-    monkeypatch.setattr(dynamics, "_REVISIT_BLOCK", block)
-    pts = random_interior_points(4, np.random.default_rng(5))
-    *_, samples = dynamics._integrate_batch(projected_field(family), pts, record=True, max_steps=400)
-    found = 0
-    for sam in samples:
-        arr = np.array(sam)
-        tv, xy = arr[:, 0], arr[:, 1:3]
-        for tol in (1e-8, 1e-3, 3e-2):
-            want = _full_matrix_revisit(tv, xy, tol)
-            assert dynamics._first_revisit(tv, xy, tol) == want
-            found += want is not None
-    assert found > 0  # the looser tolerances do find revisits
-
-
-@pytest.mark.parametrize("block", [1 << 18, 50, 1])
-def test_revisit_scan_finds_periodic_orbit(block, monkeypatch):
-    from flagricci import dynamics
-
-    monkeypatch.setattr(dynamics, "_REVISIT_BLOCK", block)
-    tv = np.arange(301) / 100.0  # three periods, t = 1.0 sampled exactly
-    angle = 2.0 * np.pi * tv
-    xy = np.stack([0.3 + 0.1 * np.cos(angle), 0.3 + 0.1 * np.sin(angle)], axis=-1)
-    want = _full_matrix_revisit(tv, xy, 1e-8)
-    assert want is not None and want < 1e-8
-    assert dynamics._first_revisit(tv, xy, 1e-8) == want
-    # a point resting on an equilibrium makes no excursion and is exempt
-    rest = np.full_like(xy, 0.25)
-    assert dynamics._first_revisit(tv, rest, 1e-8) is None
+def test_every_listed_family_has_forward_limits():
+    """Criterion 4 beyond the table: each family of list_families(6, 12)
+    passes the check, every sampled forward orbit ending at a found zero."""
+    families = list_families(6, 12)
+    assert len(families) == 73
+    for k, family in enumerate(families):
+        report = monotonicity_check(family, 5, seed=k)
+        assert report.passed, (family.id, family.params, report.violations)
 
 
 def test_random_interior_points_margin_and_determinism():
@@ -865,7 +858,7 @@ def test_float_trap_test_admits_only_points_inside_the_trap(family):
         d = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         rho = np.sqrt(float(trap.level) / (pxx * d[:, 0] ** 2 + pxy2 * d[:, 0] * d[:, 1] + pyy * d[:, 1] ** 2))
         p = np.array([cx, cy]) + (rho + rng.uniform(-1e-12, 1e-12, 4000))[:, None] * d
-        p = p[~dynamics._outside_simplex(p)]
+        p = p[~outside_simplex(p[:, 0], p[:, 1])]
         admitted = dynamics._trap_of([trap], p) == 0
         assert 0 < admitted.sum() < len(p)
         for x, y in p[admitted]:
@@ -1027,7 +1020,7 @@ def test_separatrix_into_a_nonhyperbolic_corner_stalls_inside_the_simplex():
     ]
     assert (sep.limit.kind, sep.limit.label, sep.limit.reason) == ("Equilibrium", "P", "stalled")
     assert len(sep.points) == 465
-    assert not dynamics._outside_simplex(np.array(sep.points)).any()
+    assert not outside_simplex(*np.array(sep.points).T).any()
 
 
 def _separatrix_direction(s) -> str:

@@ -31,6 +31,7 @@ from flagricci.flowgen import (
     cleared_field,
     lyapunov_planar,
     lyapunov_value,
+    outside_simplex,
     projected_field,
     ricci_components,
     scalar_curvature,
@@ -397,7 +398,7 @@ def test_lyapunov_planar_rejects_points_off_the_simplex():
             lyapunov_planar(fam, x, y)
         with pytest.raises(ValueError, match="closed simplex"):
             lyapunov_planar(fam, np.array([0.3, x]), np.array([0.3, y]))
-    assert dynamics.BOUNDARY_EXIT_TOL is BOUNDARY_EXIT_TOL == 1e-9
+    assert dynamics.outside_simplex is outside_simplex and BOUNDARY_EXIT_TOL == 1e-9
     assert lyapunov_planar(fam, -5e-10, 0.5) == -math.inf
 
 
@@ -565,6 +566,21 @@ def test_replaced_field_derives_its_numerics_from_u_and_v():
     assert f.scale == 2.0
     with pytest.raises(ValueError):
         dataclasses.replace(f, scale=1.0)
+
+
+def test_fields_compare_and_print_by_family_u_and_v():
+    """Equality and repr cover family, u and v, not the derived numerics;
+    a field stays unhashable, as its polynomials are."""
+    g2u2 = type1_family("g2u2")
+    f = projected_field(g2u2)
+    assert f == projected_field(g2u2) and f is not projected_field(g2u2)
+    assert f != dataclasses.replace(f, v=as_poly(Y * (2 * X - ONE)))
+    assert f != projected_field(su_family(2, 1, 1))
+    text = repr(f)
+    assert text.startswith("ProjectedField(family=") and "u=" in text and "v=" in text
+    assert "array" not in text and "du_dx" not in text and "scale" not in text
+    with pytest.raises(TypeError):
+        hash(f)
 
 
 @pytest.mark.parametrize("v", [Poly({}, 2), Poly({(0, 0): 3}, 2)], ids=["zero", "three"])

@@ -8,6 +8,9 @@ target spaces keyed by which summands degenerate.
 
 Two families are parametric (the SU and SO series); the rest are eight
 fixed spaces: one exceptional Type II flag and the seven Type I flags.
+The Type II formulas are stated once, for su(m, n, p): the E6 flag has
+the flow of su(1, 1, 1), and so(l) that of su(l - 2, l - 2, 2) with x
+and z exchanged, (x, y) -> (1 - x - y, y) (su_params).
 """
 
 from __future__ import annotations
@@ -145,6 +148,23 @@ def type1_family(fid: str) -> FamilyDescriptor:
         group_name=group,
         isotropy_name=isotropy,
     )
+
+
+def su_params(family: FamilyDescriptor) -> tuple:
+    """(m, n, p) of the su series member whose flow a Type II family's is.
+
+    su(m, n, p) is itself and the E6 flag is su(1, 1, 1).  so(l) is
+    su(l - 2, l - 2, 2) with x and z exchanged, (x, y) -> (1 - x - y, y);
+    both clear their Ricci operators with k = 4(l - 1).
+    """
+    if family.kind == KIND_SU:
+        return family.params
+    if family.kind == KIND_SO:
+        ell = family.params[0]
+        return (ell - 2, ell - 2, 2)
+    if family.kind == KIND_E6:
+        return (1, 1, 1)
+    raise ValueError(f"{family.id} is not a Type II family")
 
 
 def family_from_id(fid: str, params: Optional[tuple] = None) -> FamilyDescriptor:
@@ -322,6 +342,10 @@ def _su_interior_eigs(m: int, n: int, p: int) -> tuple:
     )
     disc = disc / F(16 * s**4)
     if disc >= 0:
+        # exact where disc is a rational square, as for m = n or n = p
+        root = F(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
+        if root * root == disc:
+            return (a - root, a + root)
         root = math.sqrt(disc)
         return (float(a) - root, float(a) + root)
     root = math.sqrt(-disc)
@@ -369,50 +393,17 @@ def _su_records(m: int, n: int, p: int) -> list:
     ]
 
 
-def _so_kl_saddle_eigs(ell: int) -> tuple:
-    """Eigenvalues at the two off-center SO saddles S and T.
-
-    The discriminant of their Jacobian is the square ((l-2)(5l-8)/9)^2,
-    so both eigenvalues are rational.
-    """
-    return (F(-2 * ell * (ell - 2) ** 2, (3 * ell - 4) ** 2), F(ell * (ell - 2), 3 * ell - 4))
-
-
-def _so_records(ell: int) -> list:
-    rec = EquilibriumRecord
-    kl = _so_kl_saddle_eigs(ell)
-    return [
-        rec("O", (F(0), F(0)), DEGENERATE, REPELLER, (F(ell), F(ell))),
-        # the field is symmetric under swapping x and y (the first two
-        # summands share a dimension), so P and Q carry the same spectrum
-        rec("P", (F(0), F(1)), DEGENERATE, REPELLER, (F(ell), F(2 * (ell - 2)))),
-        rec("Q", (F(1), F(0)), DEGENERATE, REPELLER, (F(ell), F(2 * (ell - 2)))),
-        rec("K", (F(0), F(1, 2)), DEGENERATE, ATTRACTOR, (F(-ell, 2), F(-ell, 2))),
-        rec("L", (F(1, 2), F(1, 2)), DEGENERATE, ATTRACTOR, (F(2 - ell), F(2 - ell))),
-        rec("M", (F(1, 2), F(0)), DEGENERATE, ATTRACTOR, (F(-ell, 2), F(-ell, 2))),
-        rec(
-            "N",
-            (F(ell, 4 * (ell - 1)), F(ell, 4 * (ell - 1))),
-            EINSTEIN_NON_KAHLER,
-            REPELLER,
-            (F((ell - 2) * ell, 2 * (ell - 1) ** 2), F((ell - 2) ** 2 * ell, 4 * (ell - 1) ** 2)),
-        ),
-        rec("R", (F(1, 4), F(1, 4)), KAHLER_EINSTEIN, SADDLE, (F(-1, 2), F(ell, 4))),
-        rec(
-            "S",
-            (F(ell, 6 * ell - 8), F(1, 2)),
-            KAHLER_EINSTEIN,
-            SADDLE,
-            kl,
-        ),
-        rec(
-            "T",
-            (F(1, 2), F(ell, 6 * ell - 8)),
-            KAHLER_EINSTEIN,
-            SADDLE,
-            kl,
-        ),
-    ]
+def _so_records(family: FamilyDescriptor) -> list:
+    """so(l)'s records: those of su(l-2, l-2, 2) under the exchange of x and z,
+    (x, y) -> (1 - x - y, y), which renames O<->Q, K<->L, R->T, S->R and
+    T->S and keeps the order O P Q K L M N R S T."""
+    renamed = {"O": "Q", "Q": "O", "K": "L", "L": "K", "R": "T", "S": "R", "T": "S"}
+    by_label = {}
+    for r in _su_records(*su_params(family)):
+        x, y = r.position
+        label = renamed.get(r.label, r.label)
+        by_label[label] = EquilibriumRecord(label, (1 - x - y, y), r.metric_kind, r.expected_class, r.eigenvalues)
+    return [by_label[label] for label in "OPQKLMNRST"]
 
 
 def _type1_records(fid: str) -> list:
@@ -432,13 +423,10 @@ def _type1_records(fid: str) -> list:
 
 def reference_equilibria(family: FamilyDescriptor) -> list:
     """Known equilibria of the projected flow for the family."""
-    if family.kind == KIND_SU:
-        return _su_records(*family.params)
     if family.kind == KIND_SO:
-        return _so_records(family.params[0])
-    if family.kind == KIND_E6:
-        # same dynamics as the smallest SU family
-        return _su_records(1, 1, 1)
+        return _so_records(family)
+    if family.is_type_two:
+        return _su_records(*su_params(family))
     return _type1_records(family.id)
 
 

@@ -387,23 +387,23 @@ def _dp_step(field: ProjectedField, p, k1, hs, rtol, atol):
     (first same as last).  Overflowing stages, and a step the error test
     would accept that lands outside the closed simplex (slack
     BOUNDARY_EXIT_TOL), read as infinite error: the step is rejected and
-    the step size shrinks by the controller's least factor.
+    the step size shrinks by the controller's least factor.  The caller
+    silences numpy's overflow, invalid and divide warnings around it.
     """
     # step sizes at full (n, 2) shape: numpy broadcasts a column over a
     # length-2 axis several times slower than it multiplies equal shapes
     hc = np.repeat(hs, 2).reshape(-1, 2)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        k2 = field.rhs(p + hc * (_A21 * k1))
-        k3 = field.rhs(p + hc * (_A31 * k1 + _A32 * k2))
-        k4 = field.rhs(p + hc * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = field.rhs(p + hc * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-        k6 = field.rhs(p + hc * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-        y5 = p + hc * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = field.rhs(y5)
-        err = hc * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-        scale = atol + rtol * np.maximum(np.abs(p), np.abs(y5))
-        errnorm = row_max_abs(err / scale)
-        errnorm[(errnorm <= 1.0) & outside_simplex(y5[:, 0], y5[:, 1])] = np.inf
+    k2 = field.rhs(p + hc * (_A21 * k1))
+    k3 = field.rhs(p + hc * (_A31 * k1 + _A32 * k2))
+    k4 = field.rhs(p + hc * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+    k5 = field.rhs(p + hc * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+    k6 = field.rhs(p + hc * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
+    y5 = p + hc * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+    k7 = field.rhs(y5)
+    err = hc * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+    scale = atol + rtol * np.maximum(np.abs(p), np.abs(y5))
+    errnorm = row_max_abs(err / scale)
+    errnorm[(errnorm <= 1.0) & outside_simplex(y5[:, 0], y5[:, 1])] = np.inf
     errnorm = np.where(np.isfinite(errnorm), errnorm, np.inf)
     return y5, errnorm, k7
 
@@ -429,7 +429,11 @@ def _check_integration_input(pos, direction, rtol, atol, max_time, max_steps) ->
     if not max_time > 0:
         raise ValueError(f"max_time must be positive, got {max_time!r}")
     budget = np.asarray(max_steps)
-    if budget.ndim > 1 or (budget.size and budget.dtype.kind not in "iuO"):
+    # integers beyond int64 make an object array, whose entries are checked one by one
+    integral = budget.dtype.kind in "iu" or budget.dtype.kind == "O" and all(
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in budget.flat
+    )
+    if budget.ndim > 1 or (budget.size and not integral):
         raise ValueError(f"max_steps must be an integer or one per start, got {max_steps!r}")
     if (budget <= 0).any():
         raise ValueError(f"max_steps must be positive, got {max_steps!r}")
@@ -494,58 +498,61 @@ def _integrate_batch(
     h = np.clip(1e-2 / speed, 1e-6, H_MAX)
     h = np.minimum(h, max_time)
 
-    for done in range(1, 4 * int(budget.max(initial=0)) + 1):
-        if ids.size == 0:
-            break
-        y5, errnorm, k7 = _dp_step(field, p, k1, h * sign.take(ids), rtol, atol)
+    # overflowing trial stages read as infinite error (_dp_step)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for done in range(1, 4 * int(budget.max(initial=0)) + 1):
+            if ids.size == 0:
+                break
+            y5, errnorm, k7 = _dp_step(field, p, k1, h * sign.take(ids), rtol, atol)
 
-        accept = errnorm <= 1.0
-        # a rejected step keeps its point and its first stage
-        if not accept.all():
-            rejected = (~accept).nonzero()[0]
-            y5[rejected] = p[rejected]
-            k7[rejected] = k1[rejected]
-        disp = row_max_abs(y5 - p)
-        p, k1 = y5, k7
-        np.add(tp, h, out=tp, where=accept)
-        sp += accept
-        if record:
-            moved = accept.nonzero()[0]
-            for g, tg, (x, y) in zip(ids.take(moved).tolist(), tp.take(moved).tolist(), p.take(moved, axis=0).tolist()):
-                samples[g].append((tg, x, y))
-        # a step shortened by the controller or by the max_time cap must
-        # not read as a stall: a short step counts only where the field is
-        # so slow that a step of STALL_STEP would have stalled as well
-        stalled = accept & (disp < STALL_TOL)
-        if stalled.any():
-            stalled &= ~((h < STALL_STEP) & (row_max_abs(k1) * STALL_STEP >= STALL_TOL))
+            accept = errnorm <= 1.0
+            # a rejected step keeps its point and its first stage
+            if not accept.all():
+                rejected = (~accept).nonzero()[0]
+                y5[rejected] = p[rejected]
+                k7[rejected] = k1[rejected]
+            disp = row_max_abs(y5 - p)
+            p, k1 = y5, k7
+            np.add(tp, h, out=tp, where=accept)
+            sp += accept
+            if record:
+                moved = accept.nonzero()[0]
+                rows = zip(ids.take(moved).tolist(), tp.take(moved).tolist(), p.take(moved, axis=0).tolist())
+                for g, tg, (x, y) in rows:
+                    samples[g].append((tg, x, y))
+            # a step shortened by the controller or by the max_time cap must
+            # not read as a stall: a short step counts only where the field is
+            # so slow that a step of STALL_STEP would have stalled as well
+            stalled = accept & (disp < STALL_TOL)
+            if stalled.any():
+                stalled &= ~((h < STALL_STEP) & (row_max_abs(k1) * STALL_STEP >= STALL_TOL))
 
-        # step-size update, guarding the zero-error case; the two-sided
-        # bound is np.clip's arithmetic without its call overhead
-        factor = np.minimum(np.maximum(0.9 * np.maximum(errnorm, 1e-300) ** -0.2, 0.2), 5.0)
-        rem = max_time - tp
-        h = np.minimum(np.minimum(h * factor, H_MAX), rem)
-        out_of_time = rem <= 1e-12
-        underflow = h < H_MIN
-        # out of accepted steps, or of trial steps: 4 * budget <= done
-        out_of_steps = np.maximum(sp, done // 4) >= budget.take(ids)
+            # step-size update, guarding the zero-error case; the two-sided
+            # bound is np.clip's arithmetic without its call overhead
+            factor = np.minimum(np.maximum(0.9 * np.maximum(errnorm, 1e-300) ** -0.2, 0.2), 5.0)
+            rem = max_time - tp
+            h = np.minimum(np.minimum(h * factor, H_MAX), rem)
+            out_of_time = rem <= 1e-12
+            underflow = h < H_MIN
+            # out of accepted steps, or of trial steps: 4 * budget <= done
+            out_of_steps = np.maximum(sp, done // 4) >= budget.take(ids)
 
-        stop = stalled | out_of_time | underflow | out_of_steps
-        if traps:
-            trapped = _trap_of(traps, p) >= 0
-            stop |= trapped
-        if stop.any():
-            # one reason per stopped row; a later assignment wins, so
-            # TRAPPED > STALLED > MAX_TIME > UNDERFLOW > MAX_STEPS
-            code = np.full(ids.size, MAX_STEPS, dtype=np.int8)
-            for reason, rows in ((UNDERFLOW, underflow), (MAX_TIME, out_of_time), (STALLED, stalled)):
-                code[rows] = reason
+            stop = stalled | out_of_time | underflow | out_of_steps
             if traps:
-                code[trapped] = TRAPPED
-            g = ids[stop]
-            pos[g] = np.compress(stop, p, axis=0)
-            t[g], steps[g], status[g] = tp[stop], sp[stop], code[stop]
-            ids, p, k1, h, tp, sp = keep_rows(~stop, ids, p, k1, h, tp, sp)
+                trapped = _trap_of(traps, p) >= 0
+                stop |= trapped
+            if stop.any():
+                # one reason per stopped row; a later assignment wins, so
+                # TRAPPED > STALLED > MAX_TIME > UNDERFLOW > MAX_STEPS
+                code = np.full(ids.size, MAX_STEPS, dtype=np.int8)
+                for reason, rows in ((UNDERFLOW, underflow), (MAX_TIME, out_of_time), (STALLED, stalled)):
+                    code[rows] = reason
+                if traps:
+                    code[trapped] = TRAPPED
+                g = ids[stop]
+                pos[g] = np.compress(stop, p, axis=0)
+                t[g], steps[g], status[g] = tp[stop], sp[stop], code[stop]
+                ids, p, k1, h, tp, sp = keep_rows(~stop, ids, p, k1, h, tp, sp)
 
     return pos, t, status, steps, samples
 

@@ -35,7 +35,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .catalog import KIND_SO, KIND_SU, KIND_TYPE1, FamilyDescriptor
+from .catalog import KIND_SO, KIND_TYPE1, FamilyDescriptor, su_params
 from .polyalg import Poly, expand_z
 
 F = Fraction
@@ -71,9 +71,11 @@ def ricci_terms(family: FamilyDescriptor) -> tuple:
     Returns (k, (r_x, r_y, r_z)).  Each r_i is a tuple of (c, (a, b, e))
     entries meaning c x^a y^b z^e; a monomial may repeat, and its entries
     then add.  k is the positive constant of the clearing factor: 2s for
-    su(m, n, p) with s = m + n + p, 4(l - 1) for so(l), 6 for the E6 flag
-    (whose operator is that of su(1, 1, 1)) and 4 delta d1 d2 for Type I
-    with delta = d1 + 4 d2 + 9 d3.
+    su(m, n, p) with s = m + n + p, and 4 delta d1 d2 for Type I with
+    delta = d1 + 4 d2 + 9 d3.  The other Type II families take the table
+    of their su_params: the E6 flag that of su(1, 1, 1), and so(l) that
+    of su(l - 2, l - 2, 2) with x and z exchanged, (x, y) -> (1 - x - y,
+    y), so its coefficients of x and z swap and k = 4(l - 1).
     """
     if family.kind == KIND_TYPE1:
         d1, d2, d3 = family.dims
@@ -88,14 +90,11 @@ def ricci_terms(family: FamilyDescriptor) -> tuple:
              (c2, _Y_XZ), (_HALF, _INV_Y)),
             ((-c3, _X_YZ), (c3, _Z_XY), (-c3, _Y_XZ), (_HALF, _INV_Z)),
         )
+    m, n, p = su_params(family)
+    s = m + n + p
+    k, cx, cy, cz = 2 * s, F(p, 4 * s), F(n, 4 * s), F(m, 4 * s)
     if family.kind == KIND_SO:
-        ell = family.params[0]
-        c = F(ell - 2, 8 * (ell - 1))
-        k, cx, cy, cz = 4 * (ell - 1), c, c, F(1, 4 * (ell - 1))
-    else:
-        m, n, p = family.params if family.kind == KIND_SU else (1, 1, 1)
-        s = m + n + p
-        k, cx, cy, cz = 2 * s, F(p, 4 * s), F(n, 4 * s), F(m, 4 * s)
+        cx, cz = cz, cx
     return k, (
         ((cx, _X_YZ), (-cx, _Z_XY), (-cx, _Y_XZ), (_HALF, _INV_X)),
         ((cy, _Y_XZ), (-cy, _X_YZ), (-cy, _Z_XY), (_HALF, _INV_Y)),

@@ -1,10 +1,12 @@
 """Family descriptors, reference tables, bracket tables, limit catalog."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from flagricci.catalog import (
+    ELL_BOUND_MAX,
     TYPE1_IDS,
     bracket_table,
     e6_family,
@@ -16,6 +18,7 @@ from flagricci.catalog import (
     su_family,
     type1_family,
 )
+from flagricci.flowgen import ricci_terms
 
 
 def test_su_family_dims_and_validation():
@@ -129,6 +132,30 @@ def test_so_reference_table():
     # summand dimensions agree), so they must carry the same spectrum
     assert recs["P"].eigenvalues == recs["Q"].eigenvalues
     assert recs["P"].eigenvalues == (Fraction(ell), Fraction(2 * (ell - 2)))
+
+
+def test_so_is_su_with_x_and_z_exchanged():
+    """so(l) is su(l - 2, l - 2, 2) under (x, y) -> (1 - x - y, y): its Ricci
+    term tables are the su ones with x and z exchanged, monomial for
+    monomial, and its records the su ones moved and renamed O<->Q, K<->L,
+    R->T, S->R, T->S, in the order O P Q K L M N R S T."""
+    renamed = {"O": "Q", "Q": "O", "K": "L", "L": "K", "R": "T", "S": "R", "T": "S"}
+    for ell in range(4, ELL_BOUND_MAX + 1):
+        so, su = so_family(ell), su_family(ell - 2, ell - 2, 2)
+        so_k, so_table = ricci_terms(so)
+        su_k, su_table = ricci_terms(su)
+        assert so_k == su_k == 4 * (ell - 1)
+        for so_r, su_r in zip(so_table, reversed(su_table)):
+            assert Counter(so_r) == Counter((c, (e, b, a)) for c, (a, b, e) in su_r), ell
+        so_recs = reference_equilibria(so)
+        assert "".join(r.label for r in so_recs) == "OPQKLMNRST"
+        so_recs = {r.label: r for r in so_recs}
+        for r in reference_equilibria(su):
+            x, y = r.position
+            mapped = so_recs[renamed.get(r.label, r.label)]
+            assert mapped.position == (1 - x - y, y), (ell, r.label)
+            assert (mapped.expected_class, mapped.metric_kind) == (r.expected_class, r.metric_kind)
+            assert mapped.eigenvalues == r.eigenvalues and all(isinstance(e, Fraction) for e in r.eigenvalues)
 
 
 def test_e6_reference_matches_su111():

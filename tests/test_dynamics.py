@@ -90,6 +90,10 @@ TWO_STARTS = [(0.3, 0.3), (0.2, 0.25)]
         (TWO_STARTS, {"max_steps": [10, 0]}, "max_steps"),
         (TWO_STARTS, {"max_steps": [-3, 10]}, "max_steps"),
         (TWO_STARTS, {"max_steps": [10, 10, 10]}, "max_steps has 3 entries"),
+        # beyond int64 the budgets form an object array, whose entries are checked one by one
+        (TWO_STARTS, {"max_steps": [10**30, 2.5]}, "max_steps"),
+        (TWO_STARTS, {"max_steps": [10**30, True]}, "max_steps"),
+        (TWO_STARTS, {"max_steps": [10**30, None]}, "max_steps"),
     ],
     ids=[
         "nan-x",
@@ -110,6 +114,9 @@ TWO_STARTS = [(0.3, 0.3), (0.2, 0.25)]
         "zero-max-steps-row",
         "negative-max-steps-row",
         "long-max-steps-list",
+        "float-max-steps-row-beyond-int64",
+        "bool-max-steps-row-beyond-int64",
+        "none-max-steps-row-beyond-int64",
     ],
 )
 def test_integration_rejects_bad_input(starts, kwargs, match):

@@ -314,6 +314,21 @@ def test_so_saddle_reference_eigenvalues_are_exact(ell):
         assert (a + d, a * d - b * c) == (lo + hi, lo * hi)
 
 
+@pytest.mark.parametrize("mnp", [(2, 2, 1), (3, 3, 1), (4, 1, 1), (5, 2, 2), (6, 6, 3), (24, 24, 1), (24, 1, 1),
+                                 (14, 13, 12)])
+def test_su_interior_reference_eigenvalues_are_exact_at_square_discriminants(mnp):
+    """For m = n or n = p, and su(14, 13, 12) too, the discriminant at N is
+    a rational square: the N row carries Fractions whose sum and product
+    are the exact trace and determinant of the Jacobian there."""
+    fam = su_family(*mnp)
+    field = projected_field(fam)
+    (rec,) = [r for r in reference_equilibria(fam) if r.label == "N"]
+    lo, hi = rec.eigenvalues
+    assert isinstance(lo, Fraction) and isinstance(hi, Fraction) and lo < hi and rec.eigen_rel_tol == 1e-7
+    a, b, c, d = (q.eval(rec.position) for q in (field.du_dx, field.du_dy, field.dv_dx, field.dv_dy))
+    assert (a + d, a * d - b * c) == (lo + hi, lo * hi)
+
+
 def test_a_zero_is_a_record_exactly_within_its_position_tol():
     """On list_families(6, 12), the 11 table families among them, a found
     zero takes its nearest record's label exactly when it lies within that

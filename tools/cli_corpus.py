@@ -5,6 +5,7 @@ Run from the repository root:
     python3 tools/cli_corpus.py record src corpus-new.json
     python3 tools/cli_corpus.py record ../parent/src corpus-old.json
     python3 tools/cli_corpus.py diff corpus-old.json corpus-new.json
+    python3 tools/cli_corpus.py sweep src sweep-new.json
 
 `record` imports flagricci from the given source directory and runs every
 invocation of corpus() through `flagricci.cli.main(argv)` in one process,
@@ -12,7 +13,10 @@ each in an empty working directory with every warning shown.  For each it
 stores the exit code and the sha256 of stdout, of stderr and of every file
 the call wrote.  `diff` lists the invocations whose records differ (or
 that only one side has) and exits 1 if any do, 0 otherwise.  Recording
-the 354 invocations takes 5-8 s on one core of a 2-vCPU VM.
+the 354 invocations takes 5-8 s on one core of a 2-vCPU VM.  `sweep`
+records the invocations of sweep() in the same way: field, equilibria
+and verify of all 3605 families of list_families(24, 1000), 10,815
+invocations in about 25 s; `diff` compares two sweeps alike.
 """
 
 from __future__ import annotations
@@ -42,18 +46,27 @@ def _family_args(fid: str, params) -> list:
     return ["--family", fid] + (["--params", params] if params else [])
 
 
-def _listed_families() -> list:
-    """The 73 families of list_families(6, 12): su(m, n, p) with 6 >= m >= n >= p,
-    so(l) for 4 <= l <= 12 and the eight constant families."""
-    su = [("su", f"{m},{n},{p}") for m in range(1, 7) for n in range(1, m + 1) for p in range(1, n + 1)]
-    return su + [("so", str(ell)) for ell in range(4, 13)] + [(fid, None) for fid in CONSTANT_FAMILIES]
+def _listed_families(mnp_bound: int, ell_bound: int) -> list:
+    """The families of list_families(mnp_bound, ell_bound): su(m, n, p) with
+    mnp_bound >= m >= n >= p, so(l) for 4 <= l <= ell_bound and the eight
+    constant families."""
+    su = [
+        ("su", f"{m},{n},{p}") for m in range(1, mnp_bound + 1) for n in range(1, m + 1) for p in range(1, n + 1)
+    ]
+    return su + [("so", str(ell)) for ell in range(4, ell_bound + 1)] + [(fid, None) for fid in CONSTANT_FAMILIES]
+
+
+def sweep(mnp_bound: int = 24, ell_bound: int = 1000) -> list:
+    """field, equilibria and verify of every family of list_families(mnp_bound,
+    ell_bound), each an argv list: 3 x 3605 invocations by default."""
+    families = _listed_families(mnp_bound, ell_bound)
+    return [[cmd] + _family_args(*fam) for cmd in ("field", "equilibria", "verify") for fam in families]
 
 
 def corpus() -> list:
     """The invocations, each an argv list."""
     out = [["families"], ["families", "--mnp-bound", "6", "--ell-bound", "12"]]
-    for cmd in ("field", "equilibria", "verify"):
-        out += [[cmd] + _family_args(*fam) for fam in _listed_families()]
+    out += sweep(6, 12)
     for fam in TABLE_FAMILIES:
         out += [["gh-limit"] + _family_args(*fam) + ["--x", str(x), "--y", str(y)] for x, y in GH_POINTS]
     out += [["basins"] + _family_args(*fam) + ["--res", "64", "--svg", "basins.svg"] for fam in TABLE_FAMILIES]
@@ -134,12 +147,15 @@ def main(argv=None) -> int:
     sp = sub.add_parser("record", help="run the corpus and write its digests as JSON")
     sp.add_argument("src_dir", help="directory holding the flagricci package")
     sp.add_argument("out", help="JSON file to write")
+    sp = sub.add_parser("sweep", help="run field, equilibria and verify on every listed family")
+    sp.add_argument("src_dir", help="directory holding the flagricci package")
+    sp.add_argument("out", help="JSON file to write")
     sp = sub.add_parser("diff", help="list the invocations whose digests differ")
     sp.add_argument("a")
     sp.add_argument("b")
     args = parser.parse_args(argv)
-    if args.command == "record":
-        records = record(args.src_dir, args.out)
+    if args.command in ("record", "sweep"):
+        records = record(args.src_dir, args.out, sweep() if args.command == "sweep" else None)
         print(f"recorded {len(records)} invocations to {args.out}")
         return 0
     docs = []
